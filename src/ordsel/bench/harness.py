@@ -56,8 +56,10 @@ def run_benchmark(
     `corpus` is a list of (ontology id, source text) pairs.  The pseudo
     configuration "default" reruns the label picked by the rule-based
     default for that ontology's features (reusing the sweep when that label
-    was already benchmarked).  Sources that fail to parse are recorded and
-    skipped, not fatal.
+    was already benchmarked).  A configuration whose child permutations
+    equal those of one already swept on the same ontology reuses that
+    sweep's cost and outcome: the search, and so the row, would be the
+    same.  Sources that fail to parse are recorded and skipped, not fatal.
     """
     from ..tableau import satisfiability_sweep
 
@@ -81,18 +83,24 @@ def run_benchmark(
         default_label = str(default_config(fv).number)
         defaults[oid] = default_label
         per_label: dict[str, RuntimeRow] = {}
+        # Configurations that permute every vertex alike run the same search:
+        # sweep each distinct permutation set once per ontology.
+        swept: dict[tuple, tuple[float, str]] = {}
         labels_to_run = list(real)
         if want_default and default_label not in labels_to_run:
             labels_to_run.append(default_label)
         for label in labels_to_run:
             odag = apply_ordering(d, parse_config(label))
-            sweep = satisfiability_sweep(odag, budget)
-            if sweep.timed_out:
-                row = RuntimeRow(oid, label, float(budget), TIMEOUT)
-            elif not sweep.consistent:
-                row = RuntimeRow(oid, label, float(sweep.total_steps), INCONSISTENT)
-            else:
-                row = RuntimeRow(oid, label, float(sweep.total_steps), FINISHED)
+            key = tuple(odag.permutations.values())
+            if key not in swept:
+                sweep = satisfiability_sweep(odag, budget)
+                if sweep.timed_out:
+                    swept[key] = (float(budget), TIMEOUT)
+                elif not sweep.consistent:
+                    swept[key] = (float(sweep.total_steps), INCONSISTENT)
+                else:
+                    swept[key] = (float(sweep.total_steps), FINISHED)
+            row = RuntimeRow(oid, label, *swept[key])
             per_label[label] = row
             if label in real:
                 rows.append(row)

@@ -17,6 +17,7 @@ and collapse trivial arities instead of violating the n >= 2 invariant.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Union
 
@@ -274,28 +275,26 @@ def concept_depth(c: Concept) -> int:
     raise TypeError(f"not a concept: {c!r}")
 
 
-def _count_atom(c: Concept, name: str) -> int:
-    if isinstance(c, Atomic):
-        return 1 if c.name == name else 0
-    if isinstance(c, (Top, Bottom)):
-        return 0
-    if isinstance(c, Not):
-        return _count_atom(c.child, name)
-    if isinstance(c, (And, Or)):
-        return sum(_count_atom(x, name) for x in c.children)
-    if isinstance(c, (Some, All)):
-        return _count_atom(c.child, name)
-    raise TypeError(f"not a concept: {c!r}")
-
-
-def concept_frequency(name: str, onto: Ontology) -> int:
-    """Occurrences of a class name across all axiom expressions.
+def atom_frequencies(onto: Ontology) -> Counter[str]:
+    """Occurrences of every class name across all axiom expressions.
 
     Counted on the source axioms, before any normalisation, over both
-    sides of every TBox axiom and the concepts of ABox assertions.
-    A name that never occurs has frequency 0.
+    sides of every TBox axiom and the concepts of ABox assertions, in one
+    pass.  A name that never occurs counts 0.
     """
-    return sum(_count_atom(expr, name) for expr in onto.concept_expressions())
+    counts: Counter[str] = Counter()
+    stack = list(onto.concept_expressions())
+    while stack:
+        c = stack.pop()
+        if isinstance(c, Atomic):
+            counts[c.name] += 1
+        elif isinstance(c, (Not, Some, All)):
+            stack.append(c.child)
+        elif isinstance(c, (And, Or)):
+            stack.extend(c.children)
+        elif not isinstance(c, (Top, Bottom)):
+            raise TypeError(f"not a concept: {c!r}")
+    return counts
 
 
 def is_generating(c: Concept) -> bool:

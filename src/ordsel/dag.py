@@ -58,7 +58,7 @@ from .concepts import (
     Some,
     Subsumption,
     Top,
-    concept_frequency,
+    atom_frequencies,
 )
 
 AND = "and"
@@ -96,7 +96,8 @@ class Dag:
     ``vertices`` is topologically ordered (children precede parents).
     ``roots`` maps every declared class to its definition reference when
     one exists, otherwise to its atomic vertex; residual constraints
-    appear under ``gci:<i>`` keys.
+    appear under ``gci:<i>`` keys.  ``top_id`` is the *top* vertex, None
+    when the ontology never mentions *top* or *bottom*.
     """
 
     vertices: tuple[DagVertex, ...]
@@ -107,13 +108,7 @@ class Dag:
     gci_refs: tuple[Ref, ...]
     gci_constraint: Ref | None
     assertion_refs: tuple[Ref, ...]
-
-    @property
-    def top_id(self) -> int | None:
-        for i, v in enumerate(self.vertices):
-            if v.op == TOP_OP:
-                return i
-        return None
+    top_id: int | None
 
 
 class _Builder:
@@ -367,16 +362,10 @@ def encode_dag(onto: Ontology) -> Dag:
             sizes[vid] = 1 + sum(sizes[e.target] + (1 if e.negated else 0) for e in children)
             depths[vid] = max(depths[e.target] for e in children)
 
-    freq_cache: dict[str, int] = {}
-
-    def atom_freq(name: str) -> int:
-        if name not in freq_cache:
-            freq_cache[name] = concept_frequency(name, onto)
-        return freq_cache[name]
-
+    atom_freq = atom_frequencies(onto)
     vertices = []
     for vid, (op, role, name, children) in enumerate(b.ops):
-        freq = atom_freq(name) if op == ATOM else parents[vid]
+        freq = atom_freq[name] if op == ATOM else parents[vid]
         stats = ConceptStats(
             size=sizes[vid],
             depth=depths[vid],
@@ -411,6 +400,7 @@ def encode_dag(onto: Ontology) -> Dag:
         gci_refs=tuple(gci_refs),
         gci_constraint=gci_constraint,
         assertion_refs=assertion_refs,
+        top_id=b.top,
     )
 
 

@@ -96,9 +96,12 @@ def sort_key(
     return (grank, value, position)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrderedDag:
-    """A DAG with one child permutation per ``and`` vertex."""
+    """A DAG with one child permutation per ``and`` vertex.
+
+    Compared and hashed by identity, so per-ordering caches can key on it.
+    """
 
     dag: Dag
     config: HeuristicConfig | None

@@ -284,12 +284,14 @@ def train_model_bundle(
     labels = label_examples(runtime_rows, threshold, configs)
     feat_by_id = dict(feature_rows)
     order = [oid for oid, _ in feature_rows]
-    models: dict[str, ConfigModel] = {}
-    for label in configs:
-        lab = labels[label]
-        ids = [oid for oid in order if oid in lab]
+    # check every configuration before any (slow) grid search
+    ids_by_label = {label: [oid for oid in order if oid in labels[label]] for label in configs}
+    for label, ids in ids_by_label.items():
         if not ids:
             raise ValueError(f"no runtime rows for configuration {label}")
+    models: dict[str, ConfigModel] = {}
+    for label, ids in ids_by_label.items():
+        lab = labels[label]
         x = np.asarray([feat_by_id[oid].values for oid in ids], dtype=float)
         y = np.asarray([lab[oid] for oid in ids], dtype=float)
         if len(np.unique(y)) < 2:

@@ -18,14 +18,31 @@ budget, so results are exactly reproducible across machines.
 Node labels are fully saturated before successors are generated (no
 inverse roles means labels never grow afterwards), which keeps blocking
 checks static per node.
+
+Implementation (Horrocks, "Implementation and optimisation techniques",
+*The Description Logic Handbook*, 2003):
+
+* Signed references are packed into ints, ``2 * vertex + negated``, so a
+  complement is ``r ^ 1``.  Per-reference rule tables are built once per
+  ``OrderedDag`` and shared by every test on it.
+* Each node keeps one label, an ordered ``items`` list plus an ``index``
+  set.  A choice point records the label length as its mark; a failed
+  branch truncates the label back to the mark (an undo trail) instead of
+  working on a copy.
+* Items before a node's cursor are already branched on, so the scan for
+  the next open disjunction starts at the cursor.
+* The search runs without recursion: the path from the root to the node
+  being expanded is an explicit list of frames, each holding its own
+  choice points, so neither nesting depth nor the number of open
+  disjunctions is bounded by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
-import sys
+import weakref
 from dataclasses import dataclass
 
-from .dag import ALL, AND, ATOM, Dag, Ref, TOP_OP, flip
+from .dag import ALL, AND, ATOM, Dag, Ref
 from .heuristics import OrderedDag
 
 SATISFIABLE = "satisfiable"
@@ -58,153 +75,234 @@ class SweepResult:
         return self.consistency.outcome != UNSATISFIABLE
 
 
+def _packed(ref: Ref) -> int:
+    return 2 * ref[0] + ref[1]
+
+
+class _Tables:
+    """Rule tables indexed by packed reference.
+
+    ``expand[r]``: references a conjunction or an unfoldable atom adds (one
+    step), else None.  ``disjuncts[r]``: flipped children of a negated
+    ``and`` in the permuted order, else None.  ``exists[r]`` / ``forall[r]``:
+    (role, packed child) of an existential / value restriction, else None.
+    ``bottom``: the packed negated top (-1 when there is no top vertex).
+    """
+
+    __slots__ = ("expand", "disjuncts", "exists", "forall", "bottom", "gci")
+
+    def __init__(self, odag: OrderedDag):
+        d = odag.dag
+        n = 2 * len(d.vertices)
+        self.expand: list[tuple[int, ...] | None] = [None] * n
+        self.disjuncts: list[tuple[int, ...] | None] = [None] * n
+        self.exists: list[tuple[str, int] | None] = [None] * n
+        self.forall: list[tuple[str, int] | None] = [None] * n
+        self.bottom = -1 if d.top_id is None else 2 * d.top_id + 1
+        self.gci = None if d.gci_constraint is None else _packed(d.gci_constraint)
+        for vid, v in enumerate(d.vertices):
+            pos, neg = 2 * vid, 2 * vid + 1
+            if v.op == AND:
+                kids = [2 * e.target + e.negated for e in odag.children_in_order(vid)]
+                self.expand[pos] = tuple(kids)
+                self.disjuncts[neg] = tuple(k ^ 1 for k in kids)
+            elif v.op == ALL:
+                e = v.children[0]
+                child = 2 * e.target + e.negated
+                self.forall[pos] = (v.role, child)
+                self.exists[neg] = (v.role, child ^ 1)
+            elif v.op == ATOM:
+                defs = [_packed(r) for r in d.definitions.get(v.name, ())]
+                told = [_packed(r) for r in d.told.get(v.name, ())]
+                self.expand[pos] = tuple(told + defs) or None
+                self.expand[neg] = tuple(r ^ 1 for r in defs) or None
+
+
+# Tables are a pure function of an immutable OrderedDag and die with it.
+_TABLES: weakref.WeakKeyDictionary[OrderedDag, _Tables] = weakref.WeakKeyDictionary()
+
+
+def _tables(odag: OrderedDag) -> _Tables:
+    t = _TABLES.get(odag)
+    if t is None:
+        t = _TABLES[odag] = _Tables(odag)
+    return t
+
+
 class _Budget(Exception):
     pass
 
 
-class _Search:
-    def __init__(self, odag: OrderedDag, budget: int):
-        self.odag = odag
-        self.verts = odag.dag.vertices
-        self.definitions = odag.dag.definitions
-        self.told = odag.dag.told
-        self.gci = odag.dag.gci_constraint
-        self.budget = budget
-        self.steps = 0
-        self.branch_points = 0
-        self.max_depth = 0
-
-    def _step(self):
-        self.steps += 1
-        if self.steps >= self.budget:
-            raise _Budget()
-
-    def _add(self, items: list[Ref], index: set[Ref], ref: Ref) -> bool:
-        """Add a reference to a label; False signals a clash."""
-        if ref in index:
-            return True
-        vid, negated = ref
-        if (vid, not negated) in index:
-            return False
-        if negated and self.verts[vid].op == TOP_OP:
-            return False
-        index.add(ref)
-        items.append(ref)
+def _add(items: list[int], index: set[int], r: int, bottom: int) -> bool:
+    """Add a packed reference to a label; False signals a clash."""
+    if r in index:
         return True
+    if r ^ 1 in index or r == bottom:
+        return False
+    index.add(r)
+    items.append(r)
+    return True
 
-    def _unfolding(self, name: str, negated: bool) -> tuple[Ref, ...]:
-        defs = self.definitions.get(name, ())
-        if not negated:
-            return tuple(self.told.get(name, ())) + tuple(defs)
-        return tuple(flip(r) for r in defs)
 
-    def _node(
-        self,
-        items: list[Ref],
-        index: set[Ref],
-        pos: int,
-        done: frozenset[Ref],
-        ancestors: tuple[frozenset[Ref], ...],
-        depth: int,
-    ) -> int | None:
-        """Saturate one node; returns its model size or None on clash."""
-        verts = self.verts
-        while pos < len(items):
-            vid, negated = items[pos]
-            pos += 1
-            v = verts[vid]
-            if v.op == AND and not negated:
-                self._step()
-                for e in self.odag.children_in_order(vid):
-                    if not self._add(items, index, (e.target, e.negated)):
-                        return None
-            elif v.op == ATOM:
-                adds = self._unfolding(v.name, negated)
-                if adds:
-                    self._step()
-                    for r in adds:
-                        if not self._add(items, index, r):
-                            return None
+class _Node:
+    """One completion-tree node on the path from the root.
 
-        for ref in items:
-            vid, negated = ref
-            if negated and verts[vid].op == AND and ref not in done:
-                self.branch_points += 1
-                done2 = done | {ref}
-                for e in self.odag.children_in_order(vid):
-                    self._step()
-                    child = (e.target, not e.negated)
-                    if child in index:
-                        r = self._node(items, index, len(items), done2, ancestors, depth)
-                    elif (child[0], not child[1]) in index or (
-                        child[1] and verts[child[0]].op == TOP_OP
-                    ):
+    ``choices`` holds the node's open choice points, innermost last, as
+    ``[disjuncts, next alternative, label mark, cursor after]``.
+    ``pending`` (existentials still to expand, last first), ``foralls``
+    (value-restriction children by role) and ``total`` (model size so
+    far) belong to the successor phase.
+    """
+
+    __slots__ = ("items", "index", "cursor", "choices", "foralls", "pending", "total")
+
+    def __init__(self, items: list[int], index: set[int]):
+        self.items = items
+        self.index = index
+        self.cursor = 0
+        self.choices: list[list] = []
+        self.foralls: dict[str, list[int]] = {}
+        self.pending: list[tuple[str, int]] = []
+        self.total = 1
+
+
+# Search modes: saturate the current node from `pos`; resume the innermost
+# open choice point; expand the current node's next successor; hand the
+# current node's model size to its parent.
+_SATURATE, _BACKTRACK, _SUCCESSOR, _RETURN = range(4)
+
+
+def _search(t: _Tables, target: int | None, budget: int) -> SatResult:
+    expand, disjuncts, exists, forall = t.expand, t.disjuncts, t.exists, t.forall
+    bottom, gci = t.bottom, t.gci
+    steps = branch_points = max_depth = 0
+    try:
+        node = _Node([], set())
+        ok = True
+        if gci is not None:
+            steps += 1
+            if steps >= budget:
+                raise _Budget()
+            ok = _add(node.items, node.index, gci, bottom)
+        if ok and target is not None:
+            ok = _add(node.items, node.index, target, bottom)
+        if not ok:
+            return SatResult(UNSATISFIABLE, steps, branch_points, max_depth)
+        path: list[_Node] = []  # ancestors of `node`, root first; its depth is len(path)
+        mode, pos, size = _SATURATE, 0, 0
+        while True:
+            if mode == _SATURATE:
+                items, index = node.items, node.index
+                mode = _BACKTRACK  # after a clash, or to enter a new choice point
+                while pos < len(items):
+                    adds = expand[items[pos]]
+                    pos += 1
+                    if adds is None:
                         continue
+                    steps += 1
+                    if steps >= budget:
+                        raise _Budget()
+                    for r in adds:
+                        if r in index:
+                            continue
+                        if r ^ 1 in index or r == bottom:
+                            break
+                        index.add(r)
+                        items.append(r)
                     else:
-                        items2 = items + [child]
-                        index2 = set(index)
-                        index2.add(child)
-                        r = self._node(items2, index2, len(items2) - 1, done2, ancestors, depth)
-                    if r is not None:
-                        return r
-                return None
+                        continue
+                    break  # clash: backtrack
+                else:
+                    for p in range(node.cursor, len(items)):
+                        alts = disjuncts[items[p]]
+                        if alts is not None:
+                            branch_points += 1
+                            node.choices.append([alts, 0, len(items), p + 1])
+                            break
+                    else:
+                        if any(index <= anc.index for anc in path):
+                            mode, size = _RETURN, 0
+                        else:
+                            pending: list[tuple[str, int]] = []
+                            foralls: dict[str, list[int]] = {}
+                            for r in items:
+                                if exists[r] is not None:
+                                    pending.append(exists[r])
+                                elif forall[r] is not None:
+                                    role, child = forall[r]
+                                    foralls.setdefault(role, []).append(child)
+                            pending.reverse()
+                            node.pending, node.foralls, node.total = pending, foralls, 1
+                            mode = _SUCCESSOR
 
-        label = frozenset(index)
-        for anc in ancestors:
-            if label <= anc:
-                return 0
+            elif mode == _BACKTRACK:
+                while not node.choices:
+                    if not path:
+                        return SatResult(UNSATISFIABLE, steps, branch_points, max_depth)
+                    node = path.pop()
+                choice = node.choices[-1]
+                alts, k, mark, after = choice
+                items, index = node.items, node.index
+                if mark < len(items):
+                    index.difference_update(items[mark:])
+                    del items[mark:]
+                while k < len(alts):
+                    r = alts[k]
+                    k += 1
+                    steps += 1
+                    if steps >= budget:
+                        raise _Budget()
+                    if _add(items, index, r, bottom):
+                        break
+                else:
+                    node.choices.pop()
+                    continue
+                # the label is back at `mark` items plus the new disjunct, if any
+                choice[1] = k
+                node.cursor = after
+                mode, pos = _SATURATE, mark
 
-        total = 1
-        deeper = ancestors + (label,)
-        for ref in items:
-            vid, negated = ref
-            v = verts[vid]
-            if negated and v.op == ALL:
-                self._step()
-                if depth + 1 > self.max_depth:
-                    self.max_depth = depth + 1
-                succ_items: list[Ref] = []
-                succ_index: set[Ref] = set()
-                e = v.children[0]
-                ok = self._add(succ_items, succ_index, (e.target, not e.negated))
+            elif mode == _SUCCESSOR:
+                if not node.pending:
+                    mode, size = _RETURN, node.total
+                    continue
+                role, child = node.pending.pop()
+                steps += 1
+                if steps >= budget:
+                    raise _Budget()
+                max_depth = max(max_depth, len(path) + 1)
+                items, index = [], set()
+                ok = _add(items, index, child, bottom)
                 if ok:
-                    for vid2, negated2 in items:
-                        v2 = verts[vid2]
-                        if not negated2 and v2.op == ALL and v2.role == v.role:
-                            self._step()
-                            e2 = v2.children[0]
-                            if not self._add(succ_items, succ_index, (e2.target, e2.negated)):
-                                ok = False
-                                break
-                if ok and self.gci is not None:
-                    self._step()
-                    ok = self._add(succ_items, succ_index, self.gci)
-                if not ok:
-                    return None
-                r = self._node(succ_items, succ_index, 0, frozenset(), deeper, depth + 1)
-                if r is None:
-                    return None
-                total += r
-        return total
+                    for r in node.foralls.get(role, ()):
+                        steps += 1
+                        if steps >= budget:
+                            raise _Budget()
+                        if not _add(items, index, r, bottom):
+                            ok = False
+                            break
+                if ok and gci is not None:
+                    steps += 1
+                    if steps >= budget:
+                        raise _Budget()
+                    ok = _add(items, index, gci, bottom)
+                if ok:
+                    path.append(node)
+                    node = _Node(items, index)
+                    mode, pos = _SATURATE, 0
+                else:
+                    mode = _BACKTRACK
 
-    def run(self, target: Ref | None) -> SatResult:
-        items: list[Ref] = []
-        index: set[Ref] = set()
-        try:
-            ok = True
-            if self.gci is not None:
-                self._step()
-                ok = self._add(items, index, self.gci)
-            if ok and target is not None:
-                ok = self._add(items, index, target)
-            size = self._node(items, index, 0, frozenset(), (), 0) if ok else None
-        except _Budget:
-            return SatResult(BUDGET_EXCEEDED, self.steps, self.branch_points, self.max_depth)
-        if size is None:
-            return SatResult(UNSATISFIABLE, self.steps, self.branch_points, self.max_depth)
-        return SatResult(
-            SATISFIABLE, self.steps, self.branch_points, self.max_depth, model_size=max(size, 1)
-        )
+            else:  # _RETURN
+                if not path:
+                    return SatResult(
+                        SATISFIABLE, steps, branch_points, max_depth, model_size=max(size, 1)
+                    )
+                node = path.pop()
+                node.total += size
+                mode = _SUCCESSOR
+    except _Budget:
+        return SatResult(BUDGET_EXCEEDED, steps, branch_points, max_depth)
 
 
 def is_satisfiable(odag: OrderedDag, target: Ref | None, budget: int) -> SatResult:
@@ -215,10 +313,7 @@ def is_satisfiable(odag: OrderedDag, target: Ref | None, budget: int) -> SatResu
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    limit = sys.getrecursionlimit()
-    if limit < 100_000:
-        sys.setrecursionlimit(100_000)
-    return _Search(odag, budget).run(target)
+    return _search(_tables(odag), None if target is None else _packed(target), budget)
 
 
 def class_ref(d: Dag, name: str) -> Ref:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ordsel.concepts import All, And, Atomic, Bottom, Not, Or, Some, Top
 from ordsel.krss import parse_ontology
 
 # A small TBox with one subsumption chain, one equivalence, and a
@@ -25,6 +26,24 @@ BRANCHY_TEXT = """\
 (implies A (and (or P Q) (or P2 Q2) (some R (and B (not B)))))
 (implies D (or (and E (not E)) G))
 """
+
+
+def _count_atom(c, name: str) -> int:
+    if isinstance(c, Atomic):
+        return 1 if c.name == name else 0
+    if isinstance(c, (Top, Bottom)):
+        return 0
+    if isinstance(c, (Not, Some, All)):
+        return _count_atom(c.child, name)
+    if isinstance(c, (And, Or)):
+        return sum(_count_atom(x, name) for x in c.children)
+    raise TypeError(f"not a concept: {c!r}")
+
+
+def concept_frequency(name: str, onto) -> int:
+    """Oracle for atom frequencies: occurrences of one class name across
+    all axiom expressions, one full traversal per name."""
+    return sum(_count_atom(expr, name) for expr in onto.concept_expressions())
 
 
 @pytest.fixture

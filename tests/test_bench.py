@@ -1,6 +1,7 @@
 """Tests for corpus generation, the benchmark harness, eligibility
 filtering, the train/test split, and speedup reporting."""
 
+import hashlib
 import math
 
 import pytest
@@ -22,11 +23,12 @@ from ordsel.bench.harness import (
     split_train_test,
 )
 from ordsel.dag import encode_dag, nondeterministic_vertices
-from ordsel.heuristics import CONFIG_NUMBERS
+from ordsel.heuristics import CONFIG_NUMBERS, apply_ordering, parse_config
 from ordsel.krss import parse_ontology
 from ordsel.learn.pipeline import GridPoint
 from ordsel.learn.svm import TooFewExamples
-from ordsel.runtimes import FINISHED, INCONSISTENT, TIMEOUT, RuntimeRow
+from ordsel.runtimes import FINISHED, INCONSISTENT, TIMEOUT, RuntimeRow, write_runtime_csv
+from ordsel.tableau import satisfiability_sweep
 
 from conftest import BASIC_TEXT
 
@@ -113,6 +115,46 @@ def test_run_benchmark_rows_and_defaults():
         assert by_key[(oid, DEFAULT_LABEL)].cost == by_key[(oid, "1")].cost
         assert by_key[(oid, DEFAULT_LABEL)].outcome == by_key[(oid, "1")].outcome
         assert by_key[(oid, "1")].outcome == FINISHED
+
+
+def test_run_benchmark_rows_match_direct_sweeps():
+    # Reused sweeps must give the rows a fresh sweep per config would.
+    instances = generate_corpus(CorpusSpec(count=8, seed=7))
+    corpus = [(inst.ontology_id, inst.text) for inst in instances]
+    budget = 3000
+    res = run_benchmark(corpus, budget=budget)
+    shared = 0
+    expected = []
+    for oid, text in corpus:
+        d = encode_dag(parse_ontology(text))
+        seen = set()
+        direct = {}
+        for label in CONFIG_NUMBERS:
+            odag = apply_ordering(d, parse_config(label))
+            key = tuple(odag.permutations.values())
+            shared += key in seen
+            seen.add(key)
+            sweep = satisfiability_sweep(odag, budget)
+            if sweep.timed_out:
+                direct[label] = (float(budget), TIMEOUT)
+            elif not sweep.consistent:
+                direct[label] = (float(sweep.total_steps), INCONSISTENT)
+            else:
+                direct[label] = (float(sweep.total_steps), FINISHED)
+            expected.append(RuntimeRow(oid, label, *direct[label]))
+        expected.append(RuntimeRow(oid, DEFAULT_LABEL, *direct[res.defaults[oid]]))
+    assert shared > 0  # the corpus exercises reuse
+    assert res.rows == expected
+
+
+def test_runtime_table_is_pinned(tmp_path):
+    instances = generate_corpus(CorpusSpec(count=30, seed=7))
+    corpus = [(inst.ontology_id, inst.text) for inst in instances]
+    path = tmp_path / "runtimes.csv"
+    write_runtime_csv(run_benchmark(corpus, budget=12000).rows, str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "393318a2385f39a3d027ee786334802be859abc29df95d7d5ea6e9696279bdaf"
+    )
 
 
 def test_run_benchmark_empty_corpus():

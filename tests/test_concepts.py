@@ -1,5 +1,6 @@
 """Concept algebra: constructors, normal form, and structural measures."""
 
+from conftest import concept_frequency
 from ordsel.concepts import (
     BOTTOM,
     TOP,
@@ -11,8 +12,8 @@ from ordsel.concepts import (
     Or,
     Some,
     Top,
+    atom_frequencies,
     concept_depth,
-    concept_frequency,
     concept_size,
     conj,
     disj,
@@ -68,6 +69,8 @@ def test_frequency_counts_occurrences_across_the_ontology():
     assert concept_frequency("B", onto) == 3
     assert concept_frequency("A", onto) == 1
     assert concept_frequency("missing", onto) == 0
+    assert atom_frequencies(onto) == {"A": 1, "B": 3, "C": 1}
+    assert atom_frequencies(onto)["missing"] == 0
 
 
 def test_generating_flag():

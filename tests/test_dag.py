@@ -2,12 +2,14 @@
 
 import pytest
 
-from conftest import BASIC_TEXT
+from conftest import BASIC_TEXT, concept_frequency
+from ordsel.bench.corpus import CorpusSpec, generate_corpus
 from ordsel.concepts import And, Atomic, Not, Or, Some
 from ordsel.dag import (
     AND,
     ALL,
     ATOM,
+    TOP_OP,
     decode,
     dump,
     encode_dag,
@@ -32,6 +34,23 @@ BASIC_DUMP = """\
 def test_worked_example_dump_is_stable():
     d = encode_dag(parse_ontology(BASIC_TEXT))
     assert dump(d) == BASIC_DUMP
+
+
+def test_atom_frequencies_match_per_name_oracle():
+    # one counting pass over the ontology equals a full traversal per name
+    for inst in generate_corpus(CorpusSpec(count=12, seed=5)):
+        onto = parse_ontology(inst.text + "(instance x (and C0 (or C1 *top*)))\n")
+        d = encode_dag(onto)
+        assert d.atom_ids
+        for name, vid in d.atom_ids.items():
+            assert d.vertices[vid].stats.frequency == concept_frequency(name, onto), name
+
+
+def test_top_id_is_the_top_vertex():
+    assert encode_dag(parse_ontology(BASIC_TEXT)).top_id is None
+    d = encode_dag(parse_ontology("(implies A (or B *bottom*))\n(implies *top* C)"))
+    assert d.vertices[d.top_id].op == TOP_OP
+    assert [i for i, v in enumerate(d.vertices) if v.op == TOP_OP] == [d.top_id]
 
 
 def test_disjunction_is_negated_conjunction():

@@ -1,8 +1,12 @@
 """Tableau satisfiability: soundness cases, budgets, and sweeps."""
 
+import contextlib
+import sys
+
 import pytest
 
 from conftest import BASIC_TEXT, BRANCHY_TEXT, UNSAT_TEXT
+from ordsel.cli import main
 from ordsel.dag import encode_dag
 from ordsel.heuristics import apply_ordering, parse_config
 from ordsel.krss import parse_ontology
@@ -148,3 +152,47 @@ def test_orderings_change_steps_but_not_outcomes():
         steps[cfg_text] = r.steps
     # ascending size tries the small clean disjunct first
     assert steps["Sap"] < steps["Sdp"]
+
+
+@contextlib.contextmanager
+def _default_recursion_limit():
+    """Run under the interpreter's default limit and check nobody raised it."""
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        yield
+        assert sys.getrecursionlimit() == 1000
+    finally:
+        sys.setrecursionlimit(before)
+
+
+def test_long_disjunction_chain_needs_no_recursion(tmp_path, capsys):
+    # 2000 choice points open at once
+    n = 2000
+    path = tmp_path / "chain.krss"
+    path.write_text("".join(f"(implies A (or X{i} Y{i}))\n" for i in range(n)))
+    with _default_recursion_limit():
+        assert main(["sat", "--ontology", str(path), "--class", "A", "--config", "0"]) == 0
+    # one unfolding of A, then the first disjunct of every branch point
+    assert capsys.readouterr().out.split() == [SATISFIABLE, str(n + 1), str(n)]
+
+
+def test_long_successor_chain_needs_no_recursion():
+    n = 2000
+    text = "".join(f"(implies A{i} (some R A{i + 1}))\n" for i in range(n))
+    d, odag = _ordered(text)
+    with _default_recursion_limit():
+        r = is_satisfiable(odag, class_ref(d, "A0"), 100_000)
+    assert (r.outcome, r.max_depth, r.model_size) == (SATISFIABLE, n, n + 1)
+
+
+def test_failed_branch_leaves_nothing_in_the_label():
+    # The first disjunct adds B, then both ways of its nested choice clash.
+    # The second disjunct G forces (not B), which fits only if B was undone.
+    text = (
+        "(implies A (or (and B (or (and E (not E)) (and F (not F)))) G))\n"
+        "(implies G (not B))\n"
+    )
+    d, odag = _ordered(text, "0")
+    r = is_satisfiable(odag, class_ref(d, "A"), 10_000)
+    assert (r.outcome, r.branch_points) == (SATISFIABLE, 2)
