@@ -1,34 +1,3 @@
 """Benchmark layer: synthetic corpus generation, 12-configuration sweep
 benchmarking, eligibility filtering, train/test splitting, and speedup
 reporting."""
-
-from .corpus import CorpusInstance, CorpusSpec, GenerationError, generate_corpus
-from .harness import (
-    BenchResult,
-    MismatchedIds,
-    PipelineResult,
-    SpeedupReport,
-    filter_eligible,
-    render_report,
-    run_benchmark,
-    run_pipeline,
-    speedup_report,
-    split_train_test,
-)
-
-__all__ = [
-    "CorpusInstance",
-    "CorpusSpec",
-    "GenerationError",
-    "generate_corpus",
-    "BenchResult",
-    "MismatchedIds",
-    "PipelineResult",
-    "SpeedupReport",
-    "filter_eligible",
-    "render_report",
-    "run_benchmark",
-    "run_pipeline",
-    "speedup_report",
-    "split_train_test",
-]

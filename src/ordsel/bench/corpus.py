@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dag import encode_dag, nondeterministic_vertices
-from ..heuristics import apply_ordering, parse_config
+from ..heuristics import apply_ordering
 from ..krss import ParseError, parse_ontology
 from ..tableau import SATISFIABLE, check_tbox_consistency, satisfiability_sweep
 
@@ -288,11 +288,3 @@ def generate_corpus(spec: CorpusSpec) -> list[CorpusInstance]:
             else:
                 raise GenerationError(f"no valid plain instance for slot {idx} in 50 attempts")
     return instances
-
-
-def sweep_steps(text: str, config: str, budget: int) -> int:
-    """Total sweep step count of one ontology under one configuration label;
-    convenience for verifying ordering-sensitivity gaps."""
-    onto = parse_ontology(text)
-    odag = apply_ordering(encode_dag(onto), parse_config(config))
-    return satisfiability_sweep(odag, budget).total_steps

@@ -20,7 +20,6 @@ from ..features import FeatureVector, extract_features
 from ..heuristics import CONFIG_NUMBERS, apply_ordering, default_config, parse_config
 from ..krss import ParseError, parse_ontology
 from ..learn.pipeline import (
-    GOOD,
     GridPoint,
     ModelBundle,
     f_score,
@@ -113,49 +112,27 @@ def run_benchmark(
 # -------------------------------------------------------------- filtering
 
 
-def filter_eligible(
-    tables: list[list[RuntimeRow]], closeness: float = 0.05
-) -> tuple[list[RuntimeRow], list[tuple[str, str]]]:
-    """Eligibility filter over one or more repeat tables of the same corpus.
+def filter_eligible(rows: list[RuntimeRow]) -> tuple[list[RuntimeRow], list[tuple[str, str]]]:
+    """Eligibility filter over one runtime table.
 
-    Drops ontologies that are inconsistent, ontologies where every real
-    configuration timed out, and — when several repeat tables are given —
-    ontologies whose fastest/slowest configuration identity is unstable
-    across repeats while the cost spread is within `closeness` of the
-    minimum.  Returns the first table restricted to the retained ontologies
-    plus an exclusion log of (ontology id, reason).
+    Drops ontologies that are inconsistent and ontologies where every real
+    configuration timed out.  Costs are deterministic, so a repeat table
+    would be identical and there is no run-to-run stability to check.
+    Returns the rows of the retained ontologies plus an exclusion log of
+    (ontology id, reason).
     """
-    if not tables:
-        raise ValueError("no runtime tables")
-    primary = tables[0]
+    if not rows:
+        raise ValueError("no runtime rows")
     real = set(CONFIG_NUMBERS)
-    by_ont = rows_by_ontology([r for r in primary if r.config in real])
+    by_ont = rows_by_ontology([r for r in rows if r.config in real])
     excluded: dict[str, str] = {}
-    for oid, rows in sorted(by_ont.items()):
-        if any(r.outcome == INCONSISTENT for r in rows):
+    for oid, ont_rows in sorted(by_ont.items()):
+        if any(r.outcome == INCONSISTENT for r in ont_rows):
             excluded[oid] = "inconsistent"
-        elif all(r.outcome == TIMEOUT for r in rows):
+        elif all(r.outcome == TIMEOUT for r in ont_rows):
             excluded[oid] = "all-timeout"
-    if len(tables) > 1:
-        for oid, rows in sorted(by_ont.items()):
-            if oid in excluded:
-                continue
-            costs = {r.config: r.cost for r in rows}
-            spread = max(costs.values()) - min(costs.values())
-            if spread >= closeness * min(costs.values()):
-                continue
-            extremes = set()
-            for table in tables:
-                trows = [r for r in table if r.ontology_id == oid and r.config in real]
-                tcosts = {r.config: r.cost for r in trows}
-                lo = min(tcosts, key=lambda c: (tcosts[c], c))
-                hi = max(tcosts, key=lambda c: (tcosts[c], c))
-                extremes.add((lo, hi))
-            if len(extremes) > 1:
-                excluded[oid] = "unstable-close-runtimes"
-    kept = [r for r in primary if r.ontology_id not in excluded]
-    log = sorted(excluded.items())
-    return kept, log
+    kept = [r for r in rows if r.ontology_id not in excluded]
+    return kept, sorted(excluded.items())
 
 
 def split_train_test(
@@ -283,7 +260,7 @@ def run_pipeline(
     ontologies only; the held-out quarter is scored with the learned
     selector against the per-ontology default configuration."""
     bench = run_benchmark(corpus, budget=budget)
-    eligible, exclusions = filter_eligible([bench.rows])
+    eligible, exclusions = filter_eligible(bench.rows)
     ids = sorted({r.ontology_id for r in eligible})
     train_ids, test_ids = split_train_test(ids, fraction=test_fraction, seed=seed)
     train_set = set(train_ids)

@@ -89,7 +89,7 @@ def _ordered(dag, onto, config_text: str, gci_threshold: int, abox_threshold: in
         cfg = default_config(fv, gci_threshold=gci_threshold, abox_threshold=abox_threshold)
     else:
         cfg = parse_config(config_text)
-    return apply_ordering(dag, cfg), cfg
+    return apply_ordering(dag, cfg)
 
 
 def _write_or_print(text: str, path: str | None) -> None:
@@ -136,6 +136,15 @@ def _write_ids(ids: list[str], path: str) -> None:
             fh.write(oid + "\n")
 
 
+def _write_exclusions(log: list[tuple[str, str]], path: str) -> None:
+    _write_or_print("id,reason\n" + "".join(f"{oid},{reason}\n" for oid, reason in log), path)
+
+
+def _selections_csv(choices: list[tuple[str, str]]) -> str:
+    lines = [f"{oid},{c},{config_label(CONFIGS[int(c) - 1])}\n" for oid, c in choices]
+    return "id,config,label\n" + "".join(lines)
+
+
 def _read_corpus_dir(path: str) -> list[tuple[str, str]]:
     try:
         names = sorted(n for n in os.listdir(path) if n.endswith(".krss"))
@@ -151,7 +160,7 @@ def _read_corpus_dir(path: str) -> list[tuple[str, str]]:
 
 def _cmd_sat(args) -> int:
     onto, dag = _load_ontology(args.ontology)
-    odag, _ = _ordered(dag, onto, args.config, args.gci_threshold, args.abox_threshold)
+    odag = _ordered(dag, onto, args.config, args.gci_threshold, args.abox_threshold)
     if args.class_name is None:
         res = check_tbox_consistency(odag, args.budget)
     else:
@@ -164,7 +173,7 @@ def _cmd_sat(args) -> int:
 
 def _cmd_sweep(args) -> int:
     onto, dag = _load_ontology(args.ontology)
-    odag, _ = _ordered(dag, onto, args.config, args.gci_threshold, args.abox_threshold)
+    odag = _ordered(dag, onto, args.config, args.gci_threshold, args.abox_threshold)
     res = satisfiability_sweep(odag, args.budget)
     lines = ["class,outcome,steps"]
     for name, sat in res.per_class.items():
@@ -225,12 +234,9 @@ def _cmd_bench(args) -> int:
 
 def _cmd_filter(args) -> int:
     rows = read_runtime_csv(args.runtimes)
-    kept, log = filter_eligible([rows], closeness=args.closeness)
+    kept, log = filter_eligible(rows)
     write_runtime_csv(kept, args.out)
-    with open(args.log, "w", newline="") as fh:
-        fh.write("id,reason\n")
-        for oid, reason in log:
-            fh.write(f"{oid},{reason}\n")
+    _write_exclusions(log, args.log)
     print(f"kept {len({r.ontology_id for r in kept})} ontologies, excluded {len(log)}")
     return 0
 
@@ -263,13 +269,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     bundle = load_bundle(args.model)
-    feature_rows = read_feature_csv(args.features)
-    lines = ["id,config,label"]
-    for oid, fv in feature_rows:
-        chosen = select_heuristic(bundle, fv)
-        label = config_label(CONFIGS[int(chosen) - 1])
-        lines.append(f"{oid},{chosen},{label}")
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    choices = [(oid, select_heuristic(bundle, fv)) for oid, fv in read_feature_csv(args.features)]
+    _write_or_print(_selections_csv(choices), args.out)
     return 0
 
 
@@ -308,18 +309,11 @@ def _cmd_pipeline(args) -> int:
     join = lambda name: os.path.join(args.out_dir, name)  # noqa: E731
     write_runtime_csv(result.bench.rows, join("runtimes.csv"))
     write_feature_csv(sorted(result.bench.features.items()), join("features.csv"))
-    with open(join("exclusions.csv"), "w", newline="") as fh:
-        fh.write("id,reason\n")
-        for oid, reason in result.exclusions:
-            fh.write(f"{oid},{reason}\n")
+    _write_exclusions(result.exclusions, join("exclusions.csv"))
     _write_ids(result.train_ids, join("train.csv"))
     _write_ids(result.test_ids, join("test.csv"))
     save_bundle(result.bundle, join("model.json"))
-    with open(join("selections.csv"), "w", newline="") as fh:
-        fh.write("id,config,label\n")
-        for oid in sorted(result.selections):
-            chosen = result.selections[oid]
-            fh.write(f"{oid},{chosen},{config_label(CONFIGS[int(chosen) - 1])}\n")
+    _write_or_print(_selections_csv(sorted(result.selections.items())), join("selections.csv"))
     with open(join("report.txt"), "w", newline="") as fh:
         fh.write(result.report_text)
     print(
@@ -389,7 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runtimes", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--log", required=True, help="exclusion log CSV (id,reason)")
-    p.add_argument("--closeness", type=float, default=0.05)
     p.set_defaults(func=_cmd_filter)
 
     p = sub.add_parser("split", help="seeded train/test split of ontology ids")

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Union
 
 NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
@@ -119,13 +119,6 @@ def disj(children: Iterable[Concept]) -> Concept:
     if len(flat) == 1:
         return flat[0]
     return Or(tuple(flat))
-
-
-def neg(c: Concept) -> Concept:
-    """Negation constructor that cancels a directly nested negation."""
-    if isinstance(c, Not):
-        return c.child
-    return Not(c)
 
 
 # ---------------------------------------------------------------------------
@@ -295,11 +288,6 @@ def atom_frequencies(onto: Ontology) -> Counter[str]:
         elif not isinstance(c, (Top, Bottom)):
             raise TypeError(f"not a concept: {c!r}")
     return counts
-
-
-def is_generating(c: Concept) -> bool:
-    """True iff the top-level operator is an existential restriction."""
-    return isinstance(c, Some)
 
 
 def operator_counts(c: Concept, acc: dict[str, int]) -> None:

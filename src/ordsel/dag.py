@@ -16,7 +16,7 @@ reference points at the child directly.
 
 A vertex is *nondeterministic* when it is an ``and`` reachable through an
 odd number of negated edges in at least one use: under that polarity the
-tableau treats it as a disjunction.  Definition roots propagate under both
+tableau treats it as a disjunction.  Definition bodies propagate under both
 polarities because an atomic definition unfolds positively and negatively.
 
 Absorption while encoding the TBox:
@@ -94,14 +94,11 @@ class Dag:
     """Encoded ontology: vertex table plus the unfolding/constraint view.
 
     ``vertices`` is topologically ordered (children precede parents).
-    ``roots`` maps every declared class to its definition reference when
-    one exists, otherwise to its atomic vertex; residual constraints
-    appear under ``gci:<i>`` keys.  ``top_id`` is the *top* vertex, None
-    when the ontology never mentions *top* or *bottom*.
+    ``top_id`` is the *top* vertex, None when the ontology never mentions
+    *top* or *bottom*.
     """
 
     vertices: tuple[DagVertex, ...]
-    roots: dict[str, Ref]
     atom_ids: dict[str, int]
     definitions: dict[str, tuple[Ref, ...]]
     told: dict[str, tuple[Ref, ...]]
@@ -383,18 +380,9 @@ def encode_dag(onto: Ontology) -> Dag:
             )
         )
 
-    atom_ids = {v.name: i for i, v in enumerate(vertices) if v.op == ATOM}
-    roots: dict[str, Ref] = {}
-    for name in onto.classes:
-        defs = definitions.get(name)
-        roots[name] = defs[0] if defs else (atom_ids[name], False)
-    for i, r in enumerate(gci_refs):
-        roots[f"gci:{i}"] = r
-
     return Dag(
         vertices=tuple(vertices),
-        roots=roots,
-        atom_ids=atom_ids,
+        atom_ids={v.name: i for i, v in enumerate(vertices) if v.op == ATOM},
         definitions={k: tuple(v) for k, v in definitions.items()},
         told={k: tuple(v) for k, v in told.items()},
         gci_refs=tuple(gci_refs),
@@ -409,12 +397,6 @@ def nondeterministic_vertices(d: Dag) -> list[int]:
     return [i for i, v in enumerate(d.vertices) if v.nondeterministic]
 
 
-def vertex_stats(d: Dag, vid: int) -> ConceptStats:
-    if not 0 <= vid < len(d.vertices):
-        raise ValueError(f"invalid vertex id {vid}")
-    return d.vertices[vid].stats
-
-
 def signed_child_stats(d: Dag, edge: DagEdge) -> ConceptStats:
     """Stats of the child a signed edge denotes.
 
@@ -427,22 +409,6 @@ def signed_child_stats(d: Dag, edge: DagEdge) -> ConceptStats:
     if not edge.negated:
         return ConceptStats(s.size, s.depth, s.frequency, False)
     return ConceptStats(s.size + 1, s.depth, s.frequency, s.generating)
-
-
-def decode(d: Dag, ref: Ref) -> Concept:
-    """Concept represented by a signed reference, negations materialised."""
-    vid, negated = ref
-    v = d.vertices[vid]
-    if v.op == TOP_OP:
-        out: Concept = Top()
-    elif v.op == ATOM:
-        out = Atomic(v.name)
-    elif v.op == ALL:
-        e = v.children[0]
-        out = All(v.role, decode(d, (e.target, e.negated)))
-    else:
-        out = And(tuple(decode(d, (e.target, e.negated)) for e in v.children))
-    return Not(out) if negated else out
 
 
 def dump(d: Dag) -> str:

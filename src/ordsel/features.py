@@ -86,9 +86,6 @@ class FeatureVector:
     def __getitem__(self, name: str) -> float:
         return self.values[FEATURE_NAMES.index(name)]
 
-    def as_dict(self) -> dict[str, float]:
-        return dict(zip(FEATURE_NAMES, self.values))
-
 
 def extract_features(onto: Ontology, d: Dag) -> FeatureVector:
     f: dict[str, float] = {}
@@ -192,4 +189,12 @@ def read_feature_csv(path: str) -> list[tuple[str, FeatureVector]]:
         header = next(r, None)
         if header != ["id", *FEATURE_NAMES]:
             raise ValueError(f"unexpected feature CSV header in {path}")
-        return [(row[0], FeatureVector(tuple(float(x) for x in row[1:]))) for row in r]
+        rows = []
+        for row in r:
+            try:
+                if len(row) != 1 + N_FEATURES:
+                    raise ValueError(f"expected {1 + N_FEATURES} fields, got {len(row)}")
+                rows.append((row[0], FeatureVector(tuple(float(x) for x in row[1:]))))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {r.line_num}: {exc}") from exc
+        return rows

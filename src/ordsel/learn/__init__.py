@@ -5,70 +5,3 @@ ordering.
 Everything here is deterministic: no hidden RNG state, seeded shuffles only,
 and all tie-breaks resolve toward the lower index / earlier grid position.
 """
-
-from .transforms import (
-    DegenerateData,
-    apply_scaler,
-    fit_scaler,
-    mi_from_joint,
-    mutual_information,
-    pca_fit,
-    pca_transform,
-    select_top_k,
-)
-from .svm import SingleClass, SvmModel, TooFewExamples, svm_decision, svm_predict, svm_train
-from .pipeline import (
-    CorruptModel,
-    GridPoint,
-    ModelBundle,
-    VersionMismatch,
-    assign_priorities,
-    combine_threshold_stats,
-    compute_threshold,
-    cross_validate,
-    default_grid,
-    f_score,
-    fit_config_pipeline,
-    grid_search,
-    label_examples,
-    load_bundle,
-    predict_labels,
-    save_bundle,
-    select_heuristic,
-    train_model_bundle,
-)
-
-__all__ = [
-    "DegenerateData",
-    "apply_scaler",
-    "fit_scaler",
-    "mi_from_joint",
-    "mutual_information",
-    "pca_fit",
-    "pca_transform",
-    "select_top_k",
-    "SingleClass",
-    "SvmModel",
-    "TooFewExamples",
-    "svm_decision",
-    "svm_predict",
-    "svm_train",
-    "CorruptModel",
-    "GridPoint",
-    "ModelBundle",
-    "VersionMismatch",
-    "assign_priorities",
-    "combine_threshold_stats",
-    "compute_threshold",
-    "cross_validate",
-    "default_grid",
-    "f_score",
-    "fit_config_pipeline",
-    "grid_search",
-    "label_examples",
-    "load_bundle",
-    "predict_labels",
-    "save_bundle",
-    "select_heuristic",
-    "train_model_bundle",
-]

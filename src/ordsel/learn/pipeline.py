@@ -254,9 +254,6 @@ class ModelBundle:
     models: dict[str, ConfigModel]
     priorities: dict[str, int]
 
-    def configs(self) -> tuple[str, ...]:
-        return tuple(self.models)
-
 
 def assign_priorities(accuracies: dict[str, float]) -> dict[str, int]:
     """Priority 1 goes to the most accurate classifier; accuracy ties are
@@ -401,6 +398,24 @@ def _pipeline_from_json(d: dict) -> FittedPipeline:
     )
 
 
+def _check_pipeline(label: str, p: FittedPipeline) -> None:
+    """Reject a loaded pipeline whose arrays `predict` could not combine."""
+    k = len(p.selected)
+    if any(type(i) is not int or not 0 <= i < len(FEATURE_NAMES) for i in p.selected):
+        raise CorruptModel(f"model {label}: selected feature index out of range")
+    if (p.model is None) == (p.constant is None):
+        raise CorruptModel(f"model {label}: needs exactly one of an SVM and a constant")
+    comps = p.pca_components
+    shapes = p.scaler_mean.shape == p.scaler_std.shape == p.pca_mean.shape == (k,)
+    shapes = shapes and comps.ndim == 2 and comps.shape[1] == k
+    if p.model is not None:
+        y = p.model.y
+        shapes = shapes and y.ndim == 1 and p.model.alpha.shape == y.shape
+        shapes = shapes and p.model.x.shape == (len(y), comps.shape[0])
+    if not shapes:
+        raise CorruptModel(f"model {label}: array shapes disagree with {k} selected features")
+
+
 def save_bundle(bundle: ModelBundle, path: str) -> None:
     doc = {
         "version": MODEL_FORMAT_VERSION,
@@ -471,4 +486,11 @@ def load_bundle(path: str) -> ModelBundle:
         raise CorruptModel(f"malformed model bundle: {exc}") from exc
     if not math.isfinite(bundle.threshold):
         raise CorruptModel("model bundle threshold is not finite")
+    if set(priorities) != set(models):
+        raise CorruptModel("model bundle priorities and models name different configurations")
+    unknown = sorted(set(models) - set(CONFIG_NUMBERS))
+    if unknown:
+        raise CorruptModel(f"model bundle has unknown configurations {unknown}")
+    for label, m in models.items():
+        _check_pipeline(label, m.pipeline)
     return bundle

@@ -9,6 +9,7 @@ to both threshold computation and classifier training.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 FINISHED = "finished"
@@ -28,6 +29,8 @@ class RuntimeRow:
     def __post_init__(self):
         if self.outcome not in OUTCOMES:
             raise ValueError(f"unknown outcome {self.outcome!r}")
+        if not (math.isfinite(self.cost) and self.cost >= 0.0):
+            raise ValueError(f"cost {self.cost!r} is not a finite non-negative number")
 
 
 def write_runtime_csv(rows: list[RuntimeRow], path: str) -> None:
@@ -44,7 +47,15 @@ def read_runtime_csv(path: str) -> list[RuntimeRow]:
         header = next(r, None)
         if header != ["id", "config", "cost", "outcome"]:
             raise ValueError(f"unexpected runtime CSV header in {path}")
-        return [RuntimeRow(row[0], row[1], float(row[2]), row[3]) for row in r]
+        rows = []
+        for row in r:
+            try:
+                if len(row) != 4:
+                    raise ValueError(f"expected 4 fields, got {len(row)}")
+                rows.append(RuntimeRow(row[0], row[1], float(row[2]), row[3]))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {r.line_num}: {exc}") from exc
+        return rows
 
 
 def rows_by_ontology(rows: list[RuntimeRow]) -> dict[str, list[RuntimeRow]]:

@@ -58,10 +58,6 @@ class SatResult:
     max_depth: int
     model_size: int | None = None
 
-    @property
-    def satisfiable(self) -> bool:
-        return self.outcome == SATISFIABLE
-
 
 @dataclass(frozen=True)
 class SweepResult:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .concepts import (
+from ordsel.concepts import (
     All,
     And,
     Atomic,

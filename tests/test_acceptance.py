@@ -9,7 +9,6 @@ ordering on a held-out split, bitwise determinism of full pipeline runs,
 and completeness of the emitted report statistics."""
 
 import math
-import os
 import time
 from collections import Counter
 
@@ -44,7 +43,7 @@ from ordsel.learn.pipeline import (
 )
 from ordsel.learn.svm import svm_predict, svm_train
 from ordsel.learn.transforms import mutual_information, pca_fit, pca_transform
-from ordsel.modelsearch import class_satisfiability
+from modelsearch import class_satisfiability
 from ordsel.runtimes import FINISHED, TIMEOUT, RuntimeRow, write_runtime_csv
 from ordsel.tableau import SATISFIABLE, UNSATISFIABLE, class_ref, is_satisfiable
 

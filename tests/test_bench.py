@@ -8,10 +8,8 @@ import pytest
 
 from ordsel.bench.corpus import (
     FAMILY_FAST,
-    CorpusInstance,
     CorpusSpec,
     generate_corpus,
-    sweep_steps,
 )
 from ordsel.bench.harness import (
     DEFAULT_LABEL,
@@ -89,12 +87,17 @@ def test_each_config_fast_and_slow_somewhere():
         assert any(c not in FAMILY_FAST[f] for f in occurring), c
 
 
+def _sweep_steps(text, config, budget):
+    odag = apply_ordering(encode_dag(parse_ontology(text)), parse_config(config))
+    return satisfiability_sweep(odag, budget).total_steps
+
+
 def test_trap_family_orderings_gap(small_corpus):
     # instance 1 is a warm trap whose safe branch wins on descending orders
     trap = small_corpus[1]
     assert trap.family == 1
-    fast = sweep_steps(trap.text, "2", 12000)
-    slow = sweep_steps(trap.text, "1", 12000)
+    fast = _sweep_steps(trap.text, "2", 12000)
+    slow = _sweep_steps(trap.text, "1", 12000)
     assert slow >= 10 * fast
     assert fast < 200
 
@@ -176,53 +179,17 @@ def test_filter_eligible_reasons():
     rows += _full_table("inc", lambda c: 10 + c, lambda c: INCONSISTENT if c == 3 else FINISHED)
     rows += _full_table("slow", lambda c: 999, lambda c: TIMEOUT)
     rows += _full_table("ok", lambda c: 10 + c, lambda c: FINISHED)
+    # a close cost spread is no reason to drop an ontology
+    rows += _full_table("close", lambda c: {1: 99, 2: 101}.get(c, 100), lambda c: FINISHED)
     rows.append(RuntimeRow("slow", DEFAULT_LABEL, 999.0, TIMEOUT))
-    kept, log = filter_eligible([rows])
+    kept, log = filter_eligible(rows)
     assert log == [("inc", "inconsistent"), ("slow", "all-timeout")]
-    assert {r.ontology_id for r in kept} == {"ok"}
+    assert {r.ontology_id for r in kept} == {"ok", "close"}
 
 
 def test_filter_eligible_requires_tables():
     with pytest.raises(ValueError):
         filter_eligible([])
-
-
-def test_filter_eligible_unstable_close_runtimes():
-    # "tied": spread 2 on a floor of 99 (within 5%), fastest config flips
-    # between repeats -> dropped.  "stable": same spread, same extremes -> kept.
-    def costs(oid, lo_cfg, hi_cfg):
-        out = []
-        for c in CONFIG_NUMBERS:
-            cost = 100.0
-            if c == lo_cfg:
-                cost = 99.0
-            elif c == hi_cfg:
-                cost = 101.0
-            out.append(RuntimeRow(oid, c, cost, FINISHED))
-        return out
-
-    t1 = costs("tied", "1", "2") + costs("stable", "3", "4")
-    t2 = costs("tied", "2", "1") + costs("stable", "3", "4")
-    kept, log = filter_eligible([t1, t2])
-    assert log == [("tied", "unstable-close-runtimes")]
-    assert {r.ontology_id for r in kept} == {"stable"}
-    # a single table never triggers the stability check
-    kept1, log1 = filter_eligible([t1])
-    assert log1 == []
-    assert {r.ontology_id for r in kept1} == {"tied", "stable"}
-
-
-def test_filter_wide_spread_not_checked_for_stability():
-    def costs(oid, lo):
-        return [
-            RuntimeRow(oid, c, 10.0 if c == lo else 500.0, FINISHED) for c in CONFIG_NUMBERS
-        ]
-
-    t1 = costs("wide", "1")
-    t2 = costs("wide", "2")  # extremes flip, but the spread is huge
-    kept, log = filter_eligible([t1, t2])
-    assert log == []
-    assert {r.ontology_id for r in kept} == {"wide"}
 
 
 # ------------------------------------------------------------------ split

@@ -214,6 +214,36 @@ def test_filter_cli(tmp_path):
     assert open(log).read() == "id,reason\ndead,all-timeout\n"
 
 
+@pytest.mark.parametrize(
+    "command, body, message",
+    [
+        ("filter", "", "no runtime rows"),
+        ("filter", "a,1,5.0\n", "r.csv, line 2: expected 4 fields, got 3"),
+        ("report", "a,5,nan,finished\n", "r.csv, line 2: cost nan is not"),
+        ("report", "a,5,-1.0,finished\n", "r.csv, line 2: cost -1.0 is not"),
+    ],
+)
+def test_bad_runtime_csv_exits_2(tmp_path, capsys, command, body, message):
+    src = tmp_path / "r.csv"
+    src.write_text("id,config,cost,outcome\n" + body)
+    if command == "filter":
+        out, log = str(tmp_path / "kept.csv"), str(tmp_path / "log.csv")
+        argv = ["filter", "--runtimes", str(src), "--out", out, "--log", log]
+    else:
+        argv = ["report", "--learned", str(src), "--standard", str(src), "--budget", "10"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+
+
+def test_filter_has_no_closeness_option():
+    with pytest.raises(SystemExit) as exc:
+        main(["filter", "--runtimes", "r.csv", "--out", "o.csv", "--log", "l.csv",
+              "--closeness", "0.1"])
+    assert exc.value.code == 2
+
+
 def test_split_cli(tmp_path):
     rows = [RuntimeRow(f"o{i}", "1", 1.0, "finished") for i in range(8)]
     src = str(tmp_path / "r.csv")
@@ -288,6 +318,21 @@ def test_predict_rejects_corrupt_model(trained, tmp_path, capsys):
         fh.write("{}")
     assert main(["predict", "--features", trained["features"], "--model", bad]) == 2
     assert "version" in capsys.readouterr().err
+
+
+def test_predict_rejects_bad_inputs(trained, tmp_path, capsys):
+    features = tmp_path / "f.csv"
+    with open(trained["features"]) as fh:
+        features.write_text(fh.read() + "t9,1.0\n")
+    assert main(["predict", "--features", str(features), "--model", trained["model"]]) == 2
+    assert "f.csv, line 10: expected 40 fields, got 2" in capsys.readouterr().err
+    with open(trained["model"]) as fh:
+        doc = json.load(fh)
+    doc["models"]["1"]["pipeline"]["selected"] = [99]
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert main(["predict", "--features", trained["features"], "--model", str(model)]) == 2
+    assert capsys.readouterr().err.startswith("error: model 1: selected feature index")
 
 
 # ----------------------------------------------------------------- report

@@ -17,8 +17,6 @@ from ordsel.concepts import (
     concept_size,
     conj,
     disj,
-    is_generating,
-    neg,
     nnf,
     operator_counts,
 )
@@ -34,8 +32,6 @@ def test_constructor_helpers_collapse_trivia():
     assert disj([]) == BOTTOM
     assert conj([A, And((B, C))]) == And((A, B, C))
     assert disj([A, Or((B, C))]) == Or((A, B, C))
-    assert neg(Not(A)) == A
-    assert neg(A) == Not(A)
 
 
 def test_nnf_pushes_negation_to_atoms():
@@ -71,12 +67,6 @@ def test_frequency_counts_occurrences_across_the_ontology():
     assert concept_frequency("missing", onto) == 0
     assert atom_frequencies(onto) == {"A": 1, "B": 3, "C": 1}
     assert atom_frequencies(onto)["missing"] == 0
-
-
-def test_generating_flag():
-    assert is_generating(Some("R", A))
-    assert not is_generating(All("R", A))
-    assert not is_generating(A)
 
 
 def test_operator_counts():

@@ -1,25 +1,21 @@
 """Hash-consed DAG encoding with negation on edges."""
 
-import pytest
-
 from conftest import BASIC_TEXT, concept_frequency
+from modelsearch import concepts_equivalent
 from ordsel.bench.corpus import CorpusSpec, generate_corpus
-from ordsel.concepts import And, Atomic, Not, Or, Some
+from ordsel.concepts import All, And, Atomic, Not, Or, Some, Top
 from ordsel.dag import (
     AND,
     ALL,
     ATOM,
     TOP_OP,
-    decode,
     dump,
     encode_dag,
     flip,
     nondeterministic_vertices,
     signed_child_stats,
-    vertex_stats,
 )
 from ordsel.krss import parse_ontology
-from ordsel.modelsearch import concepts_equivalent
 
 BASIC_DUMP = """\
 0 atom:C [] 1 0 3 0
@@ -141,6 +137,22 @@ def test_equivalence_blocked_by_partner_decomposition():
     assert "C1" in d.told and "C2" in d.told
 
 
+def _decode(d, ref):
+    """Concept a signed reference stands for, negations materialised."""
+    vid, negated = ref
+    v = d.vertices[vid]
+    kids = [_decode(d, (e.target, e.negated)) for e in v.children]
+    if v.op == TOP_OP:
+        out = Top()
+    elif v.op == ATOM:
+        out = Atomic(v.name)
+    elif v.op == ALL:
+        out = All(v.role, kids[0])
+    else:
+        out = And(tuple(kids))
+    return Not(out) if negated else out
+
+
 def test_decode_round_trips_up_to_equivalence():
     cases = [
         Or((Atomic("A"), Atomic("B"))),
@@ -152,7 +164,7 @@ def test_decode_round_trips_up_to_equivalence():
         onto = parse_ontology(f"(instance x {_krss(concept)})")
         d = encode_dag(onto)
         (ref,) = d.assertion_refs
-        assert concepts_equivalent(decode(d, ref), concept)
+        assert concepts_equivalent(_decode(d, ref), concept)
 
 
 def _krss(c) -> str:
@@ -175,7 +187,7 @@ def test_signed_child_stats_flip_with_edge_sign():
     v = d.vertices[vid]
     for edge in v.children:
         stats = signed_child_stats(d, edge)
-        raw = vertex_stats(d, edge.target)
+        raw = d.vertices[edge.target].stats
         assert stats.size == raw.size + (1 if edge.negated else 0)
         # a negated edge into a value restriction reads as an existential
         if d.vertices[edge.target].op == ALL:

@@ -76,7 +76,7 @@ def test_feature_names_frozen():
 
 def test_basic_vector_values(basic_onto):
     fv = extract_features(basic_onto, encode_dag(basic_onto))
-    got = fv.as_dict()
+    got = dict(zip(FEATURE_NAMES, fv.values))
     assert set(got) == set(FEATURE_NAMES)
     for name in FEATURE_NAMES:
         assert math.isclose(got[name], BASIC_EXPECTED[name], rel_tol=0, abs_tol=1e-12), (

@@ -412,7 +412,7 @@ def test_train_model_bundle_small():
     bundle = _train_small_bundle()
     # only finished costs (all exactly 10) feed the threshold
     assert bundle.threshold == 10.0
-    assert bundle.configs() == ("1", "2")
+    assert tuple(bundle.models) == ("1", "2")
     assert bundle.models["1"].accuracy >= 0.9
     assert bundle.models["2"].accuracy >= 0.9
     assert sorted(bundle.priorities.values()) == [1, 2]
@@ -454,7 +454,7 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_bundle(path)
     assert loaded.threshold == bundle.threshold
     assert loaded.priorities == bundle.priorities
-    assert loaded.configs() == bundle.configs()
+    assert tuple(loaded.models) == tuple(bundle.models)
     feature_rows, _ = _bundle_training_data()
     for oid, fv in feature_rows:
         assert predict_labels(loaded, fv) == predict_labels(bundle, fv), oid
@@ -491,6 +491,41 @@ def test_load_rejects_corrupt_files(tmp_path, content):
         fh.write(content)
     with pytest.raises(CorruptModel):
         load_bundle(path)
+
+
+def _load_edited(tmp_path, edit):
+    path = tmp_path / "model.json"
+    save_bundle(_train_small_bundle(), str(path))
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    return load_bundle(str(path))
+
+
+def test_load_rejects_selected_index_out_of_range(tmp_path):
+    def edit(doc):
+        doc["models"]["1"]["pipeline"]["selected"] = [99]
+
+    with pytest.raises(CorruptModel, match="out of range"):
+        _load_edited(tmp_path, edit)
+
+
+@pytest.mark.parametrize("key", ["scaler_mean", "pca_components", "svm"])
+def test_load_rejects_mismatched_array_shapes(tmp_path, key):
+    def edit(doc):
+        p = doc["models"]["2"]["pipeline"]
+        if key == "svm":
+            p["svm"]["alpha"].pop()
+        else:
+            p[key] = [[0.0, 0.0]] if key == "pca_components" else [0.0, 0.0]
+
+    with pytest.raises(CorruptModel, match="shapes"):
+        _load_edited(tmp_path, edit)
+
+
+def test_load_rejects_priorities_without_models(tmp_path):
+    with pytest.raises(CorruptModel, match="priorities"):
+        _load_edited(tmp_path, lambda doc: doc["priorities"].pop("2"))
 
 
 def test_load_missing_file_is_corrupt(tmp_path):

@@ -4,16 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import random_ontology_text
-from ordsel.concepts import And, Atomic, Not, Or, Some
-from ordsel.dag import encode_dag
-from ordsel.heuristics import CONFIGS, apply_ordering
-from ordsel.krss import parse_ontology
-from ordsel.modelsearch import (
+from modelsearch import (
     CapacityError,
     brute_force_satisfiable,
     class_satisfiability,
     concepts_equivalent,
 )
+from ordsel.concepts import And, Atomic, Not, Or, Some
+from ordsel.dag import encode_dag
+from ordsel.heuristics import CONFIGS, apply_ordering
+from ordsel.krss import parse_ontology
 from ordsel.tableau import (
     SATISFIABLE,
     UNSATISFIABLE,

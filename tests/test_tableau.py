@@ -3,8 +3,6 @@
 import contextlib
 import sys
 
-import pytest
-
 from conftest import BASIC_TEXT, BRANCHY_TEXT, UNSAT_TEXT
 from ordsel.cli import main
 from ordsel.dag import encode_dag
