@@ -179,6 +179,8 @@ def speedup_report(
     """Per-ontology speedup of the learned selector over the standard
     configuration.  Timeouts are valued at the budget; costs are floored at
     one step so every ratio is positive and finite."""
+    if not (math.isfinite(budget) and budget > 0):
+        raise ValueError(f"budget {budget!r} is not a finite positive number")
     if set(learned) != set(standard):
         raise MismatchedIds(
             f"learned/standard id mismatch: {sorted(set(learned) ^ set(standard))}"

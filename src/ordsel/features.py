@@ -14,6 +14,7 @@ ontology maps to the all-zero vector.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 from .concepts import (
@@ -194,7 +195,10 @@ def read_feature_csv(path: str) -> list[tuple[str, FeatureVector]]:
             try:
                 if len(row) != 1 + N_FEATURES:
                     raise ValueError(f"expected {1 + N_FEATURES} fields, got {len(row)}")
-                rows.append((row[0], FeatureVector(tuple(float(x) for x in row[1:]))))
+                values = tuple(float(x) for x in row[1:])
+                if not all(math.isfinite(v) for v in values):
+                    raise ValueError("feature values must be finite")
+                rows.append((row[0], FeatureVector(values)))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {r.line_num}: {exc}") from exc
         return rows

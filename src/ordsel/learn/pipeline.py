@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..features import FEATURE_NAMES, FeatureVector
 from ..heuristics import CONFIG_NUMBERS
 from ..runtimes import FINISHED, RuntimeRow, rows_by_config
-from .svm import SingleClass, SvmModel, svm_predict, svm_train
+from .svm import SingleClass, SvmModel, kernel_matrix, svm_predict, svm_train
 from .transforms import (
     apply_scaler,
     fit_scaler,
@@ -121,29 +121,33 @@ class FittedPipeline:
         return svm_predict(self.model, self.transform(x))
 
 
+def _transform_shape(scores: np.ndarray, n_rows: int, params: GridPoint) -> tuple:
+    """(selected columns, PCA component count) that `params` asks of a
+    training set with these MI scores and rows, clamped to what it has."""
+    selected = tuple(select_top_k(scores, params.k))
+    return selected, max(min(params.n_components, len(selected), n_rows - 1), 1)
+
+
+def _fit_transforms(x: np.ndarray, selected: tuple, n_comp: int) -> tuple:
+    """Scaler and PCA fit on the selected columns of the training rows, as a
+    pipeline without a model, and the training rows it projects."""
+    sub = x[:, selected]
+    mean, std = fit_scaler(sub)
+    scaled = apply_scaler(sub, mean, std)
+    pmean, comps = pca_fit(scaled, n_comp)
+    prep = FittedPipeline(selected, mean, std, pmean, comps, model=None)
+    return prep, pca_transform(scaled, pmean, comps)
+
+
 def fit_config_pipeline(x: np.ndarray, y: np.ndarray, params: GridPoint) -> FittedPipeline:
     """Fit selection, scaling, PCA, and the SVM on one training set."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if len(np.unique(y)) < 2:
         raise SingleClass("training labels contain a single class")
-    scores = mutual_information(x, y)
-    selected = tuple(select_top_k(scores, params.k))
-    sub = x[:, selected]
-    mean, std = fit_scaler(sub)
-    scaled = apply_scaler(sub, mean, std)
-    n_comp = min(params.n_components, len(selected), x.shape[0] - 1)
-    pmean, comps = pca_fit(scaled, max(n_comp, 1))
-    reduced = pca_transform(scaled, pmean, comps)
+    prep, reduced = _fit_transforms(x, *_transform_shape(mutual_information(x, y), len(x), params))
     model = svm_train(reduced, y, kernel=params.kernel, c=params.c, gamma=params.gamma)
-    return FittedPipeline(
-        selected=selected,
-        scaler_mean=mean,
-        scaler_std=std,
-        pca_mean=pmean,
-        pca_components=comps,
-        model=model,
-    )
+    return replace(prep, model=model)
 
 
 # -------------------------------------------------------- cross-validation
@@ -152,6 +156,8 @@ def fit_config_pipeline(x: np.ndarray, y: np.ndarray, params: GridPoint) -> Fitt
 def stratified_folds(y: np.ndarray, n_folds: int, seed: int) -> np.ndarray:
     """Fold index per sample: each class is shuffled with the seeded
     generator and dealt round-robin, so fold class balance is within one."""
+    if n_folds < 2:
+        raise ValueError(f"need at least 2 folds, got {n_folds}")
     y = np.asarray(y, dtype=float)
     rng = np.random.default_rng(seed)
     fold = np.empty(len(y), dtype=int)
@@ -163,6 +169,41 @@ def stratified_folds(y: np.ndarray, n_folds: int, seed: int) -> np.ndarray:
     return fold
 
 
+def cv_accuracies(
+    x: np.ndarray, y: np.ndarray, grid: list[GridPoint], n_folds: int, seed: int
+) -> list[float]:
+    """Pooled accuracy of every grid point over the same stratified folds.
+    Per fold, MI runs once, selection, scaler and PCA once per distinct
+    (selected, n_comp), and the Gram matrix once per distinct kernel setting
+    on those; only the SVM is trained per point."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    fold = stratified_folds(y, n_folds, seed)
+    correct = [0] * len(grid)
+    total = 0
+    for f in range(n_folds):
+        val = fold == f
+        train = ~val
+        if not val.any() or len(np.unique(y[train])) < 2:
+            continue
+        xt, yt = x[train], y[train]
+        scores = mutual_information(xt, yt)
+        preps, grams = {}, {}
+        for i, p in enumerate(grid):
+            shape = _transform_shape(scores, len(xt), p)
+            if shape not in preps:
+                prep, reduced = _fit_transforms(xt, *shape)
+                preps[shape] = reduced, prep.transform(x[val])
+            reduced, reduced_val = preps[shape]
+            key = (shape, p.kernel, p.gamma)
+            if key not in grams:
+                grams[key] = kernel_matrix(p.kernel, p.gamma, reduced, reduced)
+            model = svm_train(reduced, yt, kernel=p.kernel, c=p.c, gamma=p.gamma, gram=grams[key])
+            correct[i] += int(np.count_nonzero(svm_predict(model, reduced_val) == y[val]))
+        total += int(val.sum())
+    return [c / total if total else 0.0 for c in correct]
+
+
 def cross_validate(
     x: np.ndarray, y: np.ndarray, params: GridPoint, n_folds: int = 10, seed: int = 0
 ) -> float:
@@ -170,23 +211,7 @@ def cross_validate(
     training folds only.  Folds with an empty validation side or a
     single-class training side are skipped; returns 0.0 if nothing could be
     validated."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    fold = stratified_folds(y, n_folds, seed)
-    correct = 0
-    total = 0
-    for f in range(n_folds):
-        val = fold == f
-        train = ~val
-        if not val.any() or not train.any():
-            continue
-        if len(np.unique(y[train])) < 2:
-            continue
-        fitted = fit_config_pipeline(x[train], y[train], params)
-        pred = fitted.predict(x[val])
-        correct += int(np.count_nonzero(pred == y[val]))
-        total += int(val.sum())
-    return correct / total if total else 0.0
+    return cv_accuracies(x, y, [params], n_folds, seed)[0]
 
 
 # ------------------------------------------------------------ grid search
@@ -229,13 +254,9 @@ def grid_search(
         grid = default_grid(np.asarray(x).shape[1])
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    best: GridPoint | None = None
-    best_acc = -1.0
-    for point in grid:
-        acc = cross_validate(x, y, point, n_folds=n_folds, seed=seed)
-        if acc > best_acc:
-            best, best_acc = point, acc
-    return best, best_acc
+    accs = cv_accuracies(x, y, grid, n_folds, seed)
+    best = max(accs)
+    return grid[accs.index(best)], best
 
 
 # ------------------------------------------------------------- the bundle

@@ -41,7 +41,7 @@ class SvmModel:
     bias: float
 
 
-def _kernel_matrix(kernel: str, gamma: float | None, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def kernel_matrix(kernel: str, gamma: float | None, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if kernel == LINEAR:
         return a @ b.T
     if kernel == RBF:
@@ -58,8 +58,10 @@ def svm_train(
     kernel: str = LINEAR,
     c: float = 1.0,
     gamma: float | None = None,
+    gram: np.ndarray | None = None,
 ) -> SvmModel:
-    """Fit a binary SVM on labels in {-1, +1}."""
+    """Fit a binary SVM on labels in {-1, +1}.  `gram`, when given, must be
+    `kernel_matrix(kernel, gamma, x, x)`, computed once by the caller."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
@@ -70,7 +72,7 @@ def svm_train(
     if len(np.unique(y)) < 2:
         raise SingleClass("training labels contain a single class")
 
-    k = _kernel_matrix(kernel, gamma, x, x)
+    k = kernel_matrix(kernel, gamma, x, x) if gram is None else gram
     alpha = np.zeros(n)
     bias = 0.0
     updates = 0
@@ -127,7 +129,7 @@ def svm_train(
 
 def svm_decision(model: SvmModel, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=float))
-    k = _kernel_matrix(model.kernel, model.gamma, x, model.x)
+    k = kernel_matrix(model.kernel, model.gamma, x, model.x)
     return k @ (model.alpha * model.y) + model.bias
 
 

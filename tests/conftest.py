@@ -7,6 +7,7 @@ import pytest
 
 from ordsel.concepts import All, And, Atomic, Bottom, Not, Or, Some, Top
 from ordsel.krss import parse_ontology
+from ordsel.learn.pipeline import fit_config_pipeline, stratified_folds
 
 # A small TBox with one subsumption chain, one equivalence, and a
 # disjunction; used wherever a concrete, hand-checkable ontology is needed.
@@ -44,6 +45,28 @@ def concept_frequency(name: str, onto) -> int:
     """Oracle for atom frequencies: occurrences of one class name across
     all axiom expressions, one full traversal per name."""
     return sum(_count_atom(expr, name) for expr in onto.concept_expressions())
+
+
+def naive_cross_validate(x, y, params, n_folds: int = 10, seed: int = 0) -> float:
+    """Oracle for cross-validation: pooled accuracy of one grid point with
+    the whole pipeline, MI included, refit from scratch on every fold."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    fold = stratified_folds(y, n_folds, seed)
+    correct = 0
+    total = 0
+    for f in range(n_folds):
+        val = fold == f
+        train = ~val
+        if not val.any() or not train.any():
+            continue
+        if len(np.unique(y[train])) < 2:
+            continue
+        fitted = fit_config_pipeline(x[train], y[train], params)
+        pred = fitted.predict(x[val])
+        correct += int(np.count_nonzero(pred == y[val]))
+        total += int(val.sum())
+    return correct / total if total else 0.0
 
 
 @pytest.fixture

@@ -300,6 +300,26 @@ def test_train_rejects_empty_features(trained, tmp_path, capsys):
     assert "no rows" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("folds", ["0", "1"])
+def test_train_rejects_fewer_than_two_folds(trained, tmp_path, capsys, folds):
+    rc = main(
+        ["train", "--features", trained["features"], "--runtimes", trained["runtimes"],
+         "--folds", folds, "--quick", "--out", str(tmp_path / "m.json")]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == f"error: need at least 2 folds, got {folds}\n"
+
+
+def test_pipeline_rejects_fewer_than_two_folds(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC))
+    argv = ["pipeline", "--spec", str(spec_path), "--folds", "1", "--quick",
+            "--out-dir", str(tmp_path / "run")]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: need at least 2 folds, got 1\n"
+
+
 def test_predict_lists_choices(trained, capsys):
     rc = main(["predict", "--features", trained["features"], "--model", trained["model"]])
     assert rc == 0
@@ -335,6 +355,20 @@ def test_predict_rejects_bad_inputs(trained, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: model 1: selected feature index")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_predict_rejects_non_finite_features(trained, tmp_path, capsys, value):
+    features = tmp_path / "f.csv"
+    with open(trained["features"]) as fh:
+        lines = fh.read().splitlines()
+    cells = lines[3].split(",")
+    cells[5] = value
+    lines[3] = ",".join(cells)
+    features.write_text("\n".join(lines) + "\n")
+    assert main(["predict", "--features", str(features), "--model", trained["model"]]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {features}, line 4: feature values must be finite\n"
+
+
 # ----------------------------------------------------------------- report
 
 
@@ -365,6 +399,19 @@ def test_report_rejects_duplicate_and_mismatched_ids(tmp_path, capsys):
     assert "duplicate" in capsys.readouterr().err
     _write_cost_csv(learned, [RuntimeRow("b", "5", 1.0, "finished")])
     assert main(["report", "--learned", learned, "--standard", standard, "--budget", "10"]) == 2
+
+
+@pytest.mark.parametrize("budget", ["nan", "inf", "0", "-5"])
+def test_report_rejects_bad_budget(tmp_path, capsys, budget):
+    learned = str(tmp_path / "learned.csv")
+    standard = str(tmp_path / "standard.csv")
+    _write_cost_csv(learned, [RuntimeRow("a", "5", 100.0, "timeout")])
+    _write_cost_csv(standard, [RuntimeRow("a", "default", 1000.0, "finished")])
+    argv = ["report", "--learned", learned, "--standard", standard, "--budget", budget]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: budget ") and err.count("\n") == 1
+    assert "not a finite positive number" in err
 
 
 # --------------------------------------------------------------- pipeline

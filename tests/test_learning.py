@@ -8,7 +8,10 @@ import math
 import numpy as np
 import pytest
 
+from conftest import naive_cross_validate
+from ordsel.cli import QUICK_GRID
 from ordsel.features import FeatureVector, N_FEATURES
+from ordsel.learn import pipeline
 from ordsel.learn.pipeline import (
     BAD,
     GOOD,
@@ -22,6 +25,7 @@ from ordsel.learn.pipeline import (
     combine_threshold_stats,
     compute_threshold,
     cross_validate,
+    cv_accuracies,
     default_grid,
     f_score,
     fit_config_pipeline,
@@ -272,6 +276,76 @@ def test_grid_search_prefers_earlier_on_tie():
 def test_grid_search_rejects_empty_grid():
     with pytest.raises(ValueError):
         grid_search(np.zeros((4, 2)), np.array([1.0, -1.0, 1.0, -1.0]), grid=[])
+
+
+def _noisy_data(n, n_features=N_FEATURES, seed=0):
+    """Labels from two columns plus noise, so grid points score differently;
+    every third column is integer-valued, so MI binning meets ties."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, n_features))
+    x[:, ::3] = np.round(x[:, ::3] * 2.0)
+    y = np.where(x[:, 0] + 0.7 * x[:, 1] + rng.normal(scale=0.8, size=n) > 0.0, GOOD, BAD)
+    return x, y
+
+
+def _one_bad_data():
+    """Ten rows with a single BAD one, cut into twelve folds: the fold that
+    validates the BAD row trains on one class, and three folds are empty."""
+    x, _ = _noisy_data(10, 6, seed=4)
+    y = np.full(10, GOOD)
+    y[3] = BAD
+    return x, y
+
+
+# Points whose k and n_components clamp to what the data has: on 9 rows x 6
+# columns in 3 folds (6 training rows) k=50 selects all 6 columns and at
+# most 5 components fit.  Several points share a clamped shape, and some
+# share a shape and a kernel but not gamma.
+CLAMPED_GRID = [
+    GridPoint(k=50, n_components=60, kernel="linear", c=1.0),
+    GridPoint(k=6, n_components=9, kernel="rbf", c=10.0, gamma=0.5),
+    GridPoint(k=6, n_components=2, kernel="rbf", c=10.0, gamma=0.5),
+    GridPoint(k=6, n_components=2, kernel="rbf", c=10.0, gamma=3.0),
+    GridPoint(k=6, n_components=3, kernel="rbf", c=10.0, gamma=3.0),
+    GridPoint(k=2, n_components=5, kernel="linear", c=0.1),
+    GridPoint(k=2, n_components=5, kernel="linear", c=100.0),
+]
+
+LEARN_GRID = [p for p in default_grid() if p.k == 10 and p.n_components == 5]
+
+ORACLE_CASES = {
+    "quick-grid": (_noisy_data(80, seed=1), QUICK_GRID, 10),
+    "learn-grid": (_noisy_data(80, seed=2), LEARN_GRID, 10),
+    "clamped": (_noisy_data(9, 6, seed=3), CLAMPED_GRID, 3),
+    "skipped-folds": (_one_bad_data(), CLAMPED_GRID, 12),
+}
+
+
+@pytest.mark.parametrize("case", ORACLE_CASES)
+def test_grid_search_equals_per_point_refit(case):
+    (x, y), grid, n_folds = ORACLE_CASES[case]
+    want = [naive_cross_validate(x, y, p, n_folds=n_folds, seed=42) for p in grid]
+    if case != "skipped-folds":
+        assert len(set(want)) > 1  # the grid points must be told apart
+    assert cv_accuracies(x, y, grid, n_folds, 42) == want
+    assert [cross_validate(x, y, p, n_folds=n_folds, seed=42) for p in grid] == want
+    point, acc = grid_search(x, y, grid=grid, n_folds=n_folds, seed=42)
+    assert acc == max(want)
+    assert point == grid[want.index(acc)]
+
+
+@pytest.mark.parametrize("case, usable_folds", [("learn-grid", 10), ("skipped-folds", 8)])
+def test_grid_search_runs_mi_once_per_usable_fold(monkeypatch, case, usable_folds):
+    (x, y), grid, n_folds = ORACLE_CASES[case]
+    calls = []
+
+    def counting(xt, yt):
+        calls.append(len(xt))
+        return mutual_information(xt, yt)
+
+    monkeypatch.setattr(pipeline, "mutual_information", counting)
+    grid_search(x, y, grid=grid, n_folds=n_folds, seed=42)
+    assert len(calls) == usable_folds
 
 
 # --------------------------------------------------- threshold and labels
