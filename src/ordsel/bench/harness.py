@@ -41,7 +41,6 @@ class MismatchedIds(ValueError):
 class BenchResult:
     rows: list[RuntimeRow]
     features: dict[str, FeatureVector]
-    defaults: dict[str, str]  # ontology id -> config label chosen by the default rule
     parse_failures: list[tuple[str, str]]
 
 
@@ -66,7 +65,6 @@ def run_benchmark(
         raise ValueError("empty corpus")
     rows: list[RuntimeRow] = []
     features: dict[str, FeatureVector] = {}
-    defaults: dict[str, str] = {}
     failures: list[tuple[str, str]] = []
     real = tuple(c for c in configs if c != DEFAULT_LABEL)
     want_default = DEFAULT_LABEL in configs
@@ -80,7 +78,6 @@ def run_benchmark(
         fv = extract_features(onto, d)
         features[oid] = fv
         default_label = str(default_config(fv).number)
-        defaults[oid] = default_label
         per_label: dict[str, RuntimeRow] = {}
         # Configurations that permute every vertex alike run the same search:
         # sweep each distinct permutation set once per ontology.
@@ -106,7 +103,7 @@ def run_benchmark(
         if want_default:
             base = per_label[default_label]
             rows.append(RuntimeRow(oid, DEFAULT_LABEL, base.cost, base.outcome))
-    return BenchResult(rows=rows, features=features, defaults=defaults, parse_failures=failures)
+    return BenchResult(rows=rows, features=features, parse_failures=failures)
 
 
 # -------------------------------------------------------------- filtering
@@ -135,6 +132,11 @@ def filter_eligible(rows: list[RuntimeRow]) -> tuple[list[RuntimeRow], list[tupl
     return kept, sorted(excluded.items())
 
 
+def check_test_fraction(fraction: float) -> None:
+    if not 0.0 < fraction < 1.0:
+        raise ValueError("fraction must be strictly between 0 and 1")
+
+
 def split_train_test(
     ids: list[str], fraction: float = 0.25, seed: int = 0
 ) -> tuple[list[str], list[str]]:
@@ -143,8 +145,7 @@ def split_train_test(
     n = len(ids)
     if n < 4:
         raise TooFewExamples(f"need at least 4 examples to split, got {n}")
-    if not 0.0 < fraction < 1.0:
-        raise ValueError("fraction must be strictly between 0 and 1")
+    check_test_fraction(fraction)
     rng = np.random.default_rng(seed)
     order = list(rng.permutation(sorted(ids)))
     n_test = math.ceil(n * fraction)

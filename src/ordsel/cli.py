@@ -28,6 +28,7 @@ import sys
 from .bench.corpus import CorpusSpec, GenerationError, generate_corpus
 from .bench.harness import (
     DEFAULT_LABEL,
+    check_test_fraction,
     filter_eligible,
     run_benchmark,
     run_pipeline,
@@ -47,6 +48,7 @@ from .heuristics import (
 from .krss import parse_ontology
 from .learn.pipeline import (
     GridPoint,
+    check_folds,
     load_bundle,
     save_bundle,
     select_heuristic,
@@ -294,6 +296,9 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
+    # fail before the corpus is generated and swept, not at training time
+    check_folds(args.folds)
+    check_test_fraction(args.test_fraction)
     spec = _load_spec(args.spec)
     corpus = generate_corpus(spec)
     grid = QUICK_GRID if args.quick else None

@@ -209,63 +209,28 @@ class Ontology:
 # structural operations
 
 
-def nnf(c: Concept) -> Concept:
-    """Negation normal form: negation only in front of atomic concepts."""
-    if isinstance(c, (Top, Bottom, Atomic)):
-        return c
-    if isinstance(c, And):
-        return conj(nnf(x) for x in c.children)
-    if isinstance(c, Or):
-        return disj(nnf(x) for x in c.children)
-    if isinstance(c, Some):
-        return Some(c.role, nnf(c.child))
-    if isinstance(c, All):
-        return All(c.role, nnf(c.child))
-    if isinstance(c, Not):
-        inner = c.child
-        if isinstance(inner, Top):
-            return BOTTOM
-        if isinstance(inner, Bottom):
-            return TOP
-        if isinstance(inner, Atomic):
-            return c
-        if isinstance(inner, Not):
-            return nnf(inner.child)
-        if isinstance(inner, And):
-            return disj(nnf(Not(x)) for x in inner.children)
-        if isinstance(inner, Or):
-            return conj(nnf(Not(x)) for x in inner.children)
-        if isinstance(inner, Some):
-            return All(inner.role, nnf(Not(inner.child)))
-        if isinstance(inner, All):
-            return Some(inner.role, nnf(Not(inner.child)))
-    raise TypeError(f"not a concept: {c!r}")
+def walk(c: Concept) -> Iterator[tuple[Concept, bool, int]]:
+    """Every node of ``c`` in pre-order, without recursion.
 
-
-def concept_size(c: Concept) -> int:
-    """Number of expression nodes; role names do not count."""
-    if isinstance(c, (Top, Bottom, Atomic)):
-        return 1
-    if isinstance(c, Not):
-        return 1 + concept_size(c.child)
-    if isinstance(c, (And, Or)):
-        return 1 + sum(concept_size(x) for x in c.children)
-    if isinstance(c, (Some, All)):
-        return 1 + concept_size(c.child)
-    raise TypeError(f"not a concept: {c!r}")
-
-
-def concept_depth(c: Concept) -> int:
-    """Maximum quantifier nesting (count of some/all on a root-leaf path)."""
-    if isinstance(c, (Top, Bottom, Atomic)):
-        return 0
-    if isinstance(c, Not):
-        return concept_depth(c.child)
-    if isinstance(c, (And, Or)):
-        return max(concept_depth(x) for x in c.children)
-    if isinstance(c, (Some, All)):
-        return 1 + concept_depth(c.child)
-    raise TypeError(f"not a concept: {c!r}")
+    Yields ``(node, negated, depth)``: ``negated`` is True when an odd
+    number of ``not`` lie above the node, ``depth`` counts the quantifiers
+    (some/all) above it.  The node count is the concept's size, the
+    largest depth its quantifier nesting, and a node stays an existential
+    in negation normal form exactly when it is a ``some`` not negated or an
+    ``all`` negated.
+    """
+    stack = [(c, False, 0)]
+    while stack:
+        item = node, negated, depth = stack.pop()
+        if isinstance(node, (And, Or)):
+            stack.extend((x, negated, depth) for x in reversed(node.children))
+        elif isinstance(node, Not):
+            stack.append((node.child, not negated, depth))
+        elif isinstance(node, (Some, All)):
+            stack.append((node.child, negated, depth + 1))
+        elif not isinstance(node, (Atomic, Top, Bottom)):
+            raise TypeError(f"not a concept: {node!r}")
+        yield item
 
 
 def atom_frequencies(onto: Ontology) -> Counter[str]:
@@ -275,44 +240,12 @@ def atom_frequencies(onto: Ontology) -> Counter[str]:
     sides of every TBox axiom and the concepts of ABox assertions, in one
     pass.  A name that never occurs counts 0.
     """
-    counts: Counter[str] = Counter()
-    stack = list(onto.concept_expressions())
-    while stack:
-        c = stack.pop()
-        if isinstance(c, Atomic):
-            counts[c.name] += 1
-        elif isinstance(c, (Not, Some, All)):
-            stack.append(c.child)
-        elif isinstance(c, (And, Or)):
-            stack.extend(c.children)
-        elif not isinstance(c, (Top, Bottom)):
-            raise TypeError(f"not a concept: {c!r}")
-    return counts
-
-
-def operator_counts(c: Concept, acc: dict[str, int]) -> None:
-    """Accumulate raw operator counts into ``acc`` (keys: and/or/some/all/not)."""
-    if isinstance(c, (Top, Bottom, Atomic)):
-        return
-    if isinstance(c, Not):
-        acc["not"] += 1
-        operator_counts(c.child, acc)
-    elif isinstance(c, And):
-        acc["and"] += 1
-        for x in c.children:
-            operator_counts(x, acc)
-    elif isinstance(c, Or):
-        acc["or"] += 1
-        for x in c.children:
-            operator_counts(x, acc)
-    elif isinstance(c, Some):
-        acc["some"] += 1
-        operator_counts(c.child, acc)
-    elif isinstance(c, All):
-        acc["all"] += 1
-        operator_counts(c.child, acc)
-    else:
-        raise TypeError(f"not a concept: {c!r}")
+    return Counter(
+        node.name
+        for expr in onto.concept_expressions()
+        for node, _, _ in walk(expr)
+        if isinstance(node, Atomic)
+    )
 
 
 @dataclass(frozen=True, slots=True)

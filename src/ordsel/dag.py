@@ -41,6 +41,7 @@ absorbed when rhs is atomic, otherwise internalised as a residual.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .concepts import (
     All,
@@ -59,6 +60,7 @@ from .concepts import (
     Subsumption,
     Top,
     atom_frequencies,
+    walk,
 )
 
 AND = "and"
@@ -174,18 +176,6 @@ class _Builder:
         return ref
 
 
-def _atoms_in(c: Concept, acc: set[str]) -> None:
-    if isinstance(c, Atomic):
-        acc.add(c.name)
-    elif isinstance(c, Not):
-        _atoms_in(c.child, acc)
-    elif isinstance(c, (And, Or)):
-        for x in c.children:
-            _atoms_in(x, acc)
-    elif isinstance(c, (Some, All)):
-        _atoms_in(c.child, acc)
-
-
 def _pure_definition_heads(onto: Ontology) -> dict[str, Concept]:
     """Names eligible for both-polarity unfolding (see module docstring)."""
     heads: dict[str, list[Concept]] = {}
@@ -206,16 +196,19 @@ def _pure_definition_heads(onto: Ontology) -> dict[str, Concept]:
 
     def cyclic_names(cands: set[str]) -> set[str]:
         # definitional cycles among the current candidates; uses of a name
-        # elsewhere are fine
-        deps: dict[str, set[str]] = {}
-        for n in cands:
-            acc: set[str] = set()
-            _atoms_in(heads[n][0], acc)
-            deps[n] = acc & cands
+        # elsewhere are fine.  Depth-first search with an explicit stack:
+        # `path` holds the names being visited, `todo` their unvisited
+        # dependencies in sorted order.
+        deps = {
+            n: {x.name for x, _, _ in walk(heads[n][0]) if isinstance(x, Atomic)} & cands
+            for n in cands
+        }
         state: dict[str, int] = {}
         cyclic: set[str] = set()
+        path: list[str] = []
+        todo: list[Iterator[str]] = []
 
-        def visit(n: str, path: list[str]) -> None:
+        def enter(n: str) -> None:
             mark = state.get(n)
             if mark == 2 or n in cyclic:
                 return
@@ -224,13 +217,17 @@ def _pure_definition_heads(onto: Ontology) -> dict[str, Concept]:
                 return
             state[n] = 1
             path.append(n)
-            for m in sorted(deps[n]):
-                visit(m, path)
-            path.pop()
-            state[n] = 2
+            todo.append(iter(sorted(deps[n])))
 
         for n in sorted(cands):
-            visit(n, [])
+            enter(n)
+            while todo:
+                m = next(todo[-1], None)
+                if m is None:
+                    todo.pop()
+                    state[path.pop()] = 2
+                else:
+                    enter(m)
         return cyclic
 
     # An equivalence that does not serve as a definition decomposes into
@@ -339,8 +336,6 @@ def encode_dag(onto: Ontology) -> Dag:
         root_refs.extend(refs)
     if gci_constraint is not None:
         root_refs.append(gci_constraint)
-    else:
-        root_refs.extend(gci_refs)
     root_refs.extend(assertion_refs)
     for r in root_refs:
         parents[r[0]] += 1
@@ -409,22 +404,3 @@ def signed_child_stats(d: Dag, edge: DagEdge) -> ConceptStats:
     if not edge.negated:
         return ConceptStats(s.size, s.depth, s.frequency, False)
     return ConceptStats(s.size + 1, s.depth, s.frequency, s.generating)
-
-
-def dump(d: Dag) -> str:
-    """Stable one-line-per-vertex table for debugging and golden tests.
-
-    Format: ``id op [signed-child-ids] size depth freq nondet`` with ``~``
-    marking negated edges.
-    """
-    lines = []
-    for i, v in enumerate(d.vertices):
-        op = v.op if v.op != ALL else f"all:{v.role}"
-        if v.op == ATOM:
-            op = f"atom:{v.name}"
-        kids = " ".join(("~" if e.negated else "") + str(e.target) for e in v.children)
-        s = v.stats
-        lines.append(
-            f"{i} {op} [{kids}] {s.size} {s.depth} {s.frequency} {1 if v.nondeterministic else 0}"
-        )
-    return "\n".join(lines) + ("\n" if lines else "")

@@ -15,18 +15,21 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .concepts import (
+    All,
+    And,
     ConceptAssertion,
     Disjointness,
     Equivalence,
+    Not,
     Ontology,
+    Or,
+    Some,
     Subsumption,
-    concept_depth,
-    concept_size,
-    nnf,
-    operator_counts,
+    walk,
 )
 from .dag import Dag, nondeterministic_vertices, signed_child_stats
 
@@ -102,19 +105,22 @@ def extract_features(onto: Ontology, d: Dag) -> FeatureVector:
     f["avgPopulation"] = num_instances / max(num_classes, 1)
     f["numGCIs"] = float(len(d.gci_refs))
 
-    ops = {"and": 0, "or": 0, "some": 0, "all": 0, "not": 0}
-    nnf_some = 0
+    ops: Counter[type] = Counter()  # raw operator counts, by node type
+    generating = 0  # existentials of the negation normal form
     sizes: list[int] = []
     depths: list[int] = []
     for expr in onto.concept_expressions():
-        operator_counts(expr, ops)
-        sizes.append(concept_size(expr))
-        depths.append(concept_depth(expr))
-        nnf_ops = {"and": 0, "or": 0, "some": 0, "all": 0, "not": 0}
-        operator_counts(nnf(expr), nnf_ops)
-        nnf_some += nnf_ops["some"]
+        size = depth = 0
+        for node, negated, nesting in walk(expr):
+            kind = type(node)
+            ops[kind] += 1
+            generating += kind is (All if negated else Some)
+            size += 1
+            depth = max(depth, nesting)
+        sizes.append(size)
+        depths.append(depth)
 
-    f["numGeneratingRules"] = float(nnf_some)
+    f["numGeneratingRules"] = float(generating)
     f["tboxRatio"] = n_tbox / total_axioms if total_axioms else 0.0
     f["rboxRatio"] = n_rbox / total_axioms if total_axioms else 0.0
     f["aboxRatio"] = n_abox / total_axioms if total_axioms else 0.0
@@ -157,11 +163,11 @@ def extract_features(onto: Ontology, d: Dag) -> FeatureVector:
     f["negativeChildRatio"] = neg_occ / occ if occ else 0.0
 
     f["totalAxioms"] = float(total_axioms)
-    f["numConjunctions"] = float(ops["and"])
-    f["numDisjunctions"] = float(ops["or"])
-    f["numExistentials"] = float(ops["some"])
-    f["numUniversals"] = float(ops["all"])
-    f["numNegations"] = float(ops["not"])
+    f["numConjunctions"] = float(ops[And])
+    f["numDisjunctions"] = float(ops[Or])
+    f["numExistentials"] = float(ops[Some])
+    f["numUniversals"] = float(ops[All])
+    f["numNegations"] = float(ops[Not])
     f["maxConceptSize"] = float(max(sizes)) if sizes else 0.0
     f["avgConceptSize"] = sum(sizes) / len(sizes) if sizes else 0.0
     f["maxConceptDepth"] = float(max(depths)) if depths else 0.0

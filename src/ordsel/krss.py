@@ -8,8 +8,7 @@ Axiom forms, one s-expression per axiom, ``;`` starts a comment:
 
 Concepts use ``*top*``, ``*bottom*``, bare names, ``(not C)``,
 ``(and C1 C2 ...)``, ``(or C1 C2 ...)``, ``(some r C)``, ``(all r C)``.
-Binary and/or chains are flattened into n-ary nodes while parsing, so
-``unparse`` output re-parses to a structurally identical ontology.
+Binary and/or chains are flattened into n-ary nodes while parsing.
 
 Constructs outside ALC (``one-of``, ``at-least``, ...) raise
 ``UnsupportedConstruct``; malformed input raises ``ParseError`` with the
@@ -22,9 +21,7 @@ from dataclasses import dataclass
 
 from .concepts import (
     All,
-    And,
     Atomic,
-    Bottom,
     Concept,
     ConceptAssertion,
     Disjointness,
@@ -32,18 +29,23 @@ from .concepts import (
     NAME_RE,
     Not,
     Ontology,
-    Or,
     RoleAssertion,
     RoleInclusion,
     Some,
     Subsumption,
-    Top,
     TOP,
     BOTTOM,
     Transitivity,
     conj,
     disj,
 )
+
+
+# Deepest parenthesis nesting an axiom may use, its own parentheses
+# included.  Reading, building and encoding a concept recurse once per
+# level, and so do the hash and equality of its nodes; this bound keeps
+# every accepted input well inside the default recursion limit of 1000.
+MAX_NESTING = 256
 
 
 class ParseError(ValueError):
@@ -130,13 +132,16 @@ class _Reader:
         self.pos += 1
         return tok
 
-    def read_form(self):
-        """One s-expression: either a _Tok atom or a (head, items, tok) list."""
+    def read_form(self, depth: int = 1):
+        """One s-expression at nesting ``depth``: either a _Tok atom or an
+        (items, open paren token) pair."""
         tok = self.next()
         if tok.text == ")":
             raise ParseError(tok.line, tok.column, "unexpected ')'")
         if tok.text != "(":
             return tok
+        if depth > MAX_NESTING:
+            raise ParseError(tok.line, tok.column, f"nested deeper than {MAX_NESTING} levels")
         items = []
         while True:
             nxt = self.peek()
@@ -145,7 +150,7 @@ class _Reader:
             if nxt.text == ")":
                 self.next()
                 return (items, tok)
-            items.append(self.read_form())
+            items.append(self.read_form(depth + 1))
 
 
 class _Builder:
@@ -269,46 +274,3 @@ def parse_ontology(text: str) -> Ontology:
         individuals=tuple(b.individuals),
         source_size=len(text.encode("utf-8")),
     )
-
-
-def unparse_concept(c: Concept) -> str:
-    if isinstance(c, Top):
-        return "*top*"
-    if isinstance(c, Bottom):
-        return "*bottom*"
-    if isinstance(c, Atomic):
-        return c.name
-    if isinstance(c, Not):
-        return f"(not {unparse_concept(c.child)})"
-    if isinstance(c, And):
-        return "(and " + " ".join(unparse_concept(x) for x in c.children) + ")"
-    if isinstance(c, Or):
-        return "(or " + " ".join(unparse_concept(x) for x in c.children) + ")"
-    if isinstance(c, Some):
-        return f"(some {c.role} {unparse_concept(c.child)})"
-    if isinstance(c, All):
-        return f"(all {c.role} {unparse_concept(c.child)})"
-    raise TypeError(f"not a concept: {c!r}")
-
-
-def unparse(onto: Ontology) -> str:
-    """Render an ontology back to text, one axiom per line."""
-    lines = []
-    for ax in onto.tbox:
-        if isinstance(ax, Subsumption):
-            lines.append(f"(implies {unparse_concept(ax.lhs)} {unparse_concept(ax.rhs)})")
-        elif isinstance(ax, Equivalence):
-            lines.append(f"(equivalent {unparse_concept(ax.lhs)} {unparse_concept(ax.rhs)})")
-        else:
-            lines.append(f"(disjoint {unparse_concept(ax.lhs)} {unparse_concept(ax.rhs)})")
-    for ax in onto.rbox:
-        if isinstance(ax, RoleInclusion):
-            lines.append(f"(implies-role {ax.sub} {ax.sup})")
-        else:
-            lines.append(f"(transitive {ax.role})")
-    for ax in onto.abox:
-        if isinstance(ax, ConceptAssertion):
-            lines.append(f"(instance {ax.individual} {unparse_concept(ax.concept)})")
-        else:
-            lines.append(f"(related {ax.subject} {ax.object} {ax.role})")
-    return "\n".join(lines) + ("\n" if lines else "")

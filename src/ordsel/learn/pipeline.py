@@ -153,11 +153,15 @@ def fit_config_pipeline(x: np.ndarray, y: np.ndarray, params: GridPoint) -> Fitt
 # -------------------------------------------------------- cross-validation
 
 
+def check_folds(n_folds: int) -> None:
+    if n_folds < 2:
+        raise ValueError(f"need at least 2 folds, got {n_folds}")
+
+
 def stratified_folds(y: np.ndarray, n_folds: int, seed: int) -> np.ndarray:
     """Fold index per sample: each class is shuffled with the seeded
     generator and dealt round-robin, so fold class balance is within one."""
-    if n_folds < 2:
-        raise ValueError(f"need at least 2 folds, got {n_folds}")
+    check_folds(n_folds)
     y = np.asarray(y, dtype=float)
     rng = np.random.default_rng(seed)
     fold = np.empty(len(y), dtype=int)

@@ -55,8 +55,6 @@ class SatResult:
     outcome: str
     steps: int
     branch_points: int
-    max_depth: int
-    model_size: int | None = None
 
 
 @dataclass(frozen=True)
@@ -145,12 +143,11 @@ class _Node:
 
     ``choices`` holds the node's open choice points, innermost last, as
     ``[disjuncts, next alternative, label mark, cursor after]``.
-    ``pending`` (existentials still to expand, last first), ``foralls``
-    (value-restriction children by role) and ``total`` (model size so
-    far) belong to the successor phase.
+    ``pending`` (existentials still to expand, last first) and ``foralls``
+    (value-restriction children by role) belong to the successor phase.
     """
 
-    __slots__ = ("items", "index", "cursor", "choices", "foralls", "pending", "total")
+    __slots__ = ("items", "index", "cursor", "choices", "foralls", "pending")
 
     def __init__(self, items: list[int], index: set[int]):
         self.items = items
@@ -159,19 +156,18 @@ class _Node:
         self.choices: list[list] = []
         self.foralls: dict[str, list[int]] = {}
         self.pending: list[tuple[str, int]] = []
-        self.total = 1
 
 
 # Search modes: saturate the current node from `pos`; resume the innermost
-# open choice point; expand the current node's next successor; hand the
-# current node's model size to its parent.
-_SATURATE, _BACKTRACK, _SUCCESSOR, _RETURN = range(4)
+# open choice point; expand the next pending successor of the current node,
+# returning to its ancestors once it has none.
+_SATURATE, _BACKTRACK, _SUCCESSOR = range(3)
 
 
 def _search(t: _Tables, target: int | None, budget: int) -> SatResult:
     expand, disjuncts, exists, forall = t.expand, t.disjuncts, t.exists, t.forall
     bottom, gci = t.bottom, t.gci
-    steps = branch_points = max_depth = 0
+    steps = branch_points = 0
     try:
         node = _Node([], set())
         ok = True
@@ -183,9 +179,9 @@ def _search(t: _Tables, target: int | None, budget: int) -> SatResult:
         if ok and target is not None:
             ok = _add(node.items, node.index, target, bottom)
         if not ok:
-            return SatResult(UNSATISFIABLE, steps, branch_points, max_depth)
-        path: list[_Node] = []  # ancestors of `node`, root first; its depth is len(path)
-        mode, pos, size = _SATURATE, 0, 0
+            return SatResult(UNSATISFIABLE, steps, branch_points)
+        path: list[_Node] = []  # ancestors of `node`, root first
+        mode, pos = _SATURATE, 0
         while True:
             if mode == _SATURATE:
                 items, index = node.items, node.index
@@ -216,11 +212,11 @@ def _search(t: _Tables, target: int | None, budget: int) -> SatResult:
                             node.choices.append([alts, 0, len(items), p + 1])
                             break
                     else:
-                        if any(index <= anc.index for anc in path):
-                            mode, size = _RETURN, 0
-                        else:
-                            pending: list[tuple[str, int]] = []
-                            foralls: dict[str, list[int]] = {}
+                        # A blocked node gets no successors; this also drops
+                        # any left from before a backtrack into it.
+                        pending: list[tuple[str, int]] = []
+                        foralls: dict[str, list[int]] = {}
+                        if not any(index <= anc.index for anc in path):
                             for r in items:
                                 if exists[r] is not None:
                                     pending.append(exists[r])
@@ -228,13 +224,13 @@ def _search(t: _Tables, target: int | None, budget: int) -> SatResult:
                                     role, child = forall[r]
                                     foralls.setdefault(role, []).append(child)
                             pending.reverse()
-                            node.pending, node.foralls, node.total = pending, foralls, 1
-                            mode = _SUCCESSOR
+                        node.pending, node.foralls = pending, foralls
+                        mode = _SUCCESSOR
 
             elif mode == _BACKTRACK:
                 while not node.choices:
                     if not path:
-                        return SatResult(UNSATISFIABLE, steps, branch_points, max_depth)
+                        return SatResult(UNSATISFIABLE, steps, branch_points)
                     node = path.pop()
                 choice = node.choices[-1]
                 alts, k, mark, after = choice
@@ -258,15 +254,15 @@ def _search(t: _Tables, target: int | None, budget: int) -> SatResult:
                 node.cursor = after
                 mode, pos = _SATURATE, mark
 
-            elif mode == _SUCCESSOR:
-                if not node.pending:
-                    mode, size = _RETURN, node.total
-                    continue
+            else:  # _SUCCESSOR
+                while not node.pending:
+                    if not path:
+                        return SatResult(SATISFIABLE, steps, branch_points)
+                    node = path.pop()
                 role, child = node.pending.pop()
                 steps += 1
                 if steps >= budget:
                     raise _Budget()
-                max_depth = max(max_depth, len(path) + 1)
                 items, index = [], set()
                 ok = _add(items, index, child, bottom)
                 if ok:
@@ -288,17 +284,8 @@ def _search(t: _Tables, target: int | None, budget: int) -> SatResult:
                     mode, pos = _SATURATE, 0
                 else:
                     mode = _BACKTRACK
-
-            else:  # _RETURN
-                if not path:
-                    return SatResult(
-                        SATISFIABLE, steps, branch_points, max_depth, model_size=max(size, 1)
-                    )
-                node = path.pop()
-                node.total += size
-                mode = _SUCCESSOR
     except _Budget:
-        return SatResult(BUDGET_EXCEEDED, steps, branch_points, max_depth)
+        return SatResult(BUDGET_EXCEEDED, steps, branch_points)
 
 
 def is_satisfiable(odag: OrderedDag, target: Ref | None, budget: int) -> SatResult:

@@ -5,7 +5,24 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from ordsel.concepts import All, And, Atomic, Bottom, Not, Or, Some, Top
+from ordsel.concepts import (
+    BOTTOM,
+    TOP,
+    All,
+    And,
+    Atomic,
+    Bottom,
+    ConceptAssertion,
+    Equivalence,
+    Not,
+    Or,
+    RoleInclusion,
+    Some,
+    Subsumption,
+    Top,
+    conj,
+    disj,
+)
 from ordsel.krss import parse_ontology
 from ordsel.learn.pipeline import fit_config_pipeline, stratified_folds
 
@@ -45,6 +62,85 @@ def concept_frequency(name: str, onto) -> int:
     """Oracle for atom frequencies: occurrences of one class name across
     all axiom expressions, one full traversal per name."""
     return sum(_count_atom(expr, name) for expr in onto.concept_expressions())
+
+
+def nnf(c):
+    """Oracle for the negation normal form: negation only on atoms."""
+    if isinstance(c, (Top, Bottom, Atomic)):
+        return c
+    if isinstance(c, And):
+        return conj(nnf(x) for x in c.children)
+    if isinstance(c, Or):
+        return disj(nnf(x) for x in c.children)
+    if isinstance(c, Some):
+        return Some(c.role, nnf(c.child))
+    if isinstance(c, All):
+        return All(c.role, nnf(c.child))
+    inner = c.child
+    if isinstance(inner, Top):
+        return BOTTOM
+    if isinstance(inner, Bottom):
+        return TOP
+    if isinstance(inner, Atomic):
+        return c
+    if isinstance(inner, Not):
+        return nnf(inner.child)
+    if isinstance(inner, And):
+        return disj(nnf(Not(x)) for x in inner.children)
+    if isinstance(inner, Or):
+        return conj(nnf(Not(x)) for x in inner.children)
+    if isinstance(inner, Some):
+        return All(inner.role, nnf(Not(inner.child)))
+    return Some(inner.role, nnf(Not(inner.child)))
+
+
+# ----------------------------------------------------------------- printer
+# The text format's printer: parse(unparse(o)) rebuilds o, which the parser
+# round-trip tests check.
+
+
+def unparse_concept(c) -> str:
+    """Text form of a concept, the inverse of the parser."""
+    if isinstance(c, Top):
+        return "*top*"
+    if isinstance(c, Bottom):
+        return "*bottom*"
+    if isinstance(c, Atomic):
+        return c.name
+    if isinstance(c, Not):
+        return f"(not {unparse_concept(c.child)})"
+    if isinstance(c, And):
+        return "(and " + " ".join(unparse_concept(x) for x in c.children) + ")"
+    if isinstance(c, Or):
+        return "(or " + " ".join(unparse_concept(x) for x in c.children) + ")"
+    if isinstance(c, Some):
+        return f"(some {c.role} {unparse_concept(c.child)})"
+    if isinstance(c, All):
+        return f"(all {c.role} {unparse_concept(c.child)})"
+    raise TypeError(f"not a concept: {c!r}")
+
+
+def unparse(onto) -> str:
+    """Render an ontology back to text, one axiom per line."""
+    lines = []
+    for ax in onto.tbox:
+        if isinstance(ax, Subsumption):
+            lines.append(f"(implies {unparse_concept(ax.lhs)} {unparse_concept(ax.rhs)})")
+        elif isinstance(ax, Equivalence):
+            lines.append(f"(equivalent {unparse_concept(ax.lhs)} {unparse_concept(ax.rhs)})")
+        else:
+            lines.append(f"(disjoint {unparse_concept(ax.lhs)} {unparse_concept(ax.rhs)})")
+    for ax in onto.rbox:
+        if isinstance(ax, RoleInclusion):
+            lines.append(f"(implies-role {ax.sub} {ax.sup})")
+        else:
+            lines.append(f"(transitive {ax.role})")
+    for ax in onto.abox:
+        if isinstance(ax, ConceptAssertion):
+            lines.append(f"(instance {ax.individual} {unparse_concept(ax.concept)})")
+        else:
+            lines.append(f"(related {ax.subject} {ax.object} {ax.role})")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def naive_cross_validate(x, y, params, n_folds: int = 10, seed: int = 0) -> float:

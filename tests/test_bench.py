@@ -21,7 +21,7 @@ from ordsel.bench.harness import (
     split_train_test,
 )
 from ordsel.dag import encode_dag, nondeterministic_vertices
-from ordsel.heuristics import CONFIG_NUMBERS, apply_ordering, parse_config
+from ordsel.heuristics import CONFIG_NUMBERS, apply_ordering, default_config, parse_config
 from ordsel.krss import parse_ontology
 from ordsel.learn.pipeline import GridPoint
 from ordsel.learn.svm import TooFewExamples
@@ -110,7 +110,8 @@ def test_run_benchmark_rows_and_defaults():
     res = run_benchmark(corpus, configs=("1", "2", DEFAULT_LABEL), budget=1000)
     assert [oid for oid, _ in res.parse_failures] == ["bad"]
     assert set(res.features) == {"a", "b"}
-    assert res.defaults == {"a": "1", "b": "1"}
+    defaults = {oid: default_config(fv).number for oid, fv in res.features.items()}
+    assert defaults == {"a": 1, "b": 1}
     by_key = {(r.ontology_id, r.config): r for r in res.rows}
     assert set(by_key) == {(o, c) for o in ("a", "b") for c in ("1", "2", DEFAULT_LABEL)}
     # the default pseudo-configuration replays the default label's sweep
@@ -145,7 +146,8 @@ def test_run_benchmark_rows_match_direct_sweeps():
             else:
                 direct[label] = (float(sweep.total_steps), FINISHED)
             expected.append(RuntimeRow(oid, label, *direct[label]))
-        expected.append(RuntimeRow(oid, DEFAULT_LABEL, *direct[res.defaults[oid]]))
+        default_label = str(default_config(res.features[oid]).number)
+        expected.append(RuntimeRow(oid, DEFAULT_LABEL, *direct[default_label]))
     assert shared > 0  # the corpus exercises reuse
     assert res.rows == expected
 

@@ -10,12 +10,15 @@ import os
 import numpy as np
 import pytest
 
+from ordsel import cli
 from ordsel.cli import main
 from ordsel.features import N_FEATURES, FeatureVector, write_feature_csv
 from ordsel.heuristics import CONFIG_NUMBERS
+from ordsel.krss import MAX_NESTING
 from ordsel.runtimes import RuntimeRow, read_runtime_csv, write_runtime_csv
 
 from conftest import BASIC_TEXT
+from test_tableau import _default_recursion_limit
 
 SPEC = {"count": 10, "seed": 3, "all_timeout_count": 1, "hot_fraction": 0.0}
 
@@ -198,6 +201,52 @@ def test_bench_error_paths(corpus_dir, tmp_path, capsys):
     assert main(["bench", "--corpus", str(tmp_path / "missing"), "--out", out]) == 2
 
 
+def _nested_text(depth):
+    """Four axioms whose parentheses nest exactly `depth` levels deep, all
+    over one concept, so encoding compares equal deep concepts too."""
+    ops = ["(some R ", "(not ", "(and C ", "(all S ", "(or D "]
+    inner = "".join(ops[i % len(ops)] for i in range(depth - 1)) + "B" + ")" * (depth - 1)
+    return "".join(
+        f"({head} {inner})\n"
+        for head in ("implies A", "implies A2", "equivalent E", "instance a")
+    )
+
+
+def test_nesting_at_the_bound_needs_no_more_recursion(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "deep.krss"
+    path.write_text(_nested_text(MAX_NESTING))
+    out = str(tmp_path / "r.csv")
+    with _default_recursion_limit():
+        assert main(["sat", "--ontology", str(path), "--class", "A"]) == 0
+        assert main(["sweep", "--ontology", str(path)]) == 0
+        assert main(["features", "--ontology", str(path)]) == 0
+        assert main(["bench", "--corpus", str(corpus), "--configs", "1", "--out", out]) == 0
+    assert capsys.readouterr().err == ""
+    assert {r.ontology_id for r in read_runtime_csv(out)} == {"deep"}
+
+
+def test_nesting_past_the_bound_exits_2(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "deep.krss"
+    text = _nested_text(MAX_NESTING + 1)
+    path.write_text(text)
+    pos = -1  # the first parenthesis past the bound
+    for _ in range(MAX_NESTING + 1):
+        pos = text.index("(", pos + 1)
+    expected = f"1:{pos + 1}: nested deeper than {MAX_NESTING} levels"
+    for command in ("sat", "sweep", "features"):
+        assert main([command, "--ontology", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {expected}\n"
+    (corpus / "good.krss").write_text(BASIC_TEXT)
+    out = str(tmp_path / "r.csv")
+    assert main(["bench", "--corpus", str(corpus), "--configs", "1", "--out", out]) == 0
+    assert capsys.readouterr().err == f"parse failure: deep: {expected}\n"
+    assert {r.ontology_id for r in read_runtime_csv(out)} == {"good"}
+
+
 # ------------------------------------------------------- filter and split
 
 
@@ -311,13 +360,26 @@ def test_train_rejects_fewer_than_two_folds(trained, tmp_path, capsys, folds):
     assert err == f"error: need at least 2 folds, got {folds}\n"
 
 
-def test_pipeline_rejects_fewer_than_two_folds(tmp_path, capsys):
+def _no_corpus(*_args, **_kwargs):
+    raise AssertionError("the corpus was generated before the arguments were checked")
+
+
+def test_pipeline_rejects_fewer_than_two_folds(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "generate_corpus", _no_corpus)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC))
     argv = ["pipeline", "--spec", str(spec_path), "--folds", "1", "--quick",
             "--out-dir", str(tmp_path / "run")]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: need at least 2 folds, got 1\n"
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "0", "nan"])
+def test_pipeline_rejects_bad_test_fraction(tmp_path, capsys, monkeypatch, fraction):
+    monkeypatch.setattr(cli, "generate_corpus", _no_corpus)
+    argv = ["pipeline", "--test-fraction", fraction, "--quick", "--out-dir", str(tmp_path)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: fraction must be strictly between 0 and 1\n"
 
 
 def test_predict_lists_choices(trained, capsys):

@@ -1,4 +1,8 @@
-"""Concept algebra: constructors, normal form, and structural measures."""
+"""Concept algebra: constructors and the iterative walk over expressions."""
+
+from collections import Counter
+
+import pytest
 
 from conftest import concept_frequency
 from ordsel.concepts import (
@@ -7,20 +11,17 @@ from ordsel.concepts import (
     All,
     And,
     Atomic,
-    Bottom,
     Not,
     Or,
     Some,
     Top,
     atom_frequencies,
-    concept_depth,
-    concept_size,
     conj,
     disj,
-    nnf,
-    operator_counts,
+    walk,
 )
 from ordsel.krss import parse_ontology
+from test_tableau import _default_recursion_limit
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
 
@@ -34,30 +35,73 @@ def test_constructor_helpers_collapse_trivia():
     assert disj([A, Or((B, C))]) == Or((A, B, C))
 
 
-def test_nnf_pushes_negation_to_atoms():
-    assert nnf(Not(And((A, B)))) == Or((Not(A), Not(B)))
-    assert nnf(Not(Or((A, B)))) == And((Not(A), Not(B)))
-    assert nnf(Not(Some("R", A))) == All("R", Not(A))
-    assert nnf(Not(All("R", A))) == Some("R", Not(A))
-    assert nnf(Not(Not(A))) == A
-    assert nnf(Not(Top())) == Bottom()
+def _parities(c):
+    return [(node, negated) for node, negated, _ in walk(c)]
 
 
-def test_nnf_is_idempotent_and_recursive():
-    c = Not(Some("R", And((A, Not(Or((B, C)))))))
-    once = nnf(c)
-    assert nnf(once) == once
-    assert once == All("R", Or((Not(A), B, C)))  # nested disjunctions flatten
+def test_walk_flips_negation_at_each_not():
+    # a node is negated exactly when negation normal form would push a
+    # negation onto it: (not (and A B)) = (or (not A) (not B)), and so on
+    for op in (And, Or):
+        c = Not(op((A, B)))
+        assert _parities(c) == [(c, False), (c.child, True), (A, True), (B, True)]
+    for op in (Some, All):
+        c = Not(op("R", A))
+        assert _parities(c) == [(c, False), (c.child, True), (A, True)]
+    assert _parities(Not(Not(A))) == [(Not(Not(A)), False), (Not(A), True), (A, False)]
+    assert _parities(Not(Top())) == [(Not(Top()), False), (Top(), True)]
+
+
+def test_walk_is_preorder_through_nested_operators():
+    # in negation normal form this is (all R (or (not A) B C))
+    inner = Not(Or((B, C)))
+    c = Not(Some("R", And((A, inner))))
+    assert list(walk(c)) == [
+        (c, False, 0),
+        (c.child, True, 0),
+        (c.child.child, True, 1),
+        (A, True, 1),
+        (inner, True, 1),
+        (inner.child, False, 1),
+        (B, False, 1),
+        (C, False, 1),
+    ]
 
 
 def test_size_and_depth():
-    assert concept_size(A) == 1
-    assert concept_depth(A) == 0
+    def size(c):
+        return sum(1 for _ in walk(c))
+
+    def depth(c):
+        return max(d for _, _, d in walk(c))
+
+    assert size(A) == 1
+    assert depth(A) == 0
     c = Some("R", And((A, Not(B))))
-    assert concept_size(c) == 5
-    assert concept_depth(c) == 1
-    assert concept_depth(All("R", Some("S", A))) == 2
-    assert concept_depth(And((A, Some("R", A)))) == 1
+    assert size(c) == 5
+    assert depth(c) == 1
+    assert depth(All("R", Some("S", A))) == 2
+    assert depth(And((A, Some("R", A)))) == 1
+
+
+def test_operator_counts():
+    ops = Counter(type(node) for node, _, _ in walk(Some("R", And((A, Not(Or((B, C))))))))
+    assert (ops[Some], ops[All], ops[And], ops[Or], ops[Not]) == (1, 0, 1, 1, 1)
+
+
+def test_walk_needs_no_recursion():
+    c = A
+    for i in range(5000):
+        c = Some("R", c) if i % 2 else Not(c)
+    with _default_recursion_limit():
+        nodes = list(walk(c))
+    assert len(nodes) == 5001
+    assert nodes[-1] == (A, False, 2500)
+
+
+def test_walk_rejects_non_concepts():
+    with pytest.raises(TypeError):
+        list(walk(And((A, "B"))))
 
 
 def test_frequency_counts_occurrences_across_the_ontology():
@@ -67,13 +111,4 @@ def test_frequency_counts_occurrences_across_the_ontology():
     assert concept_frequency("missing", onto) == 0
     assert atom_frequencies(onto) == {"A": 1, "B": 3, "C": 1}
     assert atom_frequencies(onto)["missing"] == 0
-
-
-def test_operator_counts():
-    acc = {k: 0 for k in ("and", "or", "some", "all", "not")}
-    operator_counts(Some("R", And((A, Not(Or((B, C)))))), acc)
-    assert acc["some"] == 1
-    assert acc["and"] == 1
-    assert acc["or"] == 1
-    assert acc["not"] == 1
 

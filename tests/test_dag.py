@@ -1,6 +1,6 @@
 """Hash-consed DAG encoding with negation on edges."""
 
-from conftest import BASIC_TEXT, concept_frequency
+from conftest import BASIC_TEXT, concept_frequency, unparse_concept
 from modelsearch import concepts_equivalent
 from ordsel.bench.corpus import CorpusSpec, generate_corpus
 from ordsel.concepts import All, And, Atomic, Not, Or, Some, Top
@@ -9,13 +9,32 @@ from ordsel.dag import (
     ALL,
     ATOM,
     TOP_OP,
-    dump,
     encode_dag,
     flip,
     nondeterministic_vertices,
     signed_child_stats,
 )
 from ordsel.krss import parse_ontology
+
+
+def dump(d) -> str:
+    """Stable one-line-per-vertex table of a DAG for golden tests.
+
+    Format: ``id op [signed-child-ids] size depth freq nondet`` with ``~``
+    marking negated edges.
+    """
+    lines = []
+    for i, v in enumerate(d.vertices):
+        op = v.op if v.op != ALL else f"all:{v.role}"
+        if v.op == ATOM:
+            op = f"atom:{v.name}"
+        kids = " ".join(("~" if e.negated else "") + str(e.target) for e in v.children)
+        s = v.stats
+        lines.append(
+            f"{i} {op} [{kids}] {s.size} {s.depth} {s.frequency} {1 if v.nondeterministic else 0}"
+        )
+    return "\n".join(lines) + ("\n" if lines else "")
+
 
 BASIC_DUMP = """\
 0 atom:C [] 1 0 3 0
@@ -161,16 +180,10 @@ def test_decode_round_trips_up_to_equivalence():
         Not(Some("R", Not(Atomic("A")))),
     ]
     for concept in cases:
-        onto = parse_ontology(f"(instance x {_krss(concept)})")
+        onto = parse_ontology(f"(instance x {unparse_concept(concept)})")
         d = encode_dag(onto)
         (ref,) = d.assertion_refs
         assert concepts_equivalent(_decode(d, ref), concept)
-
-
-def _krss(c) -> str:
-    from ordsel.krss import unparse_concept
-
-    return unparse_concept(c)
 
 
 def test_nondeterministic_vertices_are_disjunctions_only():

@@ -2,6 +2,9 @@
 
 import math
 
+import numpy as np
+
+from ordsel.bench.corpus import CorpusSpec, generate_corpus
 from ordsel.dag import encode_dag
 from ordsel.features import (
     FEATURE_NAMES,
@@ -13,7 +16,7 @@ from ordsel.features import (
 )
 from ordsel.krss import parse_ontology
 
-from conftest import BASIC_TEXT
+from conftest import BASIC_TEXT, nnf, random_ontology_text, unparse_concept
 
 # Hand-computed from BASIC_TEXT:
 #   (implies C (some R D)) / (implies C F) / (equivalent A (or C D))
@@ -109,6 +112,33 @@ def test_generating_rules_counted_in_nnf():
     # The raw operator counts still see a universal, not an existential.
     assert fv["numUniversals"] == 1.0
     assert fv["numExistentials"] == 0.0
+
+
+def test_syntactic_counts_match_text_and_nnf():
+    # Operator counts are those of the printed source; generating rules are
+    # the existentials left once negation normal form is built.
+    rng = np.random.default_rng(11)
+    texts = [random_ontology_text(rng) for _ in range(60)]
+    texts += [inst.text for inst in generate_corpus(CorpusSpec(count=8, seed=5))]
+    texts.append(
+        "(instance x (not (and (all R (not C)) (or *top* (not *bottom*) (some R C)))))\n"
+        "(implies (not (not (some R (not (all S C))))) (all R (not (some R *top*))))\n"
+    )
+    for text in texts:
+        onto = parse_ontology(text)
+        fv = extract_features(onto, encode_dag(onto))
+        exprs = list(onto.concept_expressions())
+        printed = " ".join(unparse_concept(e) for e in exprs)
+        for name, op in (
+            ("numConjunctions", "and"),
+            ("numDisjunctions", "or"),
+            ("numExistentials", "some"),
+            ("numUniversals", "all"),
+            ("numNegations", "not"),
+        ):
+            assert fv[name] == printed.count(f"({op} "), (name, text)
+        normal = " ".join(unparse_concept(nnf(e)) for e in exprs)
+        assert fv["numGeneratingRules"] == normal.count("(some "), text
 
 
 def test_source_size_is_byte_length(basic_onto):

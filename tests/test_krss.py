@@ -2,7 +2,7 @@
 
 import pytest
 
-from conftest import BASIC_TEXT
+from conftest import BASIC_TEXT, unparse
 from ordsel.concepts import (
     And,
     Atomic,
@@ -18,7 +18,7 @@ from ordsel.concepts import (
     Top,
     Transitivity,
 )
-from ordsel.krss import ParseError, UnsupportedConstruct, parse_ontology, unparse
+from ordsel.krss import ParseError, UnsupportedConstruct, parse_ontology
 
 
 def test_basic_axioms_and_declarations():

@@ -35,7 +35,6 @@ def test_worked_example_step_accounting():
     for name, (outcome, steps, branch_points) in expected.items():
         r = is_satisfiable(odag, class_ref(d, name), 10_000)
         assert (r.outcome, r.steps, r.branch_points) == (outcome, steps, branch_points)
-        assert r.model_size >= 1
 
 
 def test_direct_contradiction():
@@ -175,13 +174,25 @@ def test_long_disjunction_chain_needs_no_recursion(tmp_path, capsys):
     assert capsys.readouterr().out.split() == [SATISFIABLE, str(n + 1), str(n)]
 
 
+def test_long_definition_chain_needs_no_recursion(tmp_path, capsys):
+    # the search for definitional cycles follows 1500 links in one chain
+    n = 1500
+    path = tmp_path / "defs.krss"
+    path.write_text("".join(f"(equivalent A{i} (and A{i + 1} X{i}))\n" for i in range(n)))
+    with _default_recursion_limit():
+        assert main(["sat", "--ontology", str(path), "--class", "A0", "--config", "0"]) == 0
+    # one unfolding and one conjunction per link, no choice points
+    assert capsys.readouterr().out.split() == [SATISFIABLE, str(2 * n), "0"]
+
+
 def test_long_successor_chain_needs_no_recursion():
     n = 2000
     text = "".join(f"(implies A{i} (some R A{i + 1}))\n" for i in range(n))
     d, odag = _ordered(text)
     with _default_recursion_limit():
         r = is_satisfiable(odag, class_ref(d, "A0"), 100_000)
-    assert (r.outcome, r.max_depth, r.model_size) == (SATISFIABLE, n, n + 1)
+    # one unfolding and one successor per link: all n successors were built
+    assert (r.outcome, r.steps, r.branch_points) == (SATISFIABLE, 2 * n, 0)
 
 
 def test_failed_branch_leaves_nothing_in_the_label():
@@ -194,3 +205,18 @@ def test_failed_branch_leaves_nothing_in_the_label():
     d, odag = _ordered(text, "0")
     r = is_satisfiable(odag, class_ref(d, "A"), 10_000)
     assert (r.outcome, r.branch_points) == (SATISFIABLE, 2)
+
+
+def test_blocked_node_drops_stale_successors():
+    # The R-successor first takes X, whose (some S W) clashes; backtracking
+    # to Y leaves it blocked by the root, so its other pending successor,
+    # (some S Z), must not be built: that would cost one step more.
+    text = (
+        "(implies A (and B (some R B)))\n"
+        "(implies B (or X Y))\n"
+        "(implies X (and (some S W) (some S Z)))\n"
+        "(implies W (and K (not K)))\n"
+    )
+    d, odag = _ordered(text, "0")
+    r = is_satisfiable(odag, class_ref(d, "A"), 10_000)
+    assert (r.outcome, r.steps, r.branch_points) == (SATISFIABLE, 24, 3)
