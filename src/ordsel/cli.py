@@ -227,6 +227,8 @@ def _cmd_bench(args) -> int:
     result = run_benchmark(corpus, configs=configs, budget=args.budget)
     for oid, msg in result.parse_failures:
         print(f"parse failure: {oid}: {msg}", file=sys.stderr)
+    if not result.rows:
+        raise CliError(f"{args.corpus}: no ontology parsed")
     write_runtime_csv(result.rows, args.out)
     if args.features_out:
         write_feature_csv(sorted(result.features.items()), args.features_out)

@@ -143,19 +143,13 @@ def default_config(
     features,
     gci_threshold: int = 100,
     abox_threshold: int = 10,
-    nominal_threshold: int = 100,
 ) -> HeuristicConfig:
     """Profile-based fallback configuration chosen without any learning.
 
     Ontologies with many general inclusions and almost no instance data
-    get Fdn; instance-rich, GCI-poor ones get Sdp; everything else Sap.
-    ``features`` is a FeatureVector (or anything exposing the same names).
+    get Fdn; everything else gets Sap.  ``features`` is a FeatureVector (or
+    anything exposing the same names).
     """
-    num_gcis = features["numGCIs"]
-    num_instances = features["numInstances"]
-    num_nominals = features["numNominals"]
-    if num_gcis >= gci_threshold and num_instances <= abox_threshold:
+    if features["numGCIs"] >= gci_threshold and features["numInstances"] <= abox_threshold:
         return parse_config("Fdn")
-    if num_nominals > nominal_threshold and num_gcis < gci_threshold:
-        return parse_config("Sdp")
     return parse_config("Sap")

@@ -287,6 +287,24 @@ def assign_priorities(accuracies: dict[str, float]) -> dict[str, int]:
     return {label: rank for rank, label in enumerate(order, start=1)}
 
 
+def _train_config(
+    x: np.ndarray, y: np.ndarray, grid: list[GridPoint] | None, n_folds: int, seed: int
+) -> ConfigModel:
+    if len(np.unique(y)) < 2:
+        pipeline = FittedPipeline(
+            selected=(),
+            scaler_mean=np.zeros(0),
+            scaler_std=np.zeros(0),
+            pca_mean=np.zeros(0),
+            pca_components=np.zeros((0, 0)),
+            model=None,
+            constant=float(y[0]),
+        )
+        return ConfigModel(params=None, accuracy=1.0, pipeline=pipeline)
+    point, acc = grid_search(x, y, grid=grid, n_folds=n_folds, seed=seed)
+    return ConfigModel(params=point, accuracy=acc, pipeline=fit_config_pipeline(x, y, point))
+
+
 def train_model_bundle(
     feature_rows: list[tuple[str, FeatureVector]],
     runtime_rows: list[RuntimeRow],
@@ -300,7 +318,9 @@ def train_model_bundle(
 
     A configuration whose labels are single-class gets a constant predictor
     with accuracy equal to that class's share (1.0), recorded without grid
-    parameters.
+    parameters.  Configurations with the same examples and labels share one
+    model, trained once; their priorities are still assigned per
+    configuration.
     """
     threshold = compute_threshold(runtime_rows, configs)
     labels = label_examples(runtime_rows, threshold, configs)
@@ -312,26 +332,14 @@ def train_model_bundle(
         if not ids:
             raise ValueError(f"no runtime rows for configuration {label}")
     models: dict[str, ConfigModel] = {}
+    trained: dict[tuple, ConfigModel] = {}  # by (ids, labels)
     for label, ids in ids_by_label.items():
         lab = labels[label]
-        x = np.asarray([feat_by_id[oid].values for oid in ids], dtype=float)
-        y = np.asarray([lab[oid] for oid in ids], dtype=float)
-        if len(np.unique(y)) < 2:
-            const = float(y[0])
-            pipeline = FittedPipeline(
-                selected=(),
-                scaler_mean=np.zeros(0),
-                scaler_std=np.zeros(0),
-                pca_mean=np.zeros(0),
-                pca_components=np.zeros((0, 0)),
-                model=None,
-                constant=const,
-            )
-            models[label] = ConfigModel(params=None, accuracy=1.0, pipeline=pipeline)
-            continue
-        point, acc = grid_search(x, y, grid=grid, n_folds=n_folds, seed=seed)
-        fitted = fit_config_pipeline(x, y, point)
-        models[label] = ConfigModel(params=point, accuracy=acc, pipeline=fitted)
+        key = (tuple(ids), tuple(lab[oid] for oid in ids))
+        if key not in trained:
+            x = np.asarray([feat_by_id[oid].values for oid in ids], dtype=float)
+            trained[key] = _train_config(x, np.asarray(key[1], dtype=float), grid, n_folds, seed)
+        models[label] = trained[key]
     priorities = assign_priorities({label: m.accuracy for label, m in models.items()})
     return ModelBundle(threshold=threshold, models=models, priorities=priorities)
 

@@ -35,6 +35,40 @@ Implementation (Horrocks, "Implementation and optimisation techniques",
   being expanded is an explicit list of frames, each holding its own
   choice points, so neither nesting depth nor the number of open
   disjunctions is bounded by the interpreter's recursion limit.
+
+Counted replay.  The steps model a chronological reasoner, so every
+alternative of a failed choice is paid for, but not every one has to be
+walked.  A disjunction is *inert* when each of its alternatives is a
+private inert atom: a positive atom with no told subsumer and no
+definition whose only occurrence in the DAG is as a child of this
+disjunction, which itself is only ever referenced negated (as a
+disjunction).  Such an atom starts no rule and meets its complement
+nowhere, so two alternatives can differ only through the label they
+share, through subset blocking against it, or through the order in which
+another node tries the same alternatives.  So when alternative k-1 of an
+inert choice at node N has failed, the remaining alternatives repeat its
+search exactly, up to renaming one atom, provided that
+
+* no alternative and no complement of one is in N's label at the choice's
+  mark or in any ancestor's label (this rules out the test target), and
+* no other node opened a choice point on the same disjunction while
+  alternative k-1 was being searched (a per-disjunction counter).
+
+Then the search adds q times the steps and branch points the failed
+alternative cost instead of running q more copies, where q is the number
+of remaining alternatives, capped so that the step counter stays below the
+budget.  If the cap bites, the next copy is run for real and exhausts the
+budget at exactly the chronological count.  Outcome, steps and branch
+points therefore stay those of the chronological search, a copy of which
+the tests keep as their reference.  The argument is the dependency-set
+one behind backjumping (Horrocks, as above), used here only to show the
+copies interchangeable: pruning them would change the count.  On the
+trap bombs of the corpus, ``(or Bxi Bxib)`` times the width, the search
+walks one copy per level instead of 2^width, so wall time no longer
+tracks the step count there: on the reference benchmark run the rank
+correlation of steps and seconds per sweep (``steps_seconds_rho``) fell
+from 0.81 to 0.56.  That is expected, since the steps still count the
+work of the chronological reasoner.
 """
 
 from __future__ import annotations
@@ -80,10 +114,11 @@ class _Tables:
     step), else None.  ``disjuncts[r]``: flipped children of a negated
     ``and`` in the permuted order, else None.  ``exists[r]`` / ``forall[r]``:
     (role, packed child) of an existential / value restriction, else None.
+    ``inert[r]``: whether ``r`` is an inert disjunction (module docstring).
     ``bottom``: the packed negated top (-1 when there is no top vertex).
     """
 
-    __slots__ = ("expand", "disjuncts", "exists", "forall", "bottom", "gci")
+    __slots__ = ("expand", "disjuncts", "exists", "forall", "inert", "bottom", "gci")
 
     def __init__(self, odag: OrderedDag):
         d = odag.dag
@@ -92,6 +127,7 @@ class _Tables:
         self.disjuncts: list[tuple[int, ...] | None] = [None] * n
         self.exists: list[tuple[str, int] | None] = [None] * n
         self.forall: list[tuple[str, int] | None] = [None] * n
+        self.inert = [False] * n
         self.bottom = -1 if d.top_id is None else 2 * d.top_id + 1
         self.gci = None if d.gci_constraint is None else _packed(d.gci_constraint)
         for vid, v in enumerate(d.vertices):
@@ -110,6 +146,31 @@ class _Tables:
                 told = [_packed(r) for r in d.told.get(v.name, ())]
                 self.expand[pos] = tuple(told + defs) or None
                 self.expand[neg] = tuple(r ^ 1 for r in defs) or None
+        # references to each vertex: edges plus the roots of definitions,
+        # told subsumers, the global constraint and assertions
+        uses = [0] * len(d.vertices)
+        positive = [False] * len(d.vertices)
+        refs = [(e.target, e.negated) for v in d.vertices for e in v.children]
+        refs += [r for rs in (*d.definitions.values(), *d.told.values()) for r in rs]
+        refs += d.assertion_refs
+        if d.gci_constraint is not None:
+            refs.append(d.gci_constraint)
+        for vid, negated in refs:
+            uses[vid] += 1
+            positive[vid] = positive[vid] or not negated
+        for vid, v in enumerate(d.vertices):
+            self.inert[2 * vid + 1] = (
+                v.op == AND
+                and not positive[vid]
+                and all(
+                    e.negated
+                    and uses[e.target] == 1
+                    and d.vertices[e.target].op == ATOM
+                    and d.vertices[e.target].name not in d.told
+                    and d.vertices[e.target].name not in d.definitions
+                    for e in v.children
+                )
+            )
 
 
 # Tables are a pure function of an immutable OrderedDag and die with it.
@@ -142,7 +203,10 @@ class _Node:
     """One completion-tree node on the path from the root.
 
     ``choices`` holds the node's open choice points, innermost last, as
-    ``[disjuncts, next alternative, label mark, cursor after]``.
+    ``[disjuncts, next alternative, label mark, cursor after, replay]``;
+    ``replay`` is None unless the disjunction is inert (module docstring),
+    else ``[disjunction, steps, branch points, choice points on the
+    disjunction]`` as they were when its last alternative was entered.
     ``pending`` (existentials still to expand, last first) and ``foralls``
     (value-restriction children by role) belong to the successor phase.
     """
@@ -165,9 +229,10 @@ _SATURATE, _BACKTRACK, _SUCCESSOR = range(3)
 
 
 def _search(t: _Tables, target: int | None, budget: int) -> SatResult:
-    expand, disjuncts, exists, forall = t.expand, t.disjuncts, t.exists, t.forall
+    expand, disjuncts, exists, forall, inert = t.expand, t.disjuncts, t.exists, t.forall, t.inert
     bottom, gci = t.bottom, t.gci
     steps = branch_points = 0
+    branched: dict[int, int] = {}  # choice points opened per inert disjunction
     try:
         node = _Node([], set())
         ok = True
@@ -206,10 +271,15 @@ def _search(t: _Tables, target: int | None, budget: int) -> SatResult:
                     break  # clash: backtrack
                 else:
                     for p in range(node.cursor, len(items)):
-                        alts = disjuncts[items[p]]
+                        r = items[p]
+                        alts = disjuncts[r]
                         if alts is not None:
                             branch_points += 1
-                            node.choices.append([alts, 0, len(items), p + 1])
+                            replay = None
+                            if inert[r]:
+                                branched[r] = branched.get(r, 0) + 1
+                                replay = [r, 0, 0, 0]
+                            node.choices.append([alts, 0, len(items), p + 1, replay])
                             break
                     else:
                         # A blocked node gets no successors; this also drops
@@ -233,11 +303,30 @@ def _search(t: _Tables, target: int | None, budget: int) -> SatResult:
                         return SatResult(UNSATISFIABLE, steps, branch_points)
                     node = path.pop()
                 choice = node.choices[-1]
-                alts, k, mark, after = choice
+                alts, k, mark, after, replay = choice
                 items, index = node.items, node.index
                 if mark < len(items):
                     index.difference_update(items[mark:])
                     del items[mark:]
+                if replay is not None:
+                    r, steps_at, branch_points_at, branched_at = replay
+                    if (
+                        k
+                        and branched[r] == branched_at
+                        and not any(
+                            a in x.index or a ^ 1 in x.index for x in (node, *path) for a in alts
+                        )
+                    ):
+                        # alternative k-1 failed, and each remaining one
+                        # would repeat its search (the labels checked are
+                        # fixed while the choice is open): count the copies
+                        # that end below the budget instead of running them
+                        cost = steps - steps_at
+                        q = min(len(alts) - k, (budget - 1 - steps) // cost)
+                        steps += q * cost
+                        branch_points += q * (branch_points - branch_points_at)
+                        k += q
+                    replay[1:] = steps, branch_points, branched[r]
                 while k < len(alts):
                     r = alts[k]
                     k += 1

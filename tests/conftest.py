@@ -231,3 +231,77 @@ def random_ontology_text(rng: np.random.Generator) -> str:
             a, b = rng.choice(classes, size=2, replace=False)
             lines.append(f"(disjoint {a} {b})")
     return "\n".join(lines) + "\n"
+
+
+# Random TBoxes around inert disjunctions, for the counted-replay tests.
+# Every disjunction gets fresh atoms, which makes it inert; the generator
+# then breaks that in each way the replay must notice: an atom reused
+# elsewhere or as an axiom's left-hand side, a negated alternative, a
+# disjunction written twice (so that two nodes branch on it) or under a
+# value restriction, and a disjunction inside a negation.  Bombs put
+# disjunctions next to a successor that a guard can make clash, and
+# existential cycles end in subset blocking.
+
+
+def replay_ontology_text(rnd) -> str:
+    """A random TBox for differential tests of the replay; ``rnd`` is a
+    ``random.Random`` (hypothesis's ``randoms()`` strategy in the tests)."""
+    classes = [f"A{i}" for i in range(rnd.randint(2, 4))]
+    roles = ["R", "S"]
+    fresh: list[str] = []
+    made: list[str] = []
+
+    def atom() -> str:
+        if fresh and rnd.random() < 0.15:
+            return rnd.choice(fresh)
+        return rnd.choice(classes)
+
+    def disjunction() -> str:
+        if made and rnd.random() < 0.2:
+            return rnd.choice(made)
+        alts = []
+        for _ in range(rnd.randint(2, 3)):
+            alts.append(f"X{len(fresh)}")
+            fresh.append(alts[-1])
+        if rnd.random() < 0.1:
+            alts[0] = f"(not {alts[0]})"
+        if rnd.random() < 0.1:
+            alts.append(atom())
+        made.append(f"(or {' '.join(alts)})")
+        return made[-1]
+
+    def concept(depth: int) -> str:
+        roll = rnd.random()
+        if depth <= 0 or roll < 0.2:
+            return atom()
+        if roll < 0.45:
+            return disjunction()
+        if roll < 0.55:
+            return f"(not {concept(depth - 1)})"
+        if roll < 0.7:
+            return f"(and {concept(depth - 1)} {concept(depth - 1)})"
+        if roll < 0.85:
+            return f"(some {rnd.choice(roles)} {concept(depth - 1)})"
+        return f"(all {rnd.choice(roles)} {concept(depth - 1)})"
+
+    lines = []
+    for _ in range(rnd.randint(2, 6)):
+        kind = rnd.random()
+        a, b = rnd.choice(classes), rnd.choice(classes)
+        if kind < 0.3:
+            lines.append(f"(implies {a} {concept(3)})")
+        elif kind < 0.5:
+            pairs = " ".join(disjunction() for _ in range(rnd.randint(1, 4)))
+            lines.append(f"(implies {a} (and (some R (and Q P)) {pairs}))")
+            lines.append(f"(implies {a if rnd.random() < 0.5 else b} (all R (not Q)))")
+        elif kind < 0.6:
+            lines.append(f"(implies {a} (and {disjunction()} (some {rnd.choice(roles)} {b})))")
+        elif kind < 0.7:
+            lines.append(f"(implies {concept(2)} {concept(2)})")
+        elif kind < 0.8:
+            lines.append(f"(equivalent {a} {concept(2)})")
+        elif kind < 0.9:
+            lines.append(f"(implies {a} (and {disjunction()} (all R {disjunction()}) (some R {b})))")
+        elif fresh:
+            lines.append(f"(implies {rnd.choice(fresh)} {concept(1)})")
+    return "\n".join(lines) + "\n"

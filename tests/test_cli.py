@@ -199,6 +199,14 @@ def test_bench_error_paths(corpus_dir, tmp_path, capsys):
     empty.mkdir()
     assert main(["bench", "--corpus", str(empty), "--out", out]) == 2
     assert main(["bench", "--corpus", str(tmp_path / "missing"), "--out", out]) == 2
+    broken = tmp_path / "broken"
+    broken.mkdir()
+    (broken / "only.krss").write_text("(implies A")
+    capsys.readouterr()
+    assert main(["bench", "--corpus", str(broken), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "parse failure: only" in err
+    assert err.splitlines()[-1].startswith("error:")
 
 
 def _nested_text(depth):

@@ -153,8 +153,6 @@ class _Fv(dict):
 def test_default_config_rule():
     gci_rich = _Fv(numGCIs=150.0, numInstances=3.0, numNominals=0.0)
     assert default_config(gci_rich).label == "Fdn"
-    nominal_rich = _Fv(numGCIs=10.0, numInstances=500.0, numNominals=150.0)
-    assert default_config(nominal_rich).label == "Sdp"
     plain = _Fv(numGCIs=0.0, numInstances=0.0, numNominals=0.0)
     assert default_config(plain).label == "Sap"
     # thresholds are parameters

@@ -512,6 +512,30 @@ def test_single_class_config_gets_constant_model():
     assert predict_labels(bundle, feature_rows[0][1])["3"] == BAD
 
 
+def test_configs_with_equal_labels_train_once(monkeypatch):
+    feature_rows, runtime_rows = _bundle_training_data()
+    # configuration 3 has exactly the labels of configuration 1
+    runtime_rows += [
+        RuntimeRow(r.ontology_id, "3", r.cost, r.outcome) for r in runtime_rows if r.config == "1"
+    ]
+    searches = []
+
+    def counting(x, y, **kwargs):
+        searches.append(len(x))
+        return grid_search(x, y, **kwargs)
+
+    monkeypatch.setattr(pipeline, "grid_search", counting)
+    grid = [GridPoint(k=1, n_components=1, kernel="linear", c=10.0)]
+    bundle = train_model_bundle(
+        feature_rows, runtime_rows, grid=grid, n_folds=4, seed=0, configs=("1", "2", "3")
+    )
+    assert len(searches) == 2
+    assert bundle.models["3"] is bundle.models["1"]
+    # priorities stay per configuration; the accuracy tie goes to config 1
+    assert bundle.priorities["1"] < bundle.priorities["3"]
+    assert sorted(bundle.priorities.values()) == [1, 2, 3]
+
+
 def test_train_model_bundle_requires_rows():
     feature_rows, runtime_rows = _bundle_training_data()
     with pytest.raises(ValueError):

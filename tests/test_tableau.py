@@ -1,17 +1,22 @@
 """Tableau satisfiability: soundness cases, budgets, and sweeps."""
 
 import contextlib
+import random
 import sys
 
-from conftest import BASIC_TEXT, BRANCHY_TEXT, UNSAT_TEXT
+from chronological import chronological_sat
+from conftest import BASIC_TEXT, BRANCHY_TEXT, UNSAT_TEXT, replay_ontology_text
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 from ordsel.cli import main
 from ordsel.dag import encode_dag
-from ordsel.heuristics import apply_ordering, parse_config
+from ordsel.heuristics import CONFIGS, apply_ordering, parse_config
 from ordsel.krss import parse_ontology
 from ordsel.tableau import (
     BUDGET_EXCEEDED,
     SATISFIABLE,
     UNSATISFIABLE,
+    SatResult,
     check_tbox_consistency,
     class_ref,
     is_satisfiable,
@@ -220,3 +225,103 @@ def test_blocked_node_drops_stale_successors():
     d, odag = _ordered(text, "0")
     r = is_satisfiable(odag, class_ref(d, "A"), 10_000)
     assert (r.outcome, r.steps, r.branch_points) == (SATISFIABLE, 24, 3)
+
+
+# ------------------------------------------------------------ counted replay
+# The search counts, instead of walking, the failed subtrees that inert
+# disjunctions repeat (see the tableau module docstring).  Every result must
+# stay that of the chronological search in tests/chronological.py.
+
+BUDGETS = (12_000, 400, 37)
+
+
+def _assert_chronological(text, budgets=BUDGETS):
+    """Equal results for every ordering, budget and target: none, and each
+    class positive and negated."""
+    onto = parse_ontology(text)
+    d = encode_dag(onto)
+    targets = [None] + [(d.atom_ids[n], neg) for n in onto.classes for neg in (False, True)]
+    for cfg in (None, *CONFIGS):
+        odag = apply_ordering(d, cfg)
+        chronological = chronological_sat(odag)
+        for budget in budgets:
+            for target in targets:
+                want = chronological(target, budget)
+                assert is_satisfiable(odag, target, budget) == want, (cfg, budget, target)
+
+
+# The example is a seed of the generator, so there is nothing to shrink.
+@settings(
+    derandomize=True, database=None, deadline=None, max_examples=25, phases=(Phase.generate,)
+)
+@given(st.integers(0, 2**32 - 1))
+def test_replay_matches_chronological_search(seed):
+    _assert_chronological(replay_ontology_text(random.Random(seed)))
+
+
+def _bomb(width):
+    pairs = " ".join(f"(or X{i} Y{i})" for i in range(width))
+    return f"(implies A (and (some R (and Q P)) {pairs}))\n(implies A (all R (not Q)))\n"
+
+
+def test_bomb_costs_every_chronological_copy():
+    # Two steps to unfold A and its conjunction, one per entered branch
+    # (2^(w+1) - 2), three per refuted leaf successor (3 * 2^w): 5 * 2^w
+    # steps and 2^w - 1 branch points, here without walking 2^40 leaves.
+    for width in (1, 3):
+        _assert_chronological(_bomb(width))
+    width = 40
+    d, odag = _ordered(_bomb(width), "0")
+    a = class_ref(d, "A")
+    cost = 5 * 2**width
+    assert is_satisfiable(odag, a, cost + 1) == SatResult(UNSATISFIABLE, cost, 2**width - 1)
+    exceeded = is_satisfiable(odag, a, cost)
+    assert (exceeded.outcome, exceeded.steps) == (BUDGET_EXCEEDED, cost)
+
+
+def test_replay_budget_cut_inside_a_copy():
+    # every budget that ends the search inside some copy, replayed or not
+    _assert_chronological(_bomb(3), budgets=range(1, 5 * 2**3 + 2))
+
+
+# Near misses: each breaks one condition of the replay, and each fails when
+# the search drops the check of that condition.
+
+
+def test_replay_near_miss_reused_atom():
+    # X also occurs in another disjunction, where it is negated
+    _assert_chronological(
+        "(implies A (and (or X Y) (or (not X) E) (some R (and Q P)) (all R (not Q))))\n"
+    )
+
+
+def test_replay_near_miss_atom_with_a_told_subsumer():
+    _assert_chronological(
+        "(implies A (and (or X Y) (some R (and Q P)) (all R (not Q))))\n"
+        "(implies X (and (some R P) (all R (not P))))\n"
+    )
+
+
+def test_replay_near_miss_target_in_the_label():
+    # With the target (not Y), the root's alternative Y clashes at once
+    # while X and Z each refute a successor.
+    _assert_chronological("(implies *top* (and (or X Y Z) (some R (and Q P)) (all R (not Q))))\n")
+
+
+def test_replay_near_miss_ancestor_blocks():
+    # Every node branches on (or X Y Z).  When the root holds Y (as the
+    # target, or after (not X) made it skip X), its R-successor is blocked
+    # by the root with Y but refutes its S-successor with X or Z.
+    _assert_chronological(
+        "(implies *top* (and (or X Y Z) (some R (some S (and Q P)))"
+        " (some S (and Q P)) (all S (not Q))))\n"
+    )
+
+
+def test_replay_near_miss_disjunction_at_ancestor_and_descendant():
+    # The R-successor branches on the root's disjunction too, and it is
+    # blocked by the root only when both took the same alternative.
+    _assert_chronological(
+        "(implies A (and (or X Y) (all R (or X Y)) (some R A)"
+        " (some S (and Q P)) (all S (not Q))))\n"
+    )
