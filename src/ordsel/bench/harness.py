@@ -158,9 +158,6 @@ def split_train_test(
 @dataclass(frozen=True)
 class SpeedupReport:
     ids: tuple[str, ...]
-    learned_costs: tuple[float, ...]
-    standard_costs: tuple[float, ...]
-    ratios: tuple[float, ...]
     max_ratio: float
     mean_ratio: float
     geomean_ratio: float
@@ -205,9 +202,6 @@ def speedup_report(
         raise ValueError("empty cost maps")
     return SpeedupReport(
         ids=ids,
-        learned_costs=tuple(lcosts),
-        standard_costs=tuple(scosts),
-        ratios=tuple(ratios),
         max_ratio=max(ratios),
         mean_ratio=sum(ratios) / n,
         geomean_ratio=math.exp(sum(math.log(r) for r in ratios) / n),

@@ -85,10 +85,9 @@ def _load_ontology(path: str):
     return onto, encode_dag(onto)
 
 
-def _ordered(dag, onto, config_text: str, gci_threshold: int, abox_threshold: int):
+def _ordered(dag, onto, config_text: str):
     if config_text == DEFAULT_LABEL:
-        fv = extract_features(onto, dag)
-        cfg = default_config(fv, gci_threshold=gci_threshold, abox_threshold=abox_threshold)
+        cfg = default_config(extract_features(onto, dag))
     else:
         cfg = parse_config(config_text)
     return apply_ordering(dag, cfg)
@@ -162,7 +161,7 @@ def _read_corpus_dir(path: str) -> list[tuple[str, str]]:
 
 def _cmd_sat(args) -> int:
     onto, dag = _load_ontology(args.ontology)
-    odag = _ordered(dag, onto, args.config, args.gci_threshold, args.abox_threshold)
+    odag = _ordered(dag, onto, args.config)
     if args.class_name is None:
         res = check_tbox_consistency(odag, args.budget)
     else:
@@ -175,7 +174,7 @@ def _cmd_sat(args) -> int:
 
 def _cmd_sweep(args) -> int:
     onto, dag = _load_ontology(args.ontology)
-    odag = _ordered(dag, onto, args.config, args.gci_threshold, args.abox_threshold)
+    odag = _ordered(dag, onto, args.config)
     res = satisfiability_sweep(odag, args.budget)
     lines = ["class,outcome,steps"]
     for name, sat in res.per_class.items():
@@ -334,16 +333,12 @@ def _cmd_pipeline(args) -> int:
 # ----------------------------------------------------------------- parser
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--config",
         default=DEFAULT_LABEL,
         help="ordering: 3-letter label, 1..12, 0 for unsorted,"
-        f" or '{DEFAULT_LABEL}' for the feature-based rule (default)",
-    )
-    p.add_argument("--gci-threshold", type=int, default=100, help="default rule: min GCI count")
-    p.add_argument(
-        "--abox-threshold", type=int, default=10, help="default rule: max instance count"
+        f" or '{DEFAULT_LABEL}' for the fixed rule bench applies (default)",
     )
 
 
@@ -356,14 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sat", help="satisfiability of one class or the whole TBox")
     p.add_argument("--ontology", required=True)
-    _add_config_flags(p)
+    _add_config_flag(p)
     p.add_argument("--budget", type=int, default=1_000_000)
     p.add_argument("--class", dest="class_name", default=None, help="class name (default: TBox)")
     p.set_defaults(func=_cmd_sat)
 
     p = sub.add_parser("sweep", help="per-class satisfiability sweep as CSV")
     p.add_argument("--ontology", required=True)
-    _add_config_flags(p)
+    _add_config_flag(p)
     p.add_argument("--budget", type=int, default=1_000_000, help="step budget per test")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_sweep)

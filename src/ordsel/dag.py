@@ -83,11 +83,21 @@ class DagEdge:
 
 @dataclass(frozen=True, slots=True)
 class DagVertex:
+    """One vertex of the DAG.
+
+    ``child_stats`` holds the stats of the signed child each edge denotes,
+    in child order.  A negated edge adds one node for the negation to the
+    size and is generating exactly when its target is an ``all`` (a negated
+    value restriction is an existential); a positive edge is never
+    generating.  Depth and frequency are the target's.
+    """
+
     op: str
     role: str | None
     name: str | None
     children: tuple[DagEdge, ...]
     stats: ConceptStats
+    child_stats: tuple[ConceptStats, ...]
     nondeterministic: bool
 
 
@@ -251,6 +261,13 @@ def _pure_definition_heads(onto: Ontology) -> dict[str, Concept]:
     return {n: heads[n][0] for n in candidates}
 
 
+def _signed(stats: ConceptStats, negated: bool) -> ConceptStats:
+    """Stats of the child an edge with this sign denotes (see ``child_stats``)."""
+    if not negated:
+        return ConceptStats(stats.size, stats.depth, stats.frequency, False)
+    return ConceptStats(stats.size + 1, stats.depth, stats.frequency, stats.generating)
+
+
 def encode_dag(onto: Ontology) -> Dag:
     b = _Builder()
     for name in onto.classes:
@@ -294,28 +311,22 @@ def encode_dag(onto: Ontology) -> Dag:
     )
 
     n = len(b.ops)
+    definition_refs = [r for refs in definitions.values() for r in refs]
+    root_refs = [r for refs in told.values() for r in refs]
+    if gci_constraint is not None:
+        root_refs.append(gci_constraint)
+    root_refs.extend(assertion_refs)
 
-    # polarity propagation for the nondeterministic flag
+    # polarity propagation for the nondeterministic flag; definition bodies
+    # unfold under both polarities
     parity_seen = [[False, False] for _ in range(n)]
     stack: list[tuple[int, int]] = []
-
-    def seed(ref: Ref, both: bool = False):
-        parities = (0, 1) if both else (1 if ref[1] else 0,)
-        for p in parities:
-            if not parity_seen[ref[0]][p]:
-                parity_seen[ref[0]][p] = True
-                stack.append((ref[0], p))
-
-    for refs in definitions.values():
-        for r in refs:
-            seed(r, both=True)
-    for refs in told.values():
-        for r in refs:
-            seed(r)
-    if gci_constraint is not None:
-        seed(gci_constraint)
-    for r in assertion_refs:
-        seed(r)
+    seeds = [(r[0], p) for r in definition_refs for p in (0, 1)]
+    seeds += [(r[0], 1 if r[1] else 0) for r in root_refs]
+    for vid, p in seeds:
+        if not parity_seen[vid][p]:
+            parity_seen[vid][p] = True
+            stack.append((vid, p))
     while stack:
         vid, p = stack.pop()
         for e in b.ops[vid][3]:
@@ -329,48 +340,29 @@ def encode_dag(onto: Ontology) -> Dag:
     for op, _role, _name, children in b.ops:
         for e in children:
             parents[e.target] += 1
-    root_refs: list[Ref] = []
-    for refs in definitions.values():
-        root_refs.extend(refs)
-    for refs in told.values():
-        root_refs.extend(refs)
-    if gci_constraint is not None:
-        root_refs.append(gci_constraint)
-    root_refs.extend(assertion_refs)
-    for r in root_refs:
+    for r in definition_refs + root_refs:
         parents[r[0]] += 1
 
-    sizes = [0] * n
-    depths = [0] * n
-    for vid, (op, _role, name, children) in enumerate(b.ops):
-        if op in (ATOM, TOP_OP):
-            sizes[vid] = 1
-            depths[vid] = 0
-        elif op == ALL:
-            e = children[0]
-            sizes[vid] = 1 + sizes[e.target] + (1 if e.negated else 0)
-            depths[vid] = 1 + depths[e.target]
-        else:
-            sizes[vid] = 1 + sum(sizes[e.target] + (1 if e.negated else 0) for e in children)
-            depths[vid] = max(depths[e.target] for e in children)
-
     atom_freq = atom_frequencies(onto)
-    vertices = []
+    vertices: list[DagVertex] = []
     for vid, (op, role, name, children) in enumerate(b.ops):
+        child_stats = tuple(_signed(vertices[e.target].stats, e.negated) for e in children)
+        if op == ALL:
+            size, depth = 1 + child_stats[0].size, 1 + child_stats[0].depth
+        elif op == AND:
+            size = 1 + sum(s.size for s in child_stats)
+            depth = max(s.depth for s in child_stats)
+        else:
+            size, depth = 1, 0
         freq = atom_freq[name] if op == ATOM else parents[vid]
-        stats = ConceptStats(
-            size=sizes[vid],
-            depth=depths[vid],
-            frequency=freq,
-            generating=op == ALL,
-        )
         vertices.append(
             DagVertex(
                 op=op,
                 role=role,
                 name=name,
                 children=children,
-                stats=stats,
+                stats=ConceptStats(size=size, depth=depth, frequency=freq, generating=op == ALL),
+                child_stats=child_stats,
                 nondeterministic=op == AND and parity_seen[vid][1],
             )
         )
@@ -390,17 +382,3 @@ def encode_dag(onto: Ontology) -> Dag:
 def nondeterministic_vertices(d: Dag) -> list[int]:
     """Ids of nondeterministic vertices in topological (ascending) order."""
     return [i for i, v in enumerate(d.vertices) if v.nondeterministic]
-
-
-def signed_child_stats(d: Dag, edge: DagEdge) -> ConceptStats:
-    """Stats of the child a signed edge denotes.
-
-    A negated edge adds one node for the negation to the size, keeps the
-    depth and frequency of the target, and makes the child generating
-    exactly when the target is a value restriction (a negated ``all`` is
-    an existential).
-    """
-    s = d.vertices[edge.target].stats
-    if not edge.negated:
-        return ConceptStats(s.size, s.depth, s.frequency, False)
-    return ConceptStats(s.size + 1, s.depth, s.frequency, s.generating)

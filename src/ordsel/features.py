@@ -31,7 +31,7 @@ from .concepts import (
     Subsumption,
     walk,
 )
-from .dag import Dag, nondeterministic_vertices, signed_child_stats
+from .dag import Dag, nondeterministic_vertices
 
 FEATURE_NAMES: tuple[str, ...] = (
     "numNominals",
@@ -140,7 +140,7 @@ def extract_features(onto: Ontology, d: Dag) -> FeatureVector:
     max_child_freq = 0.0
     for vid in nondet:
         v = d.vertices[vid]
-        stats = [signed_child_stats(d, e) for e in v.children]
+        stats = v.child_stats
         child_sizes_avg.append(sum(s.size for s in stats) / len(stats))
         child_depths_avg.append(sum(s.depth for s in stats) / len(stats))
         child_freqs_avg.append(sum(s.frequency for s in stats) / len(stats))

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .concepts import ConceptStats
-from .dag import AND, Dag, DagEdge, signed_child_stats
+from .dag import AND, Dag, DagEdge
 
 SIZE = "size"
 DEPTH = "depth"
@@ -83,14 +83,9 @@ def config_label(cfg: HeuristicConfig | None) -> str:
     return "0" if cfg is None else cfg.label
 
 
-def sort_key(
-    edge: DagEdge, stats: ConceptStats, cfg: HeuristicConfig, position: int
-) -> tuple[int, float, int]:
-    if cfg.prefer_generating:
-        grank = 0 if stats.generating else 1
-    else:
-        grank = 0
-    value = {SIZE: stats.size, DEPTH: stats.depth, FREQUENCY: stats.frequency}[cfg.metric]
+def sort_key(stats: ConceptStats, cfg: HeuristicConfig, position: int) -> tuple[int, int, int]:
+    grank = 0 if stats.generating or not cfg.prefer_generating else 1
+    value = getattr(stats, cfg.metric)  # metric names are ConceptStats fields
     if cfg.direction == DESCENDING:
         value = -value
     return (grank, value, position)
@@ -125,31 +120,29 @@ def apply_ordering(d: Dag, cfg: HeuristicConfig | None) -> OrderedDag:
     for vid, v in enumerate(d.vertices):
         if v.op != AND:
             continue
-        order = tuple(range(len(v.children)))
+        order = range(len(v.children))
         if cfg is not None:
-            order = tuple(
-                sorted(
-                    order,
-                    key=lambda i: sort_key(
-                        v.children[i], signed_child_stats(d, v.children[i]), cfg, i
-                    ),
-                )
-            )
-        perms[vid] = order
+            stats = v.child_stats
+            order = sorted(order, key=lambda i: sort_key(stats[i], cfg, i))
+        perms[vid] = tuple(order)
     return OrderedDag(dag=d, config=cfg, permutations=perms)
 
 
-def default_config(
-    features,
-    gci_threshold: int = 100,
-    abox_threshold: int = 10,
-) -> HeuristicConfig:
+DEFAULT_MIN_GCIS = 100
+DEFAULT_MAX_INSTANCES = 10
+
+
+def default_config(features) -> HeuristicConfig:
     """Profile-based fallback configuration chosen without any learning.
 
-    Ontologies with many general inclusions and almost no instance data
-    get Fdn; everything else gets Sap.  ``features`` is a FeatureVector (or
-    anything exposing the same names).
+    Ontologies with at least ``DEFAULT_MIN_GCIS`` general inclusions and at
+    most ``DEFAULT_MAX_INSTANCES`` instances get Fdn; everything else gets
+    Sap.  ``features`` is a FeatureVector (or anything exposing the same
+    names).
     """
-    if features["numGCIs"] >= gci_threshold and features["numInstances"] <= abox_threshold:
+    if (
+        features["numGCIs"] >= DEFAULT_MIN_GCIS
+        and features["numInstances"] <= DEFAULT_MAX_INSTANCES
+    ):
         return parse_config("Fdn")
     return parse_config("Sap")

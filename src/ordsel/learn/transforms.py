@@ -37,6 +37,9 @@ def apply_scaler(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray
 
 # ------------------------------------------- mutual information selection
 
+# Equal-frequency bins per feature column when estimating MI.
+MI_BINS = 4
+
 
 def mi_from_joint(joint: np.ndarray) -> float:
     """Mutual information in bits from a (non-normalized) joint count table."""
@@ -52,13 +55,13 @@ def mi_from_joint(joint: np.ndarray) -> float:
     return float(np.nansum(terms))
 
 
-def _bin_column(col: np.ndarray, bins: int) -> np.ndarray:
-    """Equal-frequency discretization into at most `bins` integer bins."""
-    edges = np.quantile(col, np.linspace(0.0, 1.0, bins + 1)[1:-1])
+def _bin_column(col: np.ndarray) -> np.ndarray:
+    """Equal-frequency discretization into at most `MI_BINS` integer bins."""
+    edges = np.quantile(col, np.linspace(0.0, 1.0, MI_BINS + 1)[1:-1])
     return np.digitize(col, np.unique(edges), right=True)
 
 
-def mutual_information(x: np.ndarray, y: np.ndarray, bins: int = 4) -> np.ndarray:
+def mutual_information(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """MI (bits) between each column of `x` and the label vector `y`.
 
     Continuous columns are discretized into equal-frequency bins; collapsed
@@ -72,7 +75,7 @@ def mutual_information(x: np.ndarray, y: np.ndarray, bins: int = 4) -> np.ndarra
     labels = np.unique(y)
     scores = np.empty(x.shape[1])
     for j in range(x.shape[1]):
-        xb = _bin_column(x[:, j], bins)
+        xb = _bin_column(x[:, j])
         xvals = np.unique(xb)
         joint = np.zeros((len(xvals), len(labels)))
         for a, xv in enumerate(xvals):

@@ -18,7 +18,7 @@ import pytest
 from ordsel.bench.corpus import CorpusSpec, generate_corpus
 from ordsel.bench.harness import run_pipeline
 from ordsel.cli import QUICK_GRID
-from ordsel.dag import AND, encode_dag, signed_child_stats
+from ordsel.dag import AND, encode_dag
 from ordsel.features import FeatureVector, N_FEATURES
 from ordsel.heuristics import (
     ASCENDING,
@@ -240,7 +240,7 @@ def test_child_orderings_satisfy_invariants():
             # permutation of the original children
             assert sorted(perm) == list(range(len(children)))
             assert Counter(ordered) == Counter(children)
-            stats = [signed_child_stats(d, e) for e in children]
+            stats = d.vertices[vid].child_stats
             asc = cfg.direction == ASCENDING
             for a, b in zip(perm, perm[1:]):
                 sa, sb = stats[a], stats[b]

@@ -11,9 +11,10 @@ import numpy as np
 import pytest
 
 from ordsel import cli
+from ordsel.bench.corpus import FAMILY_FAST, CorpusSpec, generate_corpus
 from ordsel.cli import main
 from ordsel.features import N_FEATURES, FeatureVector, write_feature_csv
-from ordsel.heuristics import CONFIG_NUMBERS
+from ordsel.heuristics import CONFIG_NUMBERS, DEFAULT_MIN_GCIS
 from ordsel.krss import MAX_NESTING
 from ordsel.runtimes import RuntimeRow, read_runtime_csv, write_runtime_csv
 
@@ -98,6 +99,14 @@ def test_sat_error_paths(basic_path, capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["sat", "sweep"])
+@pytest.mark.parametrize("flag", ["--gci-threshold", "--abox-threshold"])
+def test_default_rule_has_no_threshold_options(basic_path, command, flag):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--ontology", basic_path, flag, "5"])
+    assert exc.value.code == 2
+
+
 def test_no_subcommand_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
@@ -123,6 +132,42 @@ def test_sweep_to_file(basic_path, tmp_path):
     out = str(tmp_path / "sweep.csv")
     assert main(["sweep", "--ontology", basic_path, "--out", out]) == 0
     assert open(out).read().startswith("class,outcome,steps\n")
+
+
+def _sweep_total(path, config, capsys):
+    assert main(["sweep", "--ontology", path, "--config", config, "--budget", "12000"]) == 0
+    return capsys.readouterr().out.strip().split("\n")[-1]
+
+
+def test_gci_rich_default_is_fdn_in_sweep_and_bench(tmp_path, capsys):
+    # A trap that c1 (Sap) escapes and c10 (Fdn) detonates, plus enough GCIs
+    # for the default rule to pick Fdn: sweep and bench must both apply it.
+    trap = next(
+        inst
+        for inst in generate_corpus(CorpusSpec(count=8, seed=0, sensitive_fraction=1.0))
+        if inst.family is not None
+        and 1 in FAMILY_FAST[inst.family]
+        and 10 not in FAMILY_FAST[inst.family]
+    )
+    gcis = "".join(f"(implies (and G{i} H{i}) J{i})\n" for i in range(DEFAULT_MIN_GCIS))
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "trap.krss"
+    path.write_text(trap.text + gcis)
+
+    default = _sweep_total(str(path), "default", capsys)
+    assert default == _sweep_total(str(path), "10", capsys)
+    assert default != _sweep_total(str(path), "1", capsys)
+
+    out = str(tmp_path / "runtimes.csv")
+    rc = main(["bench", "--corpus", str(corpus), "--configs", "1,10,default", "--out", out])
+    assert rc == 0
+    rows = {r.config: r for r in read_runtime_csv(out)}
+    assert (rows["default"].cost, rows["default"].outcome) == (
+        rows["10"].cost,
+        rows["10"].outcome,
+    )
+    assert rows["1"].cost != rows["10"].cost
 
 
 # --------------------------------------------------------------- features

@@ -12,7 +12,6 @@ from ordsel.dag import (
     encode_dag,
     flip,
     nondeterministic_vertices,
-    signed_child_stats,
 )
 from ordsel.krss import parse_ontology
 
@@ -195,13 +194,17 @@ def test_nondeterministic_vertices_are_disjunctions_only():
 
 
 def test_signed_child_stats_flip_with_edge_sign():
-    d = encode_dag(parse_ontology("(implies A (or (some R B) C))"))
-    (vid,) = nondeterministic_vertices(d)
-    v = d.vertices[vid]
-    for edge in v.children:
-        stats = signed_child_stats(d, edge)
-        raw = d.vertices[edge.target].stats
-        assert stats.size == raw.size + (1 if edge.negated else 0)
-        # a negated edge into a value restriction reads as an existential
-        if d.vertices[edge.target].op == ALL:
-            assert stats.generating == edge.negated
+    texts = ["(implies A (or (some R B) C))"]
+    texts += [inst.text for inst in generate_corpus(CorpusSpec(count=12, seed=5))]
+    for text in texts:
+        d = encode_dag(parse_ontology(text))
+        for v in d.vertices:
+            assert len(v.child_stats) == len(v.children)
+            for edge, stats in zip(v.children, v.child_stats):
+                raw = d.vertices[edge.target].stats
+                assert stats.size == raw.size + (1 if edge.negated else 0)
+                assert (stats.depth, stats.frequency) == (raw.depth, raw.frequency)
+                # a negated edge into a value restriction reads as an existential
+                assert stats.generating == (
+                    edge.negated and d.vertices[edge.target].op == ALL
+                )

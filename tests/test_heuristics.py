@@ -2,7 +2,7 @@
 
 import pytest
 
-from ordsel.dag import encode_dag, nondeterministic_vertices, signed_child_stats
+from ordsel.dag import encode_dag, nondeterministic_vertices
 from ordsel.heuristics import (
     CONFIG_NUMBERS,
     CONFIGS,
@@ -65,36 +65,30 @@ def _stats(size=1, depth=0, frequency=1, generating=False):
 
 
 def test_sort_key_direction_and_preference():
-    from ordsel.dag import DagEdge
-
-    edge = DagEdge(target=0, negated=False)
     asc = parse_config("Sap")
     desc = parse_config("Sdp")
     neutral = parse_config("San")
 
-    small = sort_key(edge, _stats(size=2), asc, 0)
-    large = sort_key(edge, _stats(size=9), asc, 1)
+    small = sort_key(_stats(size=2), asc, 0)
+    large = sort_key(_stats(size=9), asc, 1)
     assert small < large
-    small_d = sort_key(edge, _stats(size=2), desc, 0)
-    large_d = sort_key(edge, _stats(size=9), desc, 1)
+    small_d = sort_key(_stats(size=2), desc, 0)
+    large_d = sort_key(_stats(size=9), desc, 1)
     assert large_d < small_d
 
     # preference field: generating disjuncts jump the queue only under "p"
-    gen = sort_key(edge, _stats(size=9, generating=True), asc, 1)
-    nongen = sort_key(edge, _stats(size=2), asc, 0)
+    gen = sort_key(_stats(size=9, generating=True), asc, 1)
+    nongen = sort_key(_stats(size=2), asc, 0)
     assert gen < nongen
-    gen_n = sort_key(edge, _stats(size=9, generating=True), neutral, 1)
-    nongen_n = sort_key(edge, _stats(size=2), neutral, 0)
+    gen_n = sort_key(_stats(size=9, generating=True), neutral, 1)
+    nongen_n = sort_key(_stats(size=2), neutral, 0)
     assert nongen_n < gen_n
 
 
 def test_sort_key_breaks_ties_by_position():
-    from ordsel.dag import DagEdge
-
-    edge = DagEdge(target=0, negated=False)
     cfg = parse_config("Sap")
-    first = sort_key(edge, _stats(size=3), cfg, 0)
-    second = sort_key(edge, _stats(size=3), cfg, 1)
+    first = sort_key(_stats(size=3), cfg, 0)
+    second = sort_key(_stats(size=3), cfg, 1)
     assert first < second
 
 
@@ -111,8 +105,8 @@ def test_apply_ordering_sorts_disjuncts():
     (vid,) = nondeterministic_vertices(d)
 
     def sizes(cfg_text):
-        odag = apply_ordering(d, parse_config(cfg_text))
-        return [signed_child_stats(d, e).size for e in odag.children_in_order(vid)]
+        perm = apply_ordering(d, parse_config(cfg_text)).permutations[vid]
+        return [d.vertices[vid].child_stats[i].size for i in perm]
 
     assert sizes("Sap") == sorted(sizes("Sap"))
     assert sizes("Sdp") == sorted(sizes("Sdp"), reverse=True)
@@ -129,8 +123,9 @@ def test_apply_ordering_prefers_generating_disjuncts():
     (vid,) = nondeterministic_vertices(d)
     prefer = apply_ordering(d, parse_config("Sap"))
     neutral = apply_ordering(d, parse_config("San"))
-    first_pref = signed_child_stats(d, prefer.children_in_order(vid)[0])
-    first_neut = signed_child_stats(d, neutral.children_in_order(vid)[0])
+    stats = d.vertices[vid].child_stats
+    first_pref = stats[prefer.permutations[vid][0]]
+    first_neut = stats[neutral.permutations[vid][0]]
     assert first_pref.generating
     assert not first_neut.generating
 
@@ -155,5 +150,7 @@ def test_default_config_rule():
     assert default_config(gci_rich).label == "Fdn"
     plain = _Fv(numGCIs=0.0, numInstances=0.0, numNominals=0.0)
     assert default_config(plain).label == "Sap"
-    # thresholds are parameters
-    assert default_config(gci_rich, gci_threshold=200).label == "Sap"
+    # the bounds are fixed and inclusive
+    assert default_config(_Fv(numGCIs=100.0, numInstances=10.0)).label == "Fdn"
+    assert default_config(_Fv(numGCIs=99.0, numInstances=0.0)).label == "Sap"
+    assert default_config(_Fv(numGCIs=150.0, numInstances=11.0)).label == "Sap"
