@@ -25,7 +25,7 @@ import numpy as np
 from ..features import FEATURE_NAMES, FeatureVector
 from ..heuristics import CONFIG_NUMBERS
 from ..runtimes import FINISHED, RuntimeRow, rows_by_config
-from .svm import SingleClass, SvmModel, kernel_matrix, svm_predict, svm_train
+from .svm import LINEAR, RBF, SingleClass, SvmModel, kernel_matrix, svm_predict, svm_train
 from .transforms import (
     apply_scaler,
     fit_scaler,
@@ -432,7 +432,11 @@ def _pipeline_from_json(d: dict) -> FittedPipeline:
 
 
 def _check_pipeline(label: str, p: FittedPipeline) -> None:
-    """Reject a loaded pipeline whose arrays `predict` could not combine."""
+    """Reject a loaded pipeline whose arrays `predict` could not combine, or
+    whose kernel, numbers or arrays it could not use: an unknown kernel, a
+    non-positive or non-finite RBF gamma, a non-finite c or bias, a
+    non-finite array entry, SVM labels other than +1/-1, or a constant
+    other than +1/-1."""
     k = len(p.selected)
     if any(type(i) is not int or not 0 <= i < len(FEATURE_NAMES) for i in p.selected):
         raise CorruptModel(f"model {label}: selected feature index out of range")
@@ -447,6 +451,28 @@ def _check_pipeline(label: str, p: FittedPipeline) -> None:
         shapes = shapes and p.model.x.shape == (len(y), comps.shape[0])
     if not shapes:
         raise CorruptModel(f"model {label}: array shapes disagree with {k} selected features")
+    arrays = [p.scaler_mean, p.scaler_std, p.pca_mean, comps]
+    if p.model is not None:
+        arrays += [p.model.x, p.model.y, p.model.alpha]
+    if not all(np.isfinite(a).all() for a in arrays):
+        raise CorruptModel(f"model {label}: arrays hold non-finite values")
+    if p.model is None:
+        if not (_finite_number(p.constant) and p.constant in (GOOD, BAD)):
+            raise CorruptModel(f"model {label}: constant prediction is not +1 or -1")
+        return
+    m = p.model
+    if m.kernel not in (LINEAR, RBF):
+        raise CorruptModel(f"model {label}: unknown kernel {m.kernel!r}")
+    if m.kernel == RBF and not (_finite_number(m.gamma) and m.gamma > 0):
+        raise CorruptModel(f"model {label}: rbf gamma is not a finite positive number")
+    if not (_finite_number(m.c) and _finite_number(m.bias)):
+        raise CorruptModel(f"model {label}: SVM c and bias must be finite numbers")
+    if not np.isin(m.y, (GOOD, BAD)).all():
+        raise CorruptModel(f"model {label}: SVM labels are not +1 or -1")
+
+
+def _finite_number(v) -> bool:
+    return type(v) in (int, float) and math.isfinite(v)
 
 
 def save_bundle(bundle: ModelBundle, path: str) -> None:

@@ -6,6 +6,15 @@ partner maximizing |E1 - E2| (lower index on ties).  No randomness is
 involved anywhere, so training the same data twice yields bit-identical
 models.  Intended for the few-hundred-sample problems produced by the
 benchmark harness, not for large-scale use.
+
+The inner loop runs on Python floats: the multipliers, the labels, the
+Gram diagonal and the current error vector are lists, and the KKT test,
+the box bounds, `eta`, the clip and the bias rule are scalar arithmetic.
+numpy is used only for the per-pass error vector, the partner `argmax`
+and the rank-2 error update after each step.  These are the same IEEE
+double operations, in the same order, as a loop on numpy scalars, so the
+model is bit-identical to that loop's (`tests/learning_oracle.py` keeps
+one as the reference); Python floats only avoid boxing each scalar.
 """
 
 from __future__ import annotations
@@ -73,42 +82,46 @@ def svm_train(
         raise SingleClass("training labels contain a single class")
 
     k = kernel_matrix(kernel, gamma, x, x) if gram is None else gram
-    alpha = np.zeros(n)
+    yl = y.tolist()
+    diag = k.diagonal().tolist()
+    alpha = [0.0] * n
     bias = 0.0
     updates = 0
 
     while updates < _MAX_UPDATES:
         changed = 0
         # Fresh error vector each pass; kept incrementally within the pass.
-        e = (alpha * y) @ k + bias - y
+        e = (np.array(alpha) * y) @ k + bias - y
+        el = e.tolist()
         for i in range(n):
-            ei = e[i]
-            if not ((y[i] * ei < -_TOL and alpha[i] < c) or (y[i] * ei > _TOL and alpha[i] > 0)):
+            ei, yi, ai_old = el[i], yl[i], alpha[i]
+            if not ((yi * ei < -_TOL and ai_old < c) or (yi * ei > _TOL and ai_old > 0)):
                 continue
             gaps = np.abs(ei - e)
             gaps[i] = -1.0
-            j = int(np.argmax(gaps))  # argmax takes the lowest index on ties
+            j = int(gaps.argmax())  # argmax takes the lowest index on ties
             if j == i:
                 continue
-            ej = e[j]
-            ai_old, aj_old = alpha[i], alpha[j]
-            if y[i] != y[j]:
+            ej, yj, aj_old = el[j], yl[j], alpha[j]
+            if yi != yj:
                 lo, hi = max(0.0, aj_old - ai_old), min(c, c + aj_old - ai_old)
             else:
                 lo, hi = max(0.0, ai_old + aj_old - c), min(c, ai_old + aj_old)
             if hi - lo < _EPS:
                 continue
-            eta = 2.0 * k[i, j] - k[i, i] - k[j, j]
+            kij = k.item(i, j)
+            eta = 2.0 * kij - diag[i] - diag[j]
             if eta >= 0:
                 continue
-            aj = np.clip(aj_old - y[j] * (ei - ej) / eta, lo, hi)
+            aj = aj_old - yj * (ei - ej) / eta
+            aj = lo if aj < lo else hi if aj > hi else aj
             if abs(aj - aj_old) < _EPS:
                 continue
-            ai = ai_old + y[i] * y[j] * (aj_old - aj)
+            ai = ai_old + yi * yj * (aj_old - aj)
             alpha[i], alpha[j] = ai, aj
             db = -bias
-            b1 = bias - ei - y[i] * (ai - ai_old) * k[i, i] - y[j] * (aj - aj_old) * k[i, j]
-            b2 = bias - ej - y[i] * (ai - ai_old) * k[i, j] - y[j] * (aj - aj_old) * k[j, j]
+            b1 = bias - ei - yi * (ai - ai_old) * diag[i] - yj * (aj - aj_old) * kij
+            b2 = bias - ej - yi * (ai - ai_old) * kij - yj * (aj - aj_old) * diag[j]
             if 0.0 < ai < c:
                 bias = b1
             elif 0.0 < aj < c:
@@ -116,7 +129,8 @@ def svm_train(
             else:
                 bias = (b1 + b2) / 2.0
             db += bias
-            e = e + y[i] * (ai - ai_old) * k[i] + y[j] * (aj - aj_old) * k[j] + db
+            e = e + yi * (ai - ai_old) * k[i] + yj * (aj - aj_old) * k[j] + db
+            el = e.tolist()
             changed += 1
             updates += 1
             if updates >= _MAX_UPDATES:
@@ -124,6 +138,7 @@ def svm_train(
         if changed == 0:
             break
 
+    alpha = np.array(alpha, dtype=float)
     return SvmModel(kernel=kernel, c=c, gamma=gamma, x=x, y=y, alpha=alpha, bias=bias)
 
 

@@ -470,6 +470,58 @@ def test_predict_rejects_bad_inputs(trained, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: model 1: selected feature index")
 
 
+def _svm_edit(**fields):
+    return lambda p: p["svm"].update(fields)
+
+
+def _nan_alpha(p):
+    p["svm"]["alpha"][0] = float("nan")
+
+
+def _nan_scaler(p):
+    p["scaler_mean"][0] = float("nan")
+
+
+def _bad_constant(p):
+    p["svm"], p["constant"] = None, 0.5
+
+
+def _scaled_labels(p):
+    p["svm"]["y"] = [5.0 * v for v in p["svm"]["y"]]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_svm_edit(kernel="rbf", gamma="x"), "rbf gamma"),
+        (_svm_edit(kernel="rbf", gamma=0.0), "rbf gamma"),
+        (_svm_edit(kernel="rbf", gamma=float("inf")), "rbf gamma"),
+        (_svm_edit(bias="x"), "c and bias"),
+        (_svm_edit(bias=float("nan")), "c and bias"),
+        (_svm_edit(c=float("inf")), "c and bias"),
+        (_nan_alpha, "non-finite"),
+        (_nan_scaler, "non-finite"),
+        (_svm_edit(kernel="poly"), "unknown kernel 'poly'"),
+        (_bad_constant, "constant"),
+        (_scaled_labels, "labels"),
+    ],
+    ids=[
+        "gamma-text", "gamma-zero", "gamma-inf", "bias-text", "bias-nan", "c-inf",
+        "alpha-nan", "scaler-nan", "unknown-kernel", "constant", "labels",
+    ],
+)
+def test_predict_rejects_bad_svm_fields(trained, tmp_path, capsys, edit, message):
+    with open(trained["model"]) as fh:
+        doc = json.load(fh)
+    edit(doc["models"]["1"]["pipeline"])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert main(["predict", "--features", trained["features"], "--model", str(model)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: model 1: ") and message in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_predict_rejects_non_finite_features(trained, tmp_path, capsys, value):
     features = tmp_path / "f.csv"
