@@ -49,6 +49,11 @@ class CorruptModel(ValueError):
     """Raised when a saved model bundle cannot be decoded."""
 
 
+# Loaded SVM multipliers may leave [0, c] by this much times c: training
+# leaves some up to about 4e-16 * c outside by rounding.
+ALPHA_TOL = 1e-9
+
+
 # ------------------------------------------------------------- threshold
 
 
@@ -435,8 +440,9 @@ def _check_pipeline(label: str, p: FittedPipeline) -> None:
     """Reject a loaded pipeline whose arrays `predict` could not combine, or
     whose kernel, numbers or arrays it could not use: an unknown kernel, a
     non-positive or non-finite RBF gamma, a non-finite c or bias, a
-    non-finite array entry, SVM labels other than +1/-1, or a constant
-    other than +1/-1."""
+    non-finite array entry, SVM labels other than +1/-1, a multiplier
+    outside [0, c] by more than `ALPHA_TOL * c`, or a constant other than
+    +1/-1."""
     k = len(p.selected)
     if any(type(i) is not int or not 0 <= i < len(FEATURE_NAMES) for i in p.selected):
         raise CorruptModel(f"model {label}: selected feature index out of range")
@@ -467,6 +473,9 @@ def _check_pipeline(label: str, p: FittedPipeline) -> None:
         raise CorruptModel(f"model {label}: rbf gamma is not a finite positive number")
     if not (_finite_number(m.c) and _finite_number(m.bias)):
         raise CorruptModel(f"model {label}: SVM c and bias must be finite numbers")
+    tol = ALPHA_TOL * m.c
+    if not ((m.alpha >= -tol) & (m.alpha <= m.c + tol)).all():
+        raise CorruptModel(f"model {label}: SVM multipliers lie outside [0, c]")
     if not np.isin(m.y, (GOOD, BAD)).all():
         raise CorruptModel(f"model {label}: SVM labels are not +1 or -1")
 

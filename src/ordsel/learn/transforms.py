@@ -20,11 +20,17 @@ class DegenerateData(ValueError):
 
 
 def fit_scaler(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and population standard deviation of a 2-D array."""
+    """Per-column mean and population standard deviation of a 2-D array.
+    Both must be finite: values near the float limit (±1e300) overflow
+    them, and a scaler fit on them would standardize to NaN."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] < 1:
         raise DegenerateData("scaler needs a non-empty 2-D array")
-    return x.mean(axis=0), x.std(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = x.mean(axis=0), x.std(axis=0)
+    if not (np.isfinite(mean).all() and np.isfinite(std).all()):
+        raise DegenerateData("a feature column's mean or standard deviation is not finite")
+    return mean, std
 
 
 def apply_scaler(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray:

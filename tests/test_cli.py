@@ -413,6 +413,28 @@ def test_train_rejects_fewer_than_two_folds(trained, tmp_path, capsys, folds):
     assert err == f"error: need at least 2 folds, got {folds}\n"
 
 
+def test_train_rejects_features_too_large_to_standardize(trained, tmp_path, capsys):
+    # +-1e300 in the one informative column overflow its standard deviation;
+    # the bundle would hold NaN and Infinity that `predict` refuses
+    features = tmp_path / "f.csv"
+    with open(trained["features"]) as fh:
+        lines = fh.read().splitlines()
+    for row, value in ((1, "1e300"), (2, "-1e300")):
+        cells = lines[row].split(",")
+        cells[1] = value
+        lines[row] = ",".join(cells)
+    features.write_text("\n".join(lines) + "\n")
+    model = tmp_path / "m.json"
+    rc = main(
+        ["train", "--features", str(features), "--runtimes", trained["runtimes"],
+         "--folds", "2", "--quick", "--out", str(model)]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "error: a feature column's mean or standard deviation is not finite\n"
+    assert not model.exists()
+
+
 def _no_corpus(*_args, **_kwargs):
     raise AssertionError("the corpus was generated before the arguments were checked")
 
@@ -482,6 +504,14 @@ def _nan_scaler(p):
     p["scaler_mean"][0] = float("nan")
 
 
+def _negated_alpha(p):
+    p["svm"]["alpha"] = [-a for a in p["svm"]["alpha"]]
+
+
+def _alpha_over_c(p):
+    p["svm"]["alpha"][0] = p["svm"]["c"] * 1.001
+
+
 def _bad_constant(p):
     p["svm"], p["constant"] = None, 0.5
 
@@ -501,13 +531,16 @@ def _scaled_labels(p):
         (_svm_edit(c=float("inf")), "c and bias"),
         (_nan_alpha, "non-finite"),
         (_nan_scaler, "non-finite"),
+        (_negated_alpha, "multipliers lie outside [0, c]"),
+        (_alpha_over_c, "multipliers lie outside [0, c]"),
         (_svm_edit(kernel="poly"), "unknown kernel 'poly'"),
         (_bad_constant, "constant"),
         (_scaled_labels, "labels"),
     ],
     ids=[
         "gamma-text", "gamma-zero", "gamma-inf", "bias-text", "bias-nan", "c-inf",
-        "alpha-nan", "scaler-nan", "unknown-kernel", "constant", "labels",
+        "alpha-nan", "scaler-nan", "alpha-negated", "alpha-over-c", "unknown-kernel",
+        "constant", "labels",
     ],
 )
 def test_predict_rejects_bad_svm_fields(trained, tmp_path, capsys, edit, message):

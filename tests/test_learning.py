@@ -4,6 +4,7 @@ selection, persistence)."""
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -77,6 +78,19 @@ def test_scaler_rejects_bad_shape():
         fit_scaler(np.zeros(5))
     with pytest.raises(DegenerateData):
         fit_scaler(np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize(
+    "column",
+    [[1e300, -1e300, 0.0], [1e308, 1e308, 1e308]],
+    ids=["spread", "mean"],
+)
+def test_scaler_rejects_columns_that_overflow(column):
+    x = np.column_stack([np.arange(3.0), column])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # nothing reaches stderr
+        with pytest.raises(DegenerateData, match="not finite"):
+            fit_scaler(x)
 
 
 def test_mi_from_joint_exact():
