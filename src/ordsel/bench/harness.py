@@ -57,9 +57,11 @@ def run_benchmark(
     was already benchmarked).  A configuration whose child permutations
     equal those of one already swept on the same ontology reuses that
     sweep's cost and outcome: the search, and so the row, would be the
-    same.  Sources that fail to parse are recorded and skipped, not fatal.
+    same.  Sources that fail to parse, or hold an RBox axiom or ABox
+    assertion (see ``check_supported``), are recorded and skipped, not
+    fatal.
     """
-    from ..tableau import satisfiability_sweep
+    from ..tableau import UnsupportedAxiom, check_supported, satisfiability_sweep
 
     if not corpus:
         raise ValueError("empty corpus")
@@ -71,7 +73,8 @@ def run_benchmark(
     for oid, text in corpus:
         try:
             onto = parse_ontology(text)
-        except ParseError as exc:
+            check_supported(onto)
+        except (ParseError, UnsupportedAxiom) as exc:
             failures.append((oid, str(exc)))
             continue
         d = encode_dag(onto)

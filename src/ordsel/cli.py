@@ -55,7 +55,13 @@ from .learn.pipeline import (
     train_model_bundle,
 )
 from .runtimes import read_runtime_csv, write_runtime_csv
-from .tableau import check_tbox_consistency, class_ref, is_satisfiable, satisfiability_sweep
+from .tableau import (
+    check_supported,
+    check_tbox_consistency,
+    class_ref,
+    is_satisfiable,
+    satisfiability_sweep,
+)
 
 
 class CliError(ValueError):
@@ -161,6 +167,7 @@ def _read_corpus_dir(path: str) -> list[tuple[str, str]]:
 
 def _cmd_sat(args) -> int:
     onto, dag = _load_ontology(args.ontology)
+    check_supported(onto)
     odag = _ordered(dag, onto, args.config)
     if args.class_name is None:
         res = check_tbox_consistency(odag, args.budget)
@@ -174,6 +181,7 @@ def _cmd_sat(args) -> int:
 
 def _cmd_sweep(args) -> int:
     onto, dag = _load_ontology(args.ontology)
+    check_supported(onto)
     odag = _ordered(dag, onto, args.config)
     res = satisfiability_sweep(odag, args.budget)
     lines = ["class,outcome,steps"]

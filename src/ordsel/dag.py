@@ -101,9 +101,11 @@ class DagVertex:
     nondeterministic: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dag:
     """Encoded ontology: vertex table plus the unfolding/constraint view.
+
+    Compared and hashed by identity, so per-DAG caches can key on it.
 
     ``vertices`` is topologically ordered (children precede parents).
     ``top_id`` is the *top* vertex, None when the ontology never mentions
@@ -124,7 +126,9 @@ class _Builder:
     def __init__(self):
         self.ops: list[tuple] = []  # (op, role, name, children)
         self.index: dict[tuple, int] = {}
-        self.memo: dict[Concept, Ref] = {}
+        # by id(c), which hashes in constant time where a concept hashes its
+        # whole tree; the value keeps c alive, so its id is not reused
+        self.memo: dict[int, tuple[Concept, Ref]] = {}
         self.top: int | None = None
 
     def _vertex(self, op: str, role: str | None, name: str | None, children: tuple[DagEdge, ...]) -> int:
@@ -159,9 +163,9 @@ class _Builder:
         return (self._vertex(AND, None, None, tuple(edges)), False)
 
     def encode(self, c: Concept) -> Ref:
-        hit = self.memo.get(c)
+        hit = self.memo.get(id(c))
         if hit is not None:
-            return hit
+            return hit[1]
         if isinstance(c, Top):
             ref = self.top_ref()
         elif isinstance(c, Bottom):
@@ -182,7 +186,7 @@ class _Builder:
             ref = (self._vertex(ALL, c.role, None, (DagEdge(child[0], child[1]),)), False)
         else:
             raise TypeError(f"not a concept: {c!r}")
-        self.memo[c] = ref
+        self.memo[id(c)] = (c, ref)
         return ref
 
 

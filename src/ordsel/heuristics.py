@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .concepts import ConceptStats
-from .dag import AND, Dag, DagEdge
+from .dag import AND, Dag
 
 SIZE = "size"
 DEPTH = "depth"
@@ -101,13 +101,6 @@ class OrderedDag:
     dag: Dag
     config: HeuristicConfig | None
     permutations: dict[int, tuple[int, ...]]
-
-    def children_in_order(self, vid: int) -> list[DagEdge]:
-        v = self.dag.vertices[vid]
-        perm = self.permutations.get(vid)
-        if perm is None:
-            return list(v.children)
-        return [v.children[i] for i in perm]
 
 
 def apply_ordering(d: Dag, cfg: HeuristicConfig | None) -> OrderedDag:

@@ -17,7 +17,7 @@ Constructs outside ALC (``one-of``, ``at-least``, ...) raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import re
 
 from .concepts import (
     All,
@@ -77,43 +77,34 @@ _NON_ALC = frozenset(
 )
 
 
-@dataclass(frozen=True, slots=True)
+# A parenthesis, a name (a run of anything but the four whitespace
+# characters, the parentheses and ';') or a comment; only the four
+# whitespace characters fall between matches.
+_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
+
+
 class _Tok:
-    text: str
-    line: int
-    column: int
+    """A token and its offset in the source.  Its 1-based line and column
+    are worked out from the offset, which only an error message needs."""
+
+    __slots__ = ("text", "pos", "source")
+
+    def __init__(self, text: str, pos: int, source: str):
+        self.text = text
+        self.pos = pos
+        self.source = source
+
+    @property
+    def line(self) -> int:
+        return self.source.count("\n", 0, self.pos) + 1
+
+    @property
+    def column(self) -> int:
+        return self.pos - self.source.rfind("\n", 0, self.pos)
 
 
 def _tokenize(text: str) -> list[_Tok]:
-    toks: list[_Tok] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-        elif ch in " \t\r":
-            col += 1
-            i += 1
-        elif ch == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-        elif ch in "()":
-            toks.append(_Tok(ch, line, col))
-            col += 1
-            i += 1
-        else:
-            start = i
-            start_col = col
-            while i < n and text[i] not in " \t\r\n();":
-                i += 1
-                col += 1
-            toks.append(_Tok(text[start:i], line, start_col))
-    return toks
+    return [_Tok(t, m.start(), text) for m in _TOKEN.finditer(text) if (t := m[0])[0] != ";"]
 
 
 class _Reader:

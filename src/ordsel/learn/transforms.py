@@ -47,20 +47,6 @@ def apply_scaler(x: np.ndarray, mean: np.ndarray, std: np.ndarray) -> np.ndarray
 MI_BINS = 4
 
 
-def mi_from_joint(joint: np.ndarray) -> float:
-    """Mutual information in bits from a (non-normalized) joint count table."""
-    joint = np.asarray(joint, dtype=float)
-    total = joint.sum()
-    if total <= 0:
-        return 0.0
-    p = joint / total
-    px = p.sum(axis=1, keepdims=True)
-    py = p.sum(axis=0, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = p * np.log2(p / (px * py))
-    return float(np.nansum(terms))
-
-
 def mutual_information(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """MI (bits) between each column of `x` and the label vector `y`.
 
@@ -71,6 +57,12 @@ def mutual_information(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     fewer bins.  One `np.bincount` counts every column's (bin, label)
     pairs; a column's joint table keeps its non-empty bins in ascending
     order, so a constant column has a one-row table and zero MI.
+
+    The terms ``p * log2(p / (px * py))`` of every table are computed at
+    once.  A column's MI is the NaN-skipping sum of its non-empty cells in
+    row-major order, taken per group of columns with the same number of
+    non-empty bins, so each sum adds the same values in the same order as
+    a sum over that column's table alone.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
@@ -83,7 +75,19 @@ def mutual_information(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     cells = (np.arange(n_cols) * MI_BINS + bins) * n_labels + label_ids[:, None]
     counts = np.bincount(cells.ravel(), minlength=n_cols * MI_BINS * n_labels)
     tables = counts.reshape(n_cols, MI_BINS, n_labels)
-    return np.array([mi_from_joint(t[t.sum(axis=1) > 0]) for t in tables], dtype=float)
+    p = tables / x.shape[0]
+    px = p.sum(axis=2, keepdims=True)
+    py = p.sum(axis=1, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * np.log2(p / (px * py))
+    kept = tables.sum(axis=2) > 0
+    rows = kept.sum(axis=1)
+    scores = np.empty(n_cols)
+    for k in np.unique(rows):
+        group = rows == k
+        nonempty = terms[group][kept[group]].reshape(-1, k * n_labels)
+        scores[group] = np.nansum(nonempty, axis=1)
+    return scores
 
 
 def select_top_k(scores: np.ndarray, k: int) -> list[int]:

@@ -1,20 +1,43 @@
-"""Chronological tableau search: the reference for counted replay.
+"""Chronological tableau search: the reference for counted replay and for
+the sharing of work across orderings.
 
 A verbatim copy of the search in ``ordsel.tableau`` from before it learned
 to count, instead of walk, the interchangeable failed subtrees of inert
-disjunctions.  It walks every alternative of every choice point, so its
-``(outcome, steps, branch_points)`` are the chronological reasoner's by
-construction; the differential tests require the package's search to
-return exactly the same triple.
+disjunctions, and from before it shared rule rows and results between the
+orderings of one DAG.  It builds its tables afresh for each ordering and
+walks every alternative of every choice point, so its ``(outcome, steps,
+branch_points)`` are the chronological reasoner's by construction; the
+differential tests require the package's search to return exactly the
+same triple.  ``reference_rows`` is the benchmark's runtime table by a
+plain loop of such searches, one sweep per (ontology, ordering).
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from ordsel.dag import ALL, AND, ATOM, Ref
-from ordsel.heuristics import OrderedDag
-from ordsel.tableau import BUDGET_EXCEEDED, SATISFIABLE, UNSATISFIABLE, SatResult, _packed
+from conftest import children_in_order
+from ordsel.bench.harness import DEFAULT_LABEL
+from ordsel.dag import ALL, AND, ATOM, Ref, encode_dag
+from ordsel.features import extract_features
+from ordsel.heuristics import (
+    CONFIG_NUMBERS,
+    OrderedDag,
+    apply_ordering,
+    default_config,
+    parse_config,
+)
+from ordsel.krss import ParseError, parse_ontology
+from ordsel.runtimes import FINISHED, INCONSISTENT, TIMEOUT, RuntimeRow
+from ordsel.tableau import (
+    BUDGET_EXCEEDED,
+    SATISFIABLE,
+    UNSATISFIABLE,
+    SatResult,
+    UnsupportedAxiom,
+    _packed,
+    check_supported,
+)
 
 
 class _Tables:
@@ -41,7 +64,7 @@ class _Tables:
         for vid, v in enumerate(d.vertices):
             pos, neg = 2 * vid, 2 * vid + 1
             if v.op == AND:
-                kids = [2 * e.target + e.negated for e in odag.children_in_order(vid)]
+                kids = [2 * e.target + e.negated for e in children_in_order(odag, vid)]
                 self.expand[pos] = tuple(kids)
                 self.disjuncts[neg] = tuple(k ^ 1 for k in kids)
             elif v.op == ALL:
@@ -229,3 +252,39 @@ def chronological_sat(odag: OrderedDag) -> Callable[[Ref | None, int], SatResult
     return lambda target, budget: _search(
         t, None if target is None else _packed(target), budget
     )
+
+
+def reference_rows(corpus: list[tuple[str, str]], budget: int) -> list[RuntimeRow]:
+    """``run_benchmark``'s rows, each from its own chronological sweep on
+    tables built for that ordering alone: no sweep, table or result is
+    shared between orderings."""
+    rows = []
+    for oid, text in corpus:
+        try:
+            onto = parse_ontology(text)
+            check_supported(onto)
+        except (ParseError, UnsupportedAxiom):
+            continue
+        d = encode_dag(onto)
+        top = None if d.top_id is None else (d.top_id, False)
+        cells = {}
+        for label in CONFIG_NUMBERS:
+            sat = chronological_sat(apply_ordering(d, parse_config(label)))
+            res = sat(top, budget)
+            total, outcome = res.steps, res.outcome
+            if outcome != BUDGET_EXCEEDED:
+                for vid in d.atom_ids.values():
+                    res = sat((vid, False), budget)
+                    total += res.steps
+                    if res.outcome == BUDGET_EXCEEDED:
+                        break
+            if res.outcome == BUDGET_EXCEEDED:
+                cells[label] = (float(budget), TIMEOUT)
+            elif outcome == UNSATISFIABLE:
+                cells[label] = (float(total), INCONSISTENT)
+            else:
+                cells[label] = (float(total), FINISHED)
+            rows.append(RuntimeRow(oid, label, *cells[label]))
+        default = str(default_config(extract_features(onto, d)).number)
+        rows.append(RuntimeRow(oid, DEFAULT_LABEL, *cells[default]))
+    return rows

@@ -58,6 +58,13 @@ def _count_atom(c, name: str) -> int:
     raise TypeError(f"not a concept: {c!r}")
 
 
+def children_in_order(odag, vid: int) -> list:
+    """The edges of ``and`` vertex ``vid`` in the order ``odag`` gives them."""
+    v = odag.dag.vertices[vid]
+    perm = odag.permutations.get(vid)
+    return list(v.children) if perm is None else [v.children[i] for i in perm]
+
+
 def concept_frequency(name: str, onto) -> int:
     """Oracle for atom frequencies: occurrences of one class name across
     all axiom expressions, one full traversal per name."""

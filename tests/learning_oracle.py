@@ -1,10 +1,11 @@
 """Scalar-numpy learner kernels: the reference for the learner hot path.
 
 Verbatim copies of ``svm_train`` and ``mutual_information`` (with its
-per-column ``_bin_column``) from before the package ran the SMO inner loop
-on Python floats and binned every feature column in one pass.  They do
-each step with numpy scalars and per-column loops, so the identity tests
-require the package's kernels to return exactly the same bits.
+per-column ``_bin_column`` and ``mi_from_joint``) from before the package
+ran the SMO inner loop on Python floats and binned and scored every
+feature column in one pass.  They do each step with numpy scalars and
+per-column loops, so the identity tests require the package's kernels to
+return exactly the same bits.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from ordsel.learn.svm import (
     TooFewExamples,
     kernel_matrix,
 )
-from ordsel.learn.transforms import MI_BINS, DegenerateData, mi_from_joint
+from ordsel.learn.transforms import MI_BINS, DegenerateData
 
 _MAX_UPDATES = 100_000
 
@@ -98,6 +99,20 @@ def svm_train(
             break
 
     return SvmModel(kernel=kernel, c=c, gamma=gamma, x=x, y=y, alpha=alpha, bias=bias)
+
+
+def mi_from_joint(joint: np.ndarray) -> float:
+    """Mutual information in bits from a (non-normalized) joint count table."""
+    joint = np.asarray(joint, dtype=float)
+    total = joint.sum()
+    if total <= 0:
+        return 0.0
+    p = joint / total
+    px = p.sum(axis=1, keepdims=True)
+    py = p.sum(axis=0, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = p * np.log2(p / (px * py))
+    return float(np.nansum(terms))
 
 
 def _bin_column(col: np.ndarray) -> np.ndarray:

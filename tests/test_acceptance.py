@@ -47,7 +47,7 @@ from modelsearch import class_satisfiability
 from ordsel.runtimes import FINISHED, TIMEOUT, RuntimeRow, write_runtime_csv
 from ordsel.tableau import SATISFIABLE, UNSATISFIABLE, class_ref, is_satisfiable
 
-from conftest import random_ontology_text
+from conftest import children_in_order, random_ontology_text
 
 # ---------------------------------------------------------- reference data
 # Frozen reference measurements from a large-scale deployment of the same
@@ -236,7 +236,7 @@ def test_child_orderings_satisfy_invariants():
         for vid in and_vertices:
             children = d.vertices[vid].children
             perm = odag.permutations[vid]
-            ordered = odag.children_in_order(vid)
+            ordered = children_in_order(odag, vid)
             # permutation of the original children
             assert sorted(perm) == list(range(len(children)))
             assert Counter(ordered) == Counter(children)
@@ -270,7 +270,7 @@ def test_child_orderings_satisfy_invariants():
     identity = apply_ordering(d, None)
     for vid, v in enumerate(d.vertices):
         if v.op == AND:
-            assert identity.children_in_order(vid) == list(v.children)
+            assert children_in_order(identity, vid) == list(v.children)
 
 
 # ------------------------------------------------------------ learning oracles

@@ -1,11 +1,18 @@
 """Tests for corpus generation, the benchmark harness, eligibility
 filtering, the train/test split, and speedup reporting."""
 
+import gc
 import hashlib
 import math
+import weakref
 
+import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
+from ordsel import tableau
+from ordsel.bench import harness
 from ordsel.bench.corpus import (
     FAMILY_FAST,
     CorpusSpec,
@@ -28,7 +35,8 @@ from ordsel.learn.svm import TooFewExamples
 from ordsel.runtimes import FINISHED, INCONSISTENT, TIMEOUT, RuntimeRow, write_runtime_csv
 from ordsel.tableau import satisfiability_sweep
 
-from conftest import BASIC_TEXT
+from chronological import reference_rows
+from conftest import BASIC_TEXT, random_ontology_text
 
 # A small, fast corpus: 5 ordering-sensitive instances (one hopeless
 # all-timeout trap, the rest warm) and 5 plain ones.
@@ -150,6 +158,96 @@ def test_run_benchmark_rows_match_direct_sweeps():
         expected.append(RuntimeRow(oid, DEFAULT_LABEL, *direct[default_label]))
     assert shared > 0  # the corpus exercises reuse
     assert res.rows == expected
+
+
+# The harness shares rule rows and results between the orderings of an
+# ontology; its rows must be those of one unshared chronological sweep per
+# (ontology, ordering).
+BUDGETS = (37, 400, 12000)
+
+
+@pytest.fixture(scope="module", params=[CorpusSpec(count=40, seed=7), CorpusSpec(count=40, seed=3)])
+def corpus40(request):
+    return [(inst.ontology_id, inst.text) for inst in generate_corpus(request.param)]
+
+
+@pytest.mark.parametrize("budget", BUDGETS)
+def test_run_benchmark_rows_match_unshared_sweeps(corpus40, budget):
+    assert run_benchmark(corpus40, budget=budget).rows == reference_rows(corpus40, budget)
+
+
+# Axioms the corpus and `random_ontology_text` do not write: general
+# inclusions with *top* and *bottom*, a definition, and one that makes the
+# TBox inconsistent.
+_EXTRA_AXIOMS = (
+    "(implies *top* (or C0 (not C1) (some R0 C1)))",
+    "(implies (and C0 (some R0 C1)) (or C1 *bottom*))",
+    "(equivalent C1 (or C0 (all R0 *bottom*)))",
+    "(implies C0 (or *bottom* (and C1 (not C0))))",
+    "(implies *top* (and C0 (not C0)))",
+)
+
+
+@settings(
+    derandomize=True, database=None, deadline=None, max_examples=15, phases=(Phase.generate,)
+)
+@given(st.integers(0, 2**32 - 1))
+def test_run_benchmark_rows_match_unshared_sweeps_on_random_tboxes(seed):
+    rng = np.random.default_rng(seed)
+    corpus = []
+    for i in range(4):
+        extra = [ax for ax in _EXTRA_AXIOMS[:-1] if rng.random() < 0.5]
+        if rng.random() < 0.1:
+            extra.append(_EXTRA_AXIOMS[-1])
+        corpus.append((f"r{i}", random_ontology_text(rng) + "\n".join(extra) + "\n"))
+    for budget in BUDGETS:
+        assert run_benchmark(corpus, budget=budget).rows == reference_rows(corpus, budget)
+
+
+@pytest.fixture(scope="module")
+def corpus8():
+    return [(inst.ontology_id, inst.text) for inst in generate_corpus(CorpusSpec(count=8, seed=7))]
+
+
+def test_per_dag_state_dies_with_its_dags(corpus8, monkeypatch):
+    dags = []
+
+    def encode(onto):
+        d = encode_dag(onto)
+        dags.append(weakref.ref(d))
+        return d
+
+    monkeypatch.setattr(harness, "encode_dag", encode)
+    gc.collect()
+    before = (len(tableau._RULES), len(tableau._TABLES))
+    run_benchmark(corpus8, budget=400)
+    gc.collect()
+    assert len(dags) == len(corpus8)
+    assert all(ref() is None for ref in dags)
+    assert (len(tableau._RULES), len(tableau._TABLES)) == before
+
+
+def test_second_benchmark_runs_every_search_again(corpus8, monkeypatch):
+    searches = tests = 0
+    search, is_satisfiable = tableau._search, tableau.is_satisfiable
+
+    def counting_search(*args):
+        nonlocal searches
+        searches += 1
+        return search(*args)
+
+    def counting_test(*args):
+        nonlocal tests
+        tests += 1
+        return is_satisfiable(*args)
+
+    monkeypatch.setattr(tableau, "_search", counting_search)
+    monkeypatch.setattr(tableau, "is_satisfiable", counting_test)
+    first = run_benchmark(corpus8, budget=400).rows
+    assert 0 < searches < tests  # results are reused across orderings
+    once = (searches, tests)
+    assert run_benchmark(corpus8, budget=400).rows == first
+    assert (searches, tests) == (2 * once[0], 2 * once[1])
 
 
 def test_runtime_table_is_pinned(tmp_path):

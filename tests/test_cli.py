@@ -254,27 +254,66 @@ def test_bench_error_paths(corpus_dir, tmp_path, capsys):
     assert err.splitlines()[-1].startswith("error:")
 
 
-def _nested_text(depth):
-    """Four axioms whose parentheses nest exactly `depth` levels deep, all
-    over one concept, so encoding compares equal deep concepts too."""
+# The tableau honours neither RBox axioms nor ABox assertions, so `sat`,
+# `sweep` and `bench` refuse them instead of answering as if they were not
+# there: with the transitive role A is unsatisfiable (it used to print
+# `satisfiable 5 0`), and bob makes the ontology inconsistent (it used to
+# print `satisfiable 0 0`).  `features` still reads them.
+UNSUPPORTED = [
+    (
+        "(transitive R)\n(implies A (some R B))\n(implies B (some R C))\n"
+        "(implies A (all R (not C)))\n",
+        "A",
+        "RBox axiom (transitive R)",
+    ),
+    ("(implies X Y)\n(instance bob (and X (not Y)))\n", "X", "ABox assertion (instance bob ...)"),
+    ("(implies A B)\n(implies-role R S)\n", "A", "RBox axiom (implies-role R S)"),
+    ("(implies A B)\n(related bob alice R)\n", "A", "ABox assertion (related bob alice R)"),
+]
+
+
+@pytest.mark.parametrize("text, name, axiom", UNSUPPORTED)
+def test_reasoning_commands_reject_rbox_and_abox_axioms(tmp_path, capsys, text, name, axiom):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    path = corpus / "extra.krss"
+    path.write_text(text)
+    expected = f"error: {axiom} is not supported by the reasoner\n"
+    for argv in (["sat"], ["sat", "--class", name], ["sweep"]):
+        assert main([*argv, "--ontology", str(path)]) == 2
+        assert capsys.readouterr().err == expected
+    assert main(["features", "--ontology", str(path)]) == 0
+    (corpus / "good.krss").write_text(BASIC_TEXT)
+    out = str(tmp_path / "r.csv")
+    assert main(["bench", "--corpus", str(corpus), "--configs", "1", "--out", out]) == 0
+    assert capsys.readouterr().err == f"parse failure: extra: {expected[len('error: '):]}"
+    assert {r.ontology_id for r in read_runtime_csv(out)} == {"good"}
+
+
+TBOX_HEADS = ("implies A", "implies A2", "equivalent E")
+
+
+def _nested_text(depth, heads=TBOX_HEADS + ("instance a",)):
+    """Axioms whose parentheses nest exactly `depth` levels deep, all over
+    one concept, so encoding compares equal deep concepts too."""
     ops = ["(some R ", "(not ", "(and C ", "(all S ", "(or D "]
     inner = "".join(ops[i % len(ops)] for i in range(depth - 1)) + "B" + ")" * (depth - 1)
-    return "".join(
-        f"({head} {inner})\n"
-        for head in ("implies A", "implies A2", "equivalent E", "instance a")
-    )
+    return "".join(f"({head} {inner})\n" for head in heads)
 
 
 def test_nesting_at_the_bound_needs_no_more_recursion(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     path = corpus / "deep.krss"
-    path.write_text(_nested_text(MAX_NESTING))
+    # the reasoner refuses ABox assertions; `features` reads them
+    path.write_text(_nested_text(MAX_NESTING, TBOX_HEADS))
+    with_abox = tmp_path / "deep-abox.krss"
+    with_abox.write_text(_nested_text(MAX_NESTING))
     out = str(tmp_path / "r.csv")
     with _default_recursion_limit():
         assert main(["sat", "--ontology", str(path), "--class", "A"]) == 0
         assert main(["sweep", "--ontology", str(path)]) == 0
-        assert main(["features", "--ontology", str(path)]) == 0
+        assert main(["features", "--ontology", str(with_abox)]) == 0
         assert main(["bench", "--corpus", str(corpus), "--configs", "1", "--out", out]) == 0
     assert capsys.readouterr().err == ""
     assert {r.ontology_id for r in read_runtime_csv(out)} == {"deep"}

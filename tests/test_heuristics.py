@@ -1,6 +1,7 @@
 """Disjunct expansion-ordering configurations and child sorting."""
 
 import pytest
+from conftest import children_in_order
 
 from ordsel.dag import encode_dag, nondeterministic_vertices
 from ordsel.heuristics import (
@@ -96,7 +97,7 @@ def test_apply_ordering_none_is_identity():
     d = encode_dag(parse_ontology("(implies A (or C D E F))"))
     odag = apply_ordering(d, None)
     for vid in nondeterministic_vertices(d):
-        assert odag.children_in_order(vid) == list(d.vertices[vid].children)
+        assert children_in_order(odag, vid) == list(d.vertices[vid].children)
 
 
 def test_apply_ordering_sorts_disjuncts():

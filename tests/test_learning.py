@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import naive_cross_validate
+from learning_oracle import mi_from_joint
 from ordsel.cli import QUICK_GRID
 from ordsel.features import FeatureVector, N_FEATURES
 from ordsel.learn import pipeline
@@ -50,7 +51,6 @@ from ordsel.learn.transforms import (
     DegenerateData,
     apply_scaler,
     fit_scaler,
-    mi_from_joint,
     mutual_information,
     pca_fit,
     pca_transform,

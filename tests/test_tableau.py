@@ -4,13 +4,17 @@ import contextlib
 import random
 import sys
 
+import chronological
+import pytest
 from chronological import chronological_sat
 from conftest import BASIC_TEXT, BRANCHY_TEXT, UNSAT_TEXT, replay_ontology_text
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
+from ordsel import tableau
+from ordsel.bench.corpus import CorpusSpec, generate_corpus
 from ordsel.cli import main
-from ordsel.dag import encode_dag
-from ordsel.heuristics import CONFIGS, apply_ordering, parse_config
+from ordsel.dag import AND, DagEdge, encode_dag
+from ordsel.heuristics import CONFIGS, OrderedDag, apply_ordering, parse_config
 from ordsel.krss import parse_ontology
 from ordsel.tableau import (
     BUDGET_EXCEEDED,
@@ -325,3 +329,57 @@ def test_replay_near_miss_disjunction_at_ancestor_and_descendant():
         "(implies A (and (or X Y) (all R (or X Y)) (some R A)"
         " (some S (and Q P)) (all S (not Q))))\n"
     )
+
+
+# ------------------------------------------------- work shared per DAG
+# The rows no ordering changes are built once per DAG, and a test is
+# searched again under a new ordering only when a row its search can read
+# changed (see the tableau module docstring).
+
+
+def test_shared_tables_equal_fresh_tables_for_every_ordering():
+    texts = [inst.text for inst in generate_corpus(CorpusSpec(count=12, seed=5))]
+    texts += [replay_ontology_text(random.Random(seed)) for seed in range(20)]
+    texts += [BASIC_TEXT, BRANCHY_TEXT]
+    texts.append("(implies *top* (or A *bottom*))\n(equivalent B (and A C))\n")
+    for text in texts:
+        d = encode_dag(parse_ontology(text))
+        for cfg in (None, *CONFIGS):
+            odag = apply_ordering(d, cfg)
+            (_, got), want = tableau._compiled(odag), chronological._Tables(odag)
+            for row in ("expand", "disjuncts", "exists", "forall", "bottom", "gci"):
+                assert getattr(got, row) == getattr(want, row), (text, cfg, row)
+
+
+# Near misses: two orderings that differ only in the disjunction
+# (or (and P (not P)) Q), which the target reaches through nothing but a
+# told subsumer, a definition (of a positive or a negated atom), or the
+# global constraint.  The first ordering tries the clash first, the second
+# tries Q first, so a result reused from the first would be wrong for the
+# second.
+@pytest.mark.parametrize(
+    "text, target",
+    [
+        ("(implies A (or (and P (not P)) Q))\n", "A"),
+        ("(equivalent A (or (and P (not P)) Q))\n", "A"),
+        ("(implies B (not A))\n(equivalent A (not (or (and P (not P)) Q)))\n", "B"),
+        ("(implies *top* (or (and P (not P)) Q))\n", "P"),
+        ("(implies *top* (or (and P (not P)) Q))\n", None),
+    ],
+)
+def test_result_is_not_reused_when_a_readable_row_differs(text, target):
+    d = encode_dag(parse_ontology(text))
+    q = DagEdge(d.atom_ids["Q"], True)
+    (vid,) = [v for v, x in enumerate(d.vertices) if x.op == AND and q in x.children]
+    clash_first = {
+        v: tuple(range(len(x.children))) for v, x in enumerate(d.vertices) if x.op == AND
+    }
+    q_first = {**clash_first, vid: clash_first[vid][::-1]}
+    ref = None if target is None else class_ref(d, target)
+    results = []
+    for perms in (clash_first, q_first):
+        odag = OrderedDag(dag=d, config=None, permutations=perms)
+        want = chronological_sat(odag)(ref, 100)
+        assert is_satisfiable(odag, ref, 100) == want
+        results.append(want)
+    assert results[0] != results[1]
