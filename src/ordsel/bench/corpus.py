@@ -25,6 +25,7 @@ generator keyed on ``(seed, i)``, so corpora are reproducible byte for byte.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -184,28 +185,27 @@ def _family_axioms(family: int, width: int, rng: np.random.Generator) -> list[st
     return ax
 
 
+_KINDS = ("atom", "and", "or", "some", "all", "not")
+
+
 def _random_concept(rng: np.random.Generator, classes: list[str], roles: list[str],
-                    depth: int, density: float) -> str:
-    kinds = ["atom", "and", "or", "some", "all", "not"]
-    probs = np.array([0.35, 0.18, max(density, 0.01), 0.12, 0.08, 0.08])
-    if depth <= 0 or not roles:
-        probs[3] = probs[4] = 0.0
-    if depth <= 0:
-        probs[1] = probs[2] = probs[5] = 0.0
-    probs = probs / probs.sum()
-    kind = rng.choice(kinds, p=probs)
+                    depth: int, cdf: list[float]) -> str:
+    """A random concept.  Each pick draws what `rng.choice` draws: one
+    `integers(len)` for a list item, one `random()` searched in the
+    normalised cumulative weights ``cdf`` for a kind (at depth 0 only the
+    atom has weight)."""
+    u = rng.random()
+    kind = _KINDS[bisect_right(cdf, u)] if depth > 0 else "atom"
     if kind == "atom":
-        return str(rng.choice(classes))
+        return classes[rng.integers(len(classes))]
     if kind in ("and", "or"):
         n = int(rng.integers(2, 4))
-        parts = " ".join(
-            _random_concept(rng, classes, roles, depth - 1, density) for _ in range(n)
-        )
+        parts = " ".join(_random_concept(rng, classes, roles, depth - 1, cdf) for _ in range(n))
         return f"({kind} {parts})"
     if kind in ("some", "all"):
-        role = str(rng.choice(roles))
-        return f"({kind} {role} {_random_concept(rng, classes, roles, depth - 1, density)})"
-    return f"(not {_random_concept(rng, classes, roles, depth - 1, density)})"
+        role = roles[rng.integers(len(roles))]
+        return f"({kind} {role} {_random_concept(rng, classes, roles, depth - 1, cdf)})"
+    return f"(not {_random_concept(rng, classes, roles, depth - 1, cdf)})"
 
 
 def _plain_text(spec: CorpusSpec, rng: np.random.Generator) -> str:
@@ -215,10 +215,16 @@ def _plain_text(spec: CorpusSpec, rng: np.random.Generator) -> str:
     qd = int(rng.integers(spec.quantifier_depth[0], spec.quantifier_depth[1] + 1))
     classes = [f"C{i}" for i in range(nc)]
     roles = [f"R{i}" for i in range(nr)]
+    # the weights of `_KINDS`, normalised as `Generator.choice` does
+    probs = np.array([0.35, 0.18, max(spec.disjunction_density, 0.01), 0.12, 0.08, 0.08])
+    if not roles:
+        probs[3] = probs[4] = 0.0
+    cdf = (probs / probs.sum()).cumsum()
+    cdf = (cdf / cdf[-1]).tolist()
     lines = []
     for _ in range(na):
-        lhs = str(rng.choice(classes))
-        rhs = _random_concept(rng, classes, roles, qd, spec.disjunction_density)
+        lhs = classes[rng.integers(nc)]
+        rhs = _random_concept(rng, classes, roles, qd, cdf)
         kind = "equivalent" if rng.random() < 0.2 else "implies"
         lines.append(f"({kind} {lhs} {rhs})")
     lines.append(f"(implies {classes[0]} (or {classes[1]} {classes[2]}))")

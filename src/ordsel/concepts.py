@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, NamedTuple, Union
 
 NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
 
@@ -240,16 +240,20 @@ def atom_frequencies(onto: Ontology) -> Counter[str]:
     sides of every TBox axiom and the concepts of ABox assertions, in one
     pass.  A name that never occurs counts 0.
     """
-    return Counter(
-        node.name
-        for expr in onto.concept_expressions()
-        for node, _, _ in walk(expr)
-        if isinstance(node, Atomic)
-    )
+    freq: Counter[str] = Counter()
+    stack = list(onto.concept_expressions())
+    while stack:
+        c = stack.pop()
+        if type(c) is Atomic:
+            freq[c.name] += 1
+        elif type(c) is And or type(c) is Or:
+            stack.extend(c.children)
+        elif type(c) is not Top and type(c) is not Bottom:
+            stack.append(c.child)
+    return freq
 
 
-@dataclass(frozen=True, slots=True)
-class ConceptStats:
+class ConceptStats(NamedTuple):
     """Size, quantifier depth, frequency and generating flag of a concept.
 
     For DAG vertices the generating flag marks vertices that act as an

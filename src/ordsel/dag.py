@@ -36,12 +36,18 @@ A = B|C plus A -> B, a node carrying only C would never trigger either
 rule on A, yet C forces A and hence B.)  Impure equivalences are split:
 the A -> rhs half becomes a told subsumer and the rhs -> A half is
 absorbed when rhs is atomic, otherwise internalised as a residual.
+
+Encoding walks each expression once, in post-order on an explicit stack,
+and makes each vertex, its edges, size and depth at its first use.  The
+frequencies and polarities need every reference, so one last sweep from
+the last vertex down settles them and builds the `DagVertex`es.  Equal
+`ConceptStats` are one object; all three vertex types are named tuples.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .concepts import (
     All,
@@ -75,14 +81,12 @@ def flip(ref: Ref) -> Ref:
     return (ref[0], not ref[1])
 
 
-@dataclass(frozen=True, slots=True)
-class DagEdge:
+class DagEdge(NamedTuple):
     target: int
     negated: bool
 
 
-@dataclass(frozen=True, slots=True)
-class DagVertex:
+class DagVertex(NamedTuple):
     """One vertex of the DAG.
 
     ``child_stats`` holds the stats of the signed child each edge denotes,
@@ -123,71 +127,113 @@ class Dag:
 
 
 class _Builder:
+    """The vertex table, hash-consed on plain keys: an atom's name, an
+    ``and``'s signed children, an ``all``'s role and signed child."""
+
     def __init__(self):
-        self.ops: list[tuple] = []  # (op, role, name, children)
-        self.index: dict[tuple, int] = {}
+        # per vertex, in id order
+        self.ops: list[str] = []
+        self.edges: list[tuple[DagEdge, ...]] = []
+        self.size: list[int] = []
+        self.depth: list[int] = []
+        self.parents: list[int] = []
+        self.atom_ids: dict[str, int] = {}
+        self.ands: dict[tuple[Ref, ...], int] = {}
+        self.alls: dict[tuple[str, Ref], int] = {}
         # by id(c), which hashes in constant time where a concept hashes its
-        # whole tree; the value keeps c alive, so its id is not reused
-        self.memo: dict[int, tuple[Concept, Ref]] = {}
+        # whole tree; `keep` holds every c, so its id is not reused
+        self.memo: dict[int, Ref] = {}
+        self.keep: list[Concept] = []
         self.top: int | None = None
 
-    def _vertex(self, op: str, role: str | None, name: str | None, children: tuple[DagEdge, ...]) -> int:
-        key = (op, role, name, children)
-        vid = self.index.get(key)
-        if vid is None:
-            for e in children:
-                assert e.target < len(self.ops), "child created after parent"
-            vid = len(self.ops)
-            self.ops.append((op, role, name, children))
-            self.index[key] = vid
-        return vid
+    def _new(self, op: str, edges: tuple[DagEdge, ...], size: int, depth: int) -> int:
+        for e in edges:
+            self.parents[e.target] += 1
+        self.ops.append(op)
+        self.edges.append(edges)
+        self.size.append(size)
+        self.depth.append(depth)
+        self.parents.append(0)
+        return len(self.ops) - 1
 
     def top_ref(self) -> Ref:
         if self.top is None:
-            self.top = self._vertex(TOP_OP, None, None, ())
+            self.top = self._new(TOP_OP, (), 1, 0)
         return (self.top, False)
 
     def atom(self, name: str) -> int:
-        return self._vertex(ATOM, None, name, ())
+        vid = self.atom_ids.get(name)
+        if vid is None:
+            vid = self.atom_ids[name] = self._new(ATOM, (), 1, 0)
+        return vid
 
     def conj_ref(self, refs: list[Ref]) -> Ref:
         """And-vertex over already-encoded references, dedup + collapse."""
-        edges: list[DagEdge] = []
-        seen: set[Ref] = set()
-        for r in refs:
-            if r not in seen:
-                seen.add(r)
-                edges.append(DagEdge(r[0], r[1]))
-        if len(edges) == 1:
-            return (edges[0].target, edges[0].negated)
-        return (self._vertex(AND, None, None, tuple(edges)), False)
+        key = tuple(dict.fromkeys(refs))
+        if len(key) == 1:
+            return key[0]
+        vid = self.ands.get(key)
+        if vid is None:
+            size, depth = self.size, self.depth
+            edges = tuple([DagEdge(t, negated) for t, negated in key])  # equal to the key
+            vid = self.ands[edges] = self._new(
+                AND, edges, 1 + sum([size[t] + negated for t, negated in key]), max([depth[t] for t, _ in key])
+            )
+        return (vid, False)
 
-    def encode(self, c: Concept) -> Ref:
-        hit = self.memo.get(id(c))
-        if hit is not None:
-            return hit[1]
-        if isinstance(c, Top):
-            ref = self.top_ref()
-        elif isinstance(c, Bottom):
-            ref = flip(self.top_ref())
-        elif isinstance(c, Atomic):
-            ref = (self.atom(c.name), False)
-        elif isinstance(c, Not):
-            ref = flip(self.encode(c.child))
-        elif isinstance(c, And):
-            ref = self.conj_ref([self.encode(x) for x in c.children])
-        elif isinstance(c, Or):
-            ref = flip(self.conj_ref([flip(self.encode(x)) for x in c.children]))
-        elif isinstance(c, Some):
-            child = flip(self.encode(c.child))
-            ref = (self._vertex(ALL, c.role, None, (DagEdge(child[0], child[1]),)), True)
-        elif isinstance(c, All):
-            child = self.encode(c.child)
-            ref = (self._vertex(ALL, c.role, None, (DagEdge(child[0], child[1]),)), False)
-        else:
-            raise TypeError(f"not a concept: {c!r}")
-        self.memo[id(c)] = (c, ref)
-        return ref
+    def all_ref(self, role: str, child: Ref) -> int:
+        vid = self.alls.get((role, child))
+        if vid is None:
+            t, negated = child
+            edges = (DagEdge(t, negated),)
+            vid = self.alls[role, child] = self._new(ALL, edges, 1 + self.size[t] + negated, 1 + self.depth[t])
+        return vid
+
+    def encode(self, root: Concept) -> Ref:
+        """Post-order over ``root`` with an explicit stack: a concept is
+        pushed, then, once its operands are encoded, pushed again wrapped
+        in a 1-tuple to be combined from the top of ``refs``."""
+        refs: list[Ref] = []
+        todo: list = [root]
+        while todo:
+            c = todo.pop()
+            kind = type(c)
+            if kind is tuple:
+                c = c[0]
+                kind = type(c)
+                if kind is Not:
+                    ref = flip(refs.pop())
+                elif kind is And or kind is Or:
+                    n = len(c.children)
+                    if kind is And:
+                        ref = self.conj_ref(refs[-n:])
+                    else:
+                        ref = flip(self.conj_ref([flip(r) for r in refs[-n:]]))
+                    del refs[-n:]
+                elif kind is Some:
+                    ref = (self.all_ref(c.role, flip(refs.pop())), True)
+                else:
+                    ref = (self.all_ref(c.role, refs.pop()), False)
+            elif (ref := self.memo.get(id(c))) is not None:
+                refs.append(ref)
+                continue
+            elif kind is Atomic:
+                ref = (self.atom(c.name), False)
+            elif kind is Top or kind is Bottom:
+                ref = (self.top_ref()[0], kind is Bottom)
+            elif kind is And or kind is Or:
+                todo.append((c,))
+                todo.extend(reversed(c.children))
+                continue
+            elif kind is Not or kind is Some or kind is All:
+                todo += ((c,), c.child)
+                continue
+            else:
+                raise TypeError(f"not a concept: {c!r}")
+            self.memo[id(c)] = ref
+            self.keep.append(c)
+            refs.append(ref)
+        return refs[0]
 
 
 def _pure_definition_heads(onto: Ontology) -> dict[str, Concept]:
@@ -265,13 +311,6 @@ def _pure_definition_heads(onto: Ontology) -> dict[str, Concept]:
     return {n: heads[n][0] for n in candidates}
 
 
-def _signed(stats: ConceptStats, negated: bool) -> ConceptStats:
-    """Stats of the child an edge with this sign denotes (see ``child_stats``)."""
-    if not negated:
-        return ConceptStats(stats.size, stats.depth, stats.frequency, False)
-    return ConceptStats(stats.size + 1, stats.depth, stats.frequency, stats.generating)
-
-
 def encode_dag(onto: Ontology) -> Dag:
     b = _Builder()
     for name in onto.classes:
@@ -304,76 +343,57 @@ def encode_dag(onto: Ontology) -> Dag:
                 absorb(rhs, lhs)
 
     gci_refs = [b.encode(Or((Not(lhs), rhs))) for lhs, rhs in residual]
-    gci_constraint: Ref | None = None
-    if len(gci_refs) == 1:
-        gci_constraint = gci_refs[0]
-    elif gci_refs:
-        gci_constraint = b.conj_ref(list(gci_refs))
+    gci_constraint = b.conj_ref(gci_refs) if gci_refs else None
 
     assertion_refs = tuple(
         b.encode(ax.concept) for ax in onto.abox if isinstance(ax, ConceptAssertion)
     )
 
-    n = len(b.ops)
-    definition_refs = [r for refs in definitions.values() for r in refs]
+    # The roots: each adds a parent and seeds the polarities its vertex is
+    # used under (bit 1 positive, bit 2 negative); definition bodies unfold
+    # under both.  An atom's frequency is its count of source occurrences.
+    ops, size, depth, frequency = b.ops, b.size, b.depth, b.parents
+    parity = [0] * len(ops)
     root_refs = [r for refs in told.values() for r in refs]
-    if gci_constraint is not None:
-        root_refs.append(gci_constraint)
-    root_refs.extend(assertion_refs)
+    root_refs += [gci_constraint] if gci_constraint is not None else []
+    for t, negated in root_refs + list(assertion_refs):
+        frequency[t] += 1
+        parity[t] |= 2 if negated else 1
+    for refs in definitions.values():
+        frequency[refs[0][0]] += 1
+        parity[refs[0][0]] = 3
+    occurrences = atom_frequencies(onto)
+    names = {vid: name for name, vid in b.atom_ids.items()}
+    for vid, name in names.items():
+        frequency[vid] = occurrences[name]
+    roles = {vid: role for (role, _), vid in b.alls.items()}
 
-    # polarity propagation for the nondeterministic flag; definition bodies
-    # unfold under both polarities
-    parity_seen = [[False, False] for _ in range(n)]
-    stack: list[tuple[int, int]] = []
-    seeds = [(r[0], p) for r in definition_refs for p in (0, 1)]
-    seeds += [(r[0], 1 if r[1] else 0) for r in root_refs]
-    for vid, p in seeds:
-        if not parity_seen[vid][p]:
-            parity_seen[vid][p] = True
-            stack.append((vid, p))
-    while stack:
-        vid, p = stack.pop()
-        for e in b.ops[vid][3]:
-            cp = p ^ (1 if e.negated else 0)
-            if not parity_seen[e.target][cp]:
-                parity_seen[e.target][cp] = True
-                stack.append((e.target, cp))
+    made: dict[tuple, ConceptStats] = {}  # one object per distinct value
 
-    # parent reference counts for non-atomic vertices
-    parents = [0] * n
-    for op, _role, _name, children in b.ops:
-        for e in children:
-            parents[e.target] += 1
-    for r in definition_refs + root_refs:
-        parents[r[0]] += 1
+    def stats(*fields) -> ConceptStats:
+        if fields not in made:
+            made[fields] = ConceptStats(*fields)
+        return made[fields]
 
-    atom_freq = atom_frequencies(onto)
-    vertices: list[DagVertex] = []
-    for vid, (op, role, name, children) in enumerate(b.ops):
-        child_stats = tuple(_signed(vertices[e.target].stats, e.negated) for e in children)
-        if op == ALL:
-            size, depth = 1 + child_stats[0].size, 1 + child_stats[0].depth
-        elif op == AND:
-            size = 1 + sum(s.size for s in child_stats)
-            depth = max(s.depth for s in child_stats)
-        else:
-            size, depth = 1, 0
-        freq = atom_freq[name] if op == ATOM else parents[vid]
-        vertices.append(
-            DagVertex(
-                op=op,
-                role=role,
-                name=name,
-                children=children,
-                stats=ConceptStats(size=size, depth=depth, frequency=freq, generating=op == ALL),
-                child_stats=child_stats,
-                nondeterministic=op == AND and parity_seen[vid][1],
-            )
+    # Parents precede children in descending id order, so one sweep
+    # settles each vertex's polarities before its children read them.
+    vertices: list = [None] * len(ops)
+    for vid in range(len(ops) - 1, -1, -1):
+        op, children, p = ops[vid], b.edges[vid], parity[vid]
+        for t, negated in children:
+            parity[t] |= ((p & 1) << 1 | p >> 1) if negated else p
+        child_stats = [
+            stats(size[t] + negated, depth[t], frequency[t], negated and ops[t] == ALL)
+            for t, negated in children
+        ]
+        own = stats(size[vid], depth[vid], frequency[vid], op == ALL)
+        vertices[vid] = DagVertex(
+            op, roles.get(vid), names.get(vid), children, own, tuple(child_stats), op == AND and p & 2 != 0
         )
 
     return Dag(
         vertices=tuple(vertices),
-        atom_ids={v.name: i for i, v in enumerate(vertices) if v.op == ATOM},
+        atom_ids=b.atom_ids,
         definitions={k: tuple(v) for k, v in definitions.items()},
         told={k: tuple(v) for k, v in told.items()},
         gci_refs=tuple(gci_refs),

@@ -1,4 +1,4 @@
-"""Parser and printer for the s-expression ontology text format.
+"""Parser for the s-expression ontology text format.
 
 Axiom forms, one s-expression per axiom, ``;`` starts a comment:
 
@@ -10,19 +10,28 @@ Concepts use ``*top*``, ``*bottom*``, bare names, ``(not C)``,
 ``(and C1 C2 ...)``, ``(or C1 C2 ...)``, ``(some r C)``, ``(all r C)``.
 Binary and/or chains are flattened into n-ary nodes while parsing.
 
+The reader is one loop over the tokens with a stack of open forms; a form
+becomes its concept or axiom when it closes.  A name is declared when its
+token is read (first-mention order), as a class, role or individual by
+its parent's head and position; each class name has one shared ``Atomic``.
+
 Constructs outside ALC (``one-of``, ``at-least``, ...) raise
 ``UnsupportedConstruct``; malformed input raises ``ParseError`` with the
-1-based line and column of the offending token.
+1-based line and column of the offending token.  The first axiom in
+error decides.  Within it, an unclosed or too deeply nested parenthesis
+wins; otherwise the error nearest its start, so a form's own head and
+arity come before its arguments.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
+from typing import Callable, NamedTuple
 
 from .concepts import (
     All,
     Atomic,
-    Concept,
     ConceptAssertion,
     Disjointness,
     Equivalence,
@@ -42,9 +51,10 @@ from .concepts import (
 
 
 # Deepest parenthesis nesting an axiom may use, its own parentheses
-# included.  Reading, building and encoding a concept recurse once per
-# level, and so do the hash and equality of its nodes; this bound keeps
-# every accepted input well inside the default recursion limit of 1000.
+# included: an input-size limit.  Reading and encoding use explicit
+# stacks, but the hash and equality of concept nodes recurse once per
+# level, and this bound keeps them well inside the default recursion
+# limit of 1000.
 MAX_NESTING = 256
 
 
@@ -62,206 +72,155 @@ class UnsupportedConstruct(ParseError):
 
 # operator heads that belong to richer logics than the one handled here
 _NON_ALC = frozenset(
-    {
-        "one-of",
-        "at-least",
-        "at-most",
-        "exactly",
-        "inverse",
-        "inv",
-        "self",
-        "domain",
-        "range",
-        "functional",
-    }
+    {"one-of", "at-least", "at-most", "exactly", "inverse", "inv", "self", "domain", "range", "functional"}
 )
 
 
-# A parenthesis, a name (a run of anything but the four whitespace
-# characters, the parentheses and ';') or a comment; only the four
-# whitespace characters fall between matches.
-_TOKEN = re.compile(r"[()]|[^ \t\r\n();]+|;[^\n]*")
+# A comment, or a token: a parenthesis or a name (a run of anything but
+# the four whitespace characters, the parentheses and ';').  Only the four
+# whitespace characters fall between matches; `findall` yields '' for a
+# comment, so token indices are match indices.
+_TOKEN = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)")
+
+# What a form or an argument slot holds; an argument of a form already in
+# error is read for its parentheses only (slot None).
+_AXIOM, _CLASS, _ROLE, _INDIVIDUAL = "axiom", "class", "role", "individual"
+_FORM_NAME = {_AXIOM: "axiom form", _CLASS: "operator"}
 
 
-class _Tok:
-    """A token and its offset in the source.  Its 1-based line and column
-    are worked out from the offset, which only an error message needs."""
+class _Form(NamedTuple):
+    """One head: the slots of its arguments, the slot of any argument past
+    those (None: the arity is exact), what its arity message says it
+    takes, the constructor of its value and, for an axiom, its box."""
 
-    __slots__ = ("text", "pos", "source")
-
-    def __init__(self, text: str, pos: int, source: str):
-        self.text = text
-        self.pos = pos
-        self.source = source
-
-    @property
-    def line(self) -> int:
-        return self.source.count("\n", 0, self.pos) + 1
-
-    @property
-    def column(self) -> int:
-        return self.pos - self.source.rfind("\n", 0, self.pos)
+    slots: tuple[str, ...]
+    rest: str | None
+    takes: str
+    build: Callable
+    box: int = -1
 
 
-def _tokenize(text: str) -> list[_Tok]:
-    return [_Tok(t, m.start(), text) for m in _TOKEN.finditer(text) if (t := m[0])[0] != ";"]
+_TBOX, _RBOX, _ABOX = range(3)
+_CONCEPT_FORMS = {
+    "not": _Form((_CLASS,), None, "one concept", Not),
+    "and": _Form((_CLASS, _CLASS), _CLASS, "at least two concepts", lambda *a: conj(a)),
+    "or": _Form((_CLASS, _CLASS), _CLASS, "at least two concepts", lambda *a: disj(a)),
+    "some": _Form((_ROLE, _CLASS), None, "a role and a concept", Some),
+    "all": _Form((_ROLE, _CLASS), None, "a role and a concept", All),
+}
+_AXIOM_FORMS = {
+    "implies": _Form((_CLASS, _CLASS), None, "two concepts", Subsumption, _TBOX),
+    "equivalent": _Form((_CLASS, _CLASS), None, "two concepts", Equivalence, _TBOX),
+    "disjoint": _Form((_CLASS, _CLASS), None, "two concepts", Disjointness, _TBOX),
+    "implies-role": _Form((_ROLE, _ROLE), None, "two roles", RoleInclusion, _RBOX),
+    "transitive": _Form((_ROLE,), None, "one role", Transitivity, _RBOX),
+    "instance": _Form((_INDIVIDUAL, _CLASS), None, "an individual and a concept", ConceptAssertion, _ABOX),
+    "related": _Form(
+        (_INDIVIDUAL, _INDIVIDUAL, _ROLE), None, "two individuals and a role", RoleAssertion, _ABOX
+    ),
+}
+_IGNORED = _Form((), None, "", None)  # the head of a form already in error
 
 
-class _Reader:
-    def __init__(self, toks: list[_Tok], end_line: int):
-        self.toks = toks
-        self.pos = 0
-        self.end_line = end_line
-
-    def peek(self) -> _Tok | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def next(self) -> _Tok:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError(self.end_line, 1, "unexpected end of input")
-        self.pos += 1
-        return tok
-
-    def read_form(self, depth: int = 1):
-        """One s-expression at nesting ``depth``: either a _Tok atom or an
-        (items, open paren token) pair."""
-        tok = self.next()
-        if tok.text == ")":
-            raise ParseError(tok.line, tok.column, "unexpected ')'")
-        if tok.text != "(":
-            return tok
-        if depth > MAX_NESTING:
-            raise ParseError(tok.line, tok.column, f"nested deeper than {MAX_NESTING} levels")
-        items = []
-        while True:
-            nxt = self.peek()
-            if nxt is None:
-                raise ParseError(tok.line, tok.column, "unclosed '('")
-            if nxt.text == ")":
-                self.next()
-                return (items, tok)
-            items.append(self.read_form(depth + 1))
-
-
-class _Builder:
-    def __init__(self):
-        self.classes: dict[str, None] = {}
-        self.roles: dict[str, None] = {}
-        self.individuals: dict[str, None] = {}
-
-    def name(self, form, kind: str) -> str:
-        if not isinstance(form, _Tok):
-            line, col = form[1].line, form[1].column
-            raise ParseError(line, col, f"expected a {kind} name")
-        if not NAME_RE.match(form.text):
-            raise ParseError(form.line, form.column, f"invalid {kind} name {form.text!r}")
-        return form.text
-
-    def role(self, form) -> str:
-        r = self.name(form, "role")
-        self.roles.setdefault(r)
-        return r
-
-    def individual(self, form) -> str:
-        a = self.name(form, "individual")
-        self.individuals.setdefault(a)
-        return a
-
-    def concept(self, form) -> Concept:
-        if isinstance(form, _Tok):
-            if form.text == "*top*":
-                return TOP
-            if form.text == "*bottom*":
-                return BOTTOM
-            if form.text in _NON_ALC:
-                raise UnsupportedConstruct(form.line, form.column, f"unsupported construct {form.text!r}")
-            if not NAME_RE.match(form.text):
-                raise ParseError(form.line, form.column, f"invalid class name {form.text!r}")
-            self.classes.setdefault(form.text)
-            return Atomic(form.text)
-        items, open_tok = form
-        if not items or not isinstance(items[0], _Tok):
-            raise ParseError(open_tok.line, open_tok.column, "expected an operator")
-        head = items[0]
-        args = items[1:]
-        if head.text == "not":
-            if len(args) != 1:
-                raise ParseError(head.line, head.column, "'not' takes one concept")
-            return Not(self.concept(args[0]))
-        if head.text in ("and", "or"):
-            if len(args) < 2:
-                raise ParseError(head.line, head.column, f"'{head.text}' takes at least two concepts")
-            parts = [self.concept(a) for a in args]
-            return conj(parts) if head.text == "and" else disj(parts)
-        if head.text in ("some", "all"):
-            if len(args) != 2:
-                raise ParseError(head.line, head.column, f"'{head.text}' takes a role and a concept")
-            role = self.role(args[0])
-            child = self.concept(args[1])
-            return Some(role, child) if head.text == "some" else All(role, child)
-        if head.text in _NON_ALC:
-            raise UnsupportedConstruct(head.line, head.column, f"unsupported construct {head.text!r}")
-        raise UnsupportedConstruct(head.line, head.column, f"unknown operator {head.text!r}")
+def _error(text: str, index: int, cls: type[ParseError], message: str) -> ParseError:
+    """The error at token ``index``, with that token's line and column."""
+    pos = next(islice(_TOKEN.finditer(text), index, None)).start()
+    return cls(text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos), message)
 
 
 def parse_ontology(text: str) -> Ontology:
-    toks = _tokenize(text)
-    end_line = text.count("\n") + 1
-    reader = _Reader(toks, end_line)
-    b = _Builder()
-    tbox = []
-    rbox = []
-    abox = []
-    while reader.peek() is not None:
-        form = reader.read_form()
-        if isinstance(form, _Tok):
-            raise ParseError(form.line, form.column, f"expected an axiom, got {form.text!r}")
-        items, open_tok = form
-        if not items or not isinstance(items[0], _Tok):
-            raise ParseError(open_tok.line, open_tok.column, "expected an axiom form")
-        head = items[0]
-        args = items[1:]
-        if head.text == "implies":
-            if len(args) != 2:
-                raise ParseError(head.line, head.column, "'implies' takes two concepts")
-            tbox.append(Subsumption(b.concept(args[0]), b.concept(args[1])))
-        elif head.text == "equivalent":
-            if len(args) != 2:
-                raise ParseError(head.line, head.column, "'equivalent' takes two concepts")
-            tbox.append(Equivalence(b.concept(args[0]), b.concept(args[1])))
-        elif head.text == "disjoint":
-            if len(args) != 2:
-                raise ParseError(head.line, head.column, "'disjoint' takes two concepts")
-            tbox.append(Disjointness(b.concept(args[0]), b.concept(args[1])))
-        elif head.text == "implies-role":
-            if len(args) != 2:
-                raise ParseError(head.line, head.column, "'implies-role' takes two roles")
-            rbox.append(RoleInclusion(b.role(args[0]), b.role(args[1])))
-        elif head.text == "transitive":
-            if len(args) != 1:
-                raise ParseError(head.line, head.column, "'transitive' takes one role")
-            rbox.append(Transitivity(b.role(args[0])))
-        elif head.text == "instance":
-            if len(args) != 2:
-                raise ParseError(head.line, head.column, "'instance' takes an individual and a concept")
-            abox.append(ConceptAssertion(b.individual(args[0]), b.concept(args[1])))
-        elif head.text == "related":
-            if len(args) != 3:
-                raise ParseError(head.line, head.column, "'related' takes two individuals and a role")
-            abox.append(
-                RoleAssertion(b.individual(args[0]), b.individual(args[1]), b.role(args[2]))
-            )
-        elif head.text in _NON_ALC:
-            raise UnsupportedConstruct(head.line, head.column, f"unsupported construct {head.text!r}")
-        else:
-            raise UnsupportedConstruct(head.line, head.column, f"unknown axiom form {head.text!r}")
+    # what each name read so far stands for; *top* and *bottom* come first
+    concepts = {"*top*": TOP, "*bottom*": BOTTOM}
+    declared = {_CLASS: concepts, _ROLE: {}, _INDIVIDUAL: {}}
+    boxes: tuple[list, list, list] = ([], [], [])
+    # open forms, innermost last: [slot, head form, arguments, index of '(', index of head]
+    stack: list[list] = []
+    frame: list | None = None
+    first = None  # (token index, class, message) of the winning error in this axiom
+
+    def fail(index: int, cls: type[ParseError], message: str) -> None:
+        nonlocal first
+        if first is None or index < first[0]:
+            first = (index, cls, message)
+
+    toks = _TOKEN.findall(text)
+    for i, t in enumerate(toks):
+        if t == "(":
+            if frame is None:
+                slot = _AXIOM
+            elif frame[1] is None:  # a form in head position
+                if frame[0] is not None:
+                    fail(frame[3], ParseError, f"expected an {_FORM_NAME[frame[0]]}")
+                    frame[0] = None
+                frame[1] = _IGNORED
+                slot = None
+            else:
+                form, n = frame[1], len(frame[2])
+                slot = form.slots[n] if n < len(form.slots) else form.rest
+                if slot is _ROLE or slot is _INDIVIDUAL:
+                    fail(i, ParseError, f"expected a {slot} name")
+                    slot = None
+            if len(stack) >= MAX_NESTING:
+                raise _error(text, i, ParseError, f"nested deeper than {MAX_NESTING} levels")
+            frame = [slot, None, [], i, i]
+            stack.append(frame)
+        elif t == ")":
+            if frame is None:
+                raise _error(text, i, ParseError, "unexpected ')'")
+            slot, form, args, opened, head = stack.pop()
+            value = None
+            if slot is None:
+                pass
+            elif form is None:
+                fail(opened, ParseError, f"expected an {_FORM_NAME[slot]}")
+            elif len(args) < len(form.slots) or form.rest is None and len(args) > len(form.slots):
+                fail(head, ParseError, f"'{toks[head]}' takes {form.takes}")
+            elif first is None:
+                value = form.build(*args)
+            if stack:
+                frame = stack[-1]
+                frame[2].append(value)
+            else:
+                frame = None
+                if first is not None:
+                    raise _error(text, *first)
+                boxes[form.box].append(value)
+        elif t:
+            if frame is None:
+                raise _error(text, i, ParseError, f"expected an axiom, got {t!r}")
+            form, slot = frame[1], frame[0]
+            if form is None:  # the head
+                form = (_AXIOM_FORMS if slot is _AXIOM else _CONCEPT_FORMS).get(t) if slot else _IGNORED
+                if form is None:
+                    if t in _NON_ALC:
+                        fail(i, UnsupportedConstruct, f"unsupported construct {t!r}")
+                    else:
+                        fail(i, UnsupportedConstruct, f"unknown {_FORM_NAME[slot]} {t!r}")
+                    frame[0], form = None, _IGNORED
+                frame[1], frame[4] = form, i
+                continue
+            n = len(frame[2])
+            slot = form.slots[n] if n < len(form.slots) else form.rest
+            value = None
+            if slot is not None:
+                names = declared[slot]
+                value = names.get(t)
+                if value is None:
+                    if slot is _CLASS and t in _NON_ALC:
+                        fail(i, UnsupportedConstruct, f"unsupported construct {t!r}")
+                    elif not NAME_RE.match(t):
+                        fail(i, ParseError, f"invalid {slot} name {t!r}")
+                    else:
+                        value = names[t] = Atomic(t) if slot is _CLASS else t
+            frame[2].append(value)
+    if stack:
+        raise _error(text, stack[-1][3], ParseError, "unclosed '('")
     return Ontology(
-        tbox=tuple(tbox),
-        rbox=tuple(rbox),
-        abox=tuple(abox),
-        classes=tuple(b.classes),
-        roles=tuple(b.roles),
-        individuals=tuple(b.individuals),
+        tbox=tuple(boxes[_TBOX]),
+        rbox=tuple(boxes[_RBOX]),
+        abox=tuple(boxes[_ABOX]),
+        classes=tuple(concepts)[2:],
+        roles=tuple(declared[_ROLE]),
+        individuals=tuple(declared[_INDIVIDUAL]),
         source_size=len(text.encode("utf-8")),
     )

@@ -182,9 +182,10 @@ def cv_accuracies(
     x: np.ndarray, y: np.ndarray, grid: list[GridPoint], n_folds: int, seed: int
 ) -> list[float]:
     """Pooled accuracy of every grid point over the same stratified folds.
-    Per fold, MI runs once, selection, scaler and PCA once per distinct
-    (selected, n_comp), and the Gram matrix once per distinct kernel setting
-    on those; only the SVM is trained per point."""
+    Per fold, MI runs once, the selection once per distinct (k, n_components),
+    scaler and PCA once per distinct (selected, n_comp), and the training
+    and validation kernel rows once per distinct kernel setting on those;
+    only the SVM is trained per point."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     fold = stratified_folds(y, n_folds, seed)
@@ -197,18 +198,24 @@ def cv_accuracies(
             continue
         xt, yt = x[train], y[train]
         scores = mutual_information(xt, yt)
-        preps, grams = {}, {}
+        shapes, preps, grams = {}, {}, {}
         for i, p in enumerate(grid):
-            shape = _transform_shape(scores, len(xt), p)
+            shape = shapes.get((p.k, p.n_components))
+            if shape is None:
+                shape = shapes[p.k, p.n_components] = _transform_shape(scores, len(xt), p)
             if shape not in preps:
                 prep, reduced = _fit_transforms(xt, *shape)
                 preps[shape] = reduced, prep.transform(x[val])
             reduced, reduced_val = preps[shape]
             key = (shape, p.kernel, p.gamma)
             if key not in grams:
-                grams[key] = kernel_matrix(p.kernel, p.gamma, reduced, reduced)
-            model = svm_train(reduced, yt, kernel=p.kernel, c=p.c, gamma=p.gamma, gram=grams[key])
-            correct[i] += int(np.count_nonzero(svm_predict(model, reduced_val) == y[val]))
+                grams[key] = (
+                    kernel_matrix(p.kernel, p.gamma, reduced, reduced),
+                    kernel_matrix(p.kernel, p.gamma, reduced_val, reduced),
+                )
+            gram, k_val = grams[key]
+            model = svm_train(reduced, yt, kernel=p.kernel, c=p.c, gamma=p.gamma, gram=gram)
+            correct[i] += int(np.count_nonzero(svm_predict(model, reduced_val, k=k_val) == y[val]))
         total += int(val.sum())
     return [c / total if total else 0.0 for c in correct]
 

@@ -197,12 +197,16 @@ def _partner(i: int, ei: float, el: list[float], srt: list[int]) -> int:
     return j
 
 
-def svm_decision(model: SvmModel, x: np.ndarray) -> np.ndarray:
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    k = kernel_matrix(model.kernel, model.gamma, x, model.x)
+def svm_decision(model: SvmModel, x: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
+    """Decision values of the rows of `x`.  `k`, when given, must be
+    `kernel_matrix(model.kernel, model.gamma, x, model.x)`."""
+    if k is None:
+        x = np.atleast_2d(np.asarray(x, dtype=float))
+        k = kernel_matrix(model.kernel, model.gamma, x, model.x)
     return k @ (model.alpha * model.y) + model.bias
 
 
-def svm_predict(model: SvmModel, x: np.ndarray) -> np.ndarray:
-    """Class labels in {-1, +1}; the decision boundary itself maps to +1."""
-    return np.where(svm_decision(model, x) >= 0.0, 1.0, -1.0)
+def svm_predict(model: SvmModel, x: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
+    """Class labels in {-1, +1}; the decision boundary itself maps to +1.
+    `k` is as for `svm_decision`."""
+    return np.where(svm_decision(model, x, k) >= 0.0, 1.0, -1.0)
