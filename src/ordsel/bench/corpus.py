@@ -265,13 +265,15 @@ def generate_corpus(spec: CorpusSpec) -> list[CorpusInstance]:
     Every returned instance parses, has a consistent terminology, and
     contains at least one nondeterministic vertex.  Ordering-sensitive
     instances (including the deliberately hopeless all-timeout ones) are
-    deterministic templates; plain instances are retried under fresh
-    subseeds until valid, and a `GenerationError` reports a slot whose
-    attempts are exhausted.
+    deterministic templates, so many repeat an earlier text and each
+    distinct one is validated once per call; plain instances are retried
+    under fresh subseeds until valid, and a `GenerationError` reports a
+    slot whose attempts are exhausted.
     """
     n_sensitive = round(spec.count * spec.sensitive_fraction)
     n_all_doom = min(spec.all_timeout_count, n_sensitive)
     instances: list[CorpusInstance] = []
+    valid: set[str] = set()  # sensitive texts already validated in this call
     for idx in range(spec.count):
         if idx < n_sensitive:
             if idx < n_all_doom:
@@ -280,9 +282,11 @@ def generate_corpus(spec: CorpusSpec) -> list[CorpusInstance]:
                 family = _FAMILY_CYCLE[(idx - n_all_doom) % len(_FAMILY_CYCLE)]
             rng = np.random.default_rng([spec.seed, idx])
             text = _sensitive_text(spec, family, rng)
-            reason = _validate(text, check_budget=4000)
-            if reason is not None:
-                raise GenerationError(f"instance {idx} (family {family}): {reason}")
+            if text not in valid:
+                reason = _validate(text, check_budget=4000)
+                if reason is not None:
+                    raise GenerationError(f"instance {idx} (family {family}): {reason}")
+                valid.add(text)
             instances.append(CorpusInstance(f"ont{idx:04d}", text, True, family))
         else:
             for attempt in range(50):

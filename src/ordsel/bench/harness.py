@@ -29,6 +29,7 @@ from ..learn.pipeline import (
 )
 from ..learn.svm import TooFewExamples
 from ..runtimes import FINISHED, INCONSISTENT, TIMEOUT, RuntimeRow, rows_by_ontology
+from ..tableau import UnsupportedAxiom, check_supported, satisfiability_sweep
 
 DEFAULT_LABEL = "default"
 
@@ -60,53 +61,68 @@ def run_benchmark(
     same.  Sources that fail to parse, or hold an RBox axiom or ABox
     assertion (see ``check_supported``), are recorded and skipped, not
     fatal.
-    """
-    from ..tableau import UnsupportedAxiom, check_supported, satisfiability_sweep
 
+    Rows are a function of (text, configs, budget) alone, so each distinct
+    text is benchmarked once per call and a repeat gets the same features,
+    rows or failure message under its own id; rows keep corpus order.
+    Nothing is kept between calls.
+    """
     if not corpus:
         raise ValueError("empty corpus")
     rows: list[RuntimeRow] = []
     features: dict[str, FeatureVector] = {}
     failures: list[tuple[str, str]] = []
+    done: dict[str, tuple[FeatureVector, list[tuple[str, float, str]]] | str] = {}
+    for oid, text in corpus:
+        if text not in done:
+            done[text] = _benchmark_text(text, configs, budget)
+        result = done[text]
+        if isinstance(result, str):
+            failures.append((oid, result))
+            continue
+        features[oid], cells = result
+        rows.extend(RuntimeRow(oid, *cell) for cell in cells)
+    return BenchResult(rows=rows, features=features, parse_failures=failures)
+
+
+def _benchmark_text(
+    text: str, configs: tuple[str, ...], budget: int
+) -> tuple[FeatureVector, list[tuple[str, float, str]]] | str:
+    """The features and the (label, cost, outcome) cells of one source
+    text, in row order, or the message that rules the text out."""
+    try:
+        onto = parse_ontology(text)
+        check_supported(onto)
+    except (ParseError, UnsupportedAxiom) as exc:
+        return str(exc)
+    d = encode_dag(onto)
+    fv = extract_features(onto, d)
+    default_label = str(default_config(fv).number)
     real = tuple(c for c in configs if c != DEFAULT_LABEL)
     want_default = DEFAULT_LABEL in configs
-    for oid, text in corpus:
-        try:
-            onto = parse_ontology(text)
-            check_supported(onto)
-        except (ParseError, UnsupportedAxiom) as exc:
-            failures.append((oid, str(exc)))
-            continue
-        d = encode_dag(onto)
-        fv = extract_features(onto, d)
-        features[oid] = fv
-        default_label = str(default_config(fv).number)
-        per_label: dict[str, RuntimeRow] = {}
-        # Configurations that permute every vertex alike run the same search:
-        # sweep each distinct permutation set once per ontology.
-        swept: dict[tuple, tuple[float, str]] = {}
-        labels_to_run = list(real)
-        if want_default and default_label not in labels_to_run:
-            labels_to_run.append(default_label)
-        for label in labels_to_run:
-            odag = apply_ordering(d, parse_config(label))
-            key = tuple(odag.permutations.values())
-            if key not in swept:
-                sweep = satisfiability_sweep(odag, budget)
-                if sweep.timed_out:
-                    swept[key] = (float(budget), TIMEOUT)
-                elif not sweep.consistent:
-                    swept[key] = (float(sweep.total_steps), INCONSISTENT)
-                else:
-                    swept[key] = (float(sweep.total_steps), FINISHED)
-            row = RuntimeRow(oid, label, *swept[key])
-            per_label[label] = row
-            if label in real:
-                rows.append(row)
-        if want_default:
-            base = per_label[default_label]
-            rows.append(RuntimeRow(oid, DEFAULT_LABEL, base.cost, base.outcome))
-    return BenchResult(rows=rows, features=features, parse_failures=failures)
+    # Configurations that permute every vertex alike run the same search:
+    # sweep each distinct permutation set once per ontology.
+    swept: dict[tuple, tuple[float, str]] = {}
+    per_label: dict[str, tuple[float, str]] = {}
+    labels_to_run = list(real)
+    if want_default and default_label not in labels_to_run:
+        labels_to_run.append(default_label)
+    for label in labels_to_run:
+        odag = apply_ordering(d, parse_config(label))
+        key = tuple(odag.permutations.values())
+        if key not in swept:
+            sweep = satisfiability_sweep(odag, budget)
+            if sweep.timed_out:
+                swept[key] = (float(budget), TIMEOUT)
+            elif not sweep.consistent:
+                swept[key] = (float(sweep.total_steps), INCONSISTENT)
+            else:
+                swept[key] = (float(sweep.total_steps), FINISHED)
+        per_label[label] = swept[key]
+    cells = [(label, *per_label[label]) for label in real]
+    if want_default:
+        cells.append((DEFAULT_LABEL, *per_label[default_label]))
+    return fv, cells
 
 
 # -------------------------------------------------------------- filtering

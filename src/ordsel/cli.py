@@ -239,7 +239,9 @@ def _cmd_bench(args) -> int:
     write_runtime_csv(result.rows, args.out)
     if args.features_out:
         write_feature_csv(sorted(result.features.items()), args.features_out)
-    print(f"wrote {len(result.rows)} rows to {args.out}")
+    n_texts = len({text for _, text in corpus})
+    print(f"wrote {len(result.rows)} rows to {args.out} "
+          f"({len(corpus)} ontologies, {n_texts} distinct texts)")
     return 0
 
 

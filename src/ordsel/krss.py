@@ -86,6 +86,7 @@ _TOKEN = re.compile(r";[^\n]*|([()]|[^ \t\r\n();]+)")
 # error is read for its parentheses only (slot None).
 _AXIOM, _CLASS, _ROLE, _INDIVIDUAL = "axiom", "class", "role", "individual"
 _FORM_NAME = {_AXIOM: "axiom form", _CLASS: "operator"}
+_NAME_WANTED = {_ROLE: "a role name", _INDIVIDUAL: "an individual name"}
 
 
 class _Form(NamedTuple):
@@ -158,7 +159,7 @@ def parse_ontology(text: str) -> Ontology:
                 form, n = frame[1], len(frame[2])
                 slot = form.slots[n] if n < len(form.slots) else form.rest
                 if slot is _ROLE or slot is _INDIVIDUAL:
-                    fail(i, ParseError, f"expected a {slot} name")
+                    fail(i, ParseError, f"expected {_NAME_WANTED[slot]}")
                     slot = None
             if len(stack) >= MAX_NESTING:
                 raise _error(text, i, ParseError, f"nested deeper than {MAX_NESTING} levels")

@@ -127,7 +127,8 @@ class _Builder:
     def name(self, form, kind: str) -> str:
         if not isinstance(form, _Tok):
             line, col = form[1].line, form[1].column
-            raise ParseError(line, col, f"expected a {kind} name")
+            article = "an" if kind == "individual" else "a"
+            raise ParseError(line, col, f"expected {article} {kind} name")
         if not NAME_RE.match(form.text):
             raise ParseError(form.line, form.column, f"invalid {kind} name {form.text!r}")
         return form.text

@@ -12,6 +12,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from ordsel import tableau
+from ordsel.bench import corpus as corpus_mod
 from ordsel.bench import harness
 from ordsel.bench.corpus import (
     FAMILY_FAST,
@@ -222,7 +223,7 @@ def test_per_dag_state_dies_with_its_dags(corpus8, monkeypatch):
     before = (len(tableau._RULES), len(tableau._TABLES))
     run_benchmark(corpus8, budget=400)
     gc.collect()
-    assert len(dags) == len(corpus8)
+    assert len(dags) == len({text for _, text in corpus8}) < len(corpus8)
     assert all(ref() is None for ref in dags)
     assert (len(tableau._RULES), len(tableau._TABLES)) == before
 
@@ -248,6 +249,52 @@ def test_second_benchmark_runs_every_search_again(corpus8, monkeypatch):
     once = (searches, tests)
     assert run_benchmark(corpus8, budget=400).rows == first
     assert (searches, tests) == (2 * once[0], 2 * once[1])
+
+
+@pytest.fixture(scope="module")
+def repeating_corpus(corpus8):
+    """`corpus8` (which already repeats one text) with more texts reused
+    under new ids, and an unparseable and an RBox text, each repeated."""
+    bad, rbox = "(implies A (and B", "(implies A (or B C))\n(transitive R)\n"
+    texts = [text for _, text in corpus8]
+    extra = [bad, texts[5], rbox, texts[0], bad, texts[5], rbox, texts[2]]
+    return corpus8 + [(f"rep{i}", text) for i, text in enumerate(extra)]
+
+
+def test_repeated_texts_get_the_rows_of_texts_run_alone(repeating_corpus):
+    alone = [run_benchmark([entry], budget=400) for entry in repeating_corpus]
+    got = run_benchmark(repeating_corpus, budget=400)
+    assert got.rows == [row for r in alone for row in r.rows]
+    assert got.features == {oid: fv for r in alone for oid, fv in r.features.items()}
+    assert got.parse_failures == [f for r in alone for f in r.parse_failures]
+    assert [oid for oid, _ in got.parse_failures] == ["rep0", "rep2", "rep4", "rep6"]
+
+
+def test_each_distinct_text_is_parsed_once(repeating_corpus, monkeypatch):
+    parsed = []
+
+    def parse(text):
+        parsed.append(text)
+        return parse_ontology(text)
+
+    monkeypatch.setattr(harness, "parse_ontology", parse)
+    run_benchmark(repeating_corpus, budget=400)
+    assert sorted(parsed) == sorted({text for _, text in repeating_corpus})
+
+
+def test_each_distinct_sensitive_text_is_validated_once(monkeypatch):
+    checked = []
+    validate = corpus_mod._validate
+
+    def spy(text, *args, **kwargs):
+        checked.append(text)
+        return validate(text, *args, **kwargs)
+
+    monkeypatch.setattr(corpus_mod, "_validate", spy)
+    instances = generate_corpus(CorpusSpec(count=30, seed=7))
+    sensitive = [inst.text for inst in instances if inst.sensitive]
+    assert len(set(sensitive)) < len(sensitive)
+    assert sorted(t for t in checked if t in set(sensitive)) == sorted(set(sensitive))
 
 
 def test_runtime_table_is_pinned(tmp_path):

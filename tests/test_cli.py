@@ -236,6 +236,19 @@ def test_bench_reports_parse_failures(corpus_dir, tmp_path, capsys):
     assert {r.ontology_id for r in read_runtime_csv(out)} == {"good"}
 
 
+def test_bench_counts_repeated_files_once(tmp_path, capsys):
+    repeats = tmp_path / "repeats"
+    repeats.mkdir()
+    for name, text in (("a", BASIC_TEXT), ("b", BASIC_TEXT), ("c", "(implies A")):
+        (repeats / f"{name}.krss").write_text(text)
+    out = str(tmp_path / "r.csv")
+    assert main(["bench", "--corpus", str(repeats), "--configs", "1", "--out", out]) == 0
+    captured = capsys.readouterr()
+    assert f"wrote 2 rows to {out} (3 ontologies, 2 distinct texts)" in captured.out
+    assert "parse failure: c" in captured.err
+    assert [(r.ontology_id, r.config) for r in read_runtime_csv(out)] == [("a", "1"), ("b", "1")]
+
+
 def test_bench_error_paths(corpus_dir, tmp_path, capsys):
     out = str(tmp_path / "r.csv")
     assert main(["bench", "--corpus", corpus_dir, "--configs", "1,99", "--out", out]) == 2

@@ -81,6 +81,21 @@ def test_syntax_error_carries_position():
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        ("(instance (a) C)", "1:11: expected an individual name"),
+        ("(related (a) b r)", "1:10: expected an individual name"),
+        ("(related a b (r))", "1:14: expected a role name"),
+        ("(implies A (some (R) B))", "1:18: expected a role name"),
+    ],
+)
+def test_form_in_a_name_slot_names_the_slot(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_ontology(text)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
     "text",
     [
         "(one-of a b)",

@@ -126,6 +126,7 @@ def nested(depth: int, inner: str = "B") -> str:
         "(implies A (some (R) B))",
         "(implies A (some x*y B))",
         "(instance (a) B)\n",
+        "(instance (a) C)",
         "(related a b (r))",
         "(implies A (at-least 2 R B))",
         "(at-most A B)",
