@@ -3,7 +3,7 @@
 Trains the bundle over all 196 points of `default_grid` with 10-fold CV
 on the frozen training split in `perfbench/data` and pins the saved
 `model.json` by its sha256.  Any change to the learner's arithmetic shows
-here; it takes about half a minute, so tier 1 leaves it out."""
+here; it takes about 15 s on 2 CPUs, so tier 1 leaves it out."""
 
 import hashlib
 import json

@@ -2,17 +2,25 @@
 pipeline (threshold, labeling, cross-validation, grid search, priorities,
 selection, persistence)."""
 
+import concurrent.futures
+import ctypes
 import json
 import math
+import multiprocessing
+import os
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
 
 from conftest import naive_cross_validate
 from learning_oracle import mi_from_joint
-from ordsel.cli import QUICK_GRID
-from ordsel.features import FeatureVector, N_FEATURES
+from ordsel.bench.corpus import CorpusSpec, generate_corpus
+from ordsel.bench.harness import filter_eligible, run_benchmark
+from ordsel.cli import QUICK_GRID, main
+from ordsel.features import FeatureVector, N_FEATURES, write_feature_csv
+from ordsel.heuristics import CONFIG_NUMBERS
 from ordsel.learn import pipeline
 from ordsel.learn.pipeline import (
     BAD,
@@ -56,7 +64,7 @@ from ordsel.learn.transforms import (
     pca_transform,
     select_top_k,
 )
-from ordsel.runtimes import FINISHED, TIMEOUT, RuntimeRow
+from ordsel.runtimes import FINISHED, TIMEOUT, RuntimeRow, write_runtime_csv
 
 # ------------------------------------------------------------- transforms
 
@@ -526,12 +534,19 @@ def test_single_class_config_gets_constant_model():
     assert predict_labels(bundle, feature_rows[0][1])["3"] == BAD
 
 
-def test_configs_with_equal_labels_train_once(monkeypatch):
+def _three_configs_two_label_vectors():
     feature_rows, runtime_rows = _bundle_training_data()
     # configuration 3 has exactly the labels of configuration 1
     runtime_rows += [
         RuntimeRow(r.ontology_id, "3", r.cost, r.outcome) for r in runtime_rows if r.config == "1"
     ]
+    return feature_rows, runtime_rows
+
+
+def test_configs_with_equal_labels_train_once(monkeypatch):
+    feature_rows, runtime_rows = _three_configs_two_label_vectors()
+    # inline, so the grid searches run in this process where they are counted
+    monkeypatch.setattr(pipeline, "_worker_count", lambda n_problems: 1)
     searches = []
 
     def counting(x, y, **kwargs):
@@ -554,6 +569,233 @@ def test_train_model_bundle_requires_rows():
     feature_rows, runtime_rows = _bundle_training_data()
     with pytest.raises(ValueError):
         train_model_bundle(feature_rows, runtime_rows, configs=("1", "7"))
+
+
+# ---------------------------------------------------- worker processes
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Spy on the pool constructor: every pool made, each with the tasks it
+    was given."""
+    made = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.tasks = []
+            made.append(self)
+
+        def map(self, fn, *iterables, **kwargs):
+            self.tasks = list(zip(*iterables))
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    return made
+
+
+def _workers(monkeypatch, workers):
+    """Train in `workers` processes (at most one per problem; 1 is inline),
+    whatever the host's CPU count."""
+    monkeypatch.setattr(pipeline, "_worker_count", lambda n_problems: min(workers, n_problems))
+
+
+def _saved_bytes(bundle, path):
+    save_bundle(bundle, str(path))
+    return path.read_bytes()
+
+
+def _small_corpus_training_data():
+    instances = generate_corpus(CorpusSpec(count=24, seed=11))
+    bench = run_benchmark([(inst.ontology_id, inst.text) for inst in instances], budget=2000)
+    eligible, _ = filter_eligible(bench.rows)
+    rows = [r for r in eligible if r.config in CONFIG_NUMBERS]
+    features = [(oid, bench.features[oid]) for oid in sorted({r.ontology_id for r in rows})]
+    return features, rows
+
+
+def _train_bundle_data(grid):
+    feature_rows, runtime_rows = _bundle_training_data()
+    return train_model_bundle(
+        feature_rows, runtime_rows, grid=grid, n_folds=4, seed=0, configs=("1", "2")
+    )
+
+
+def _train_small_corpus(grid):
+    features, rows = _small_corpus_training_data()
+    return train_model_bundle(features, rows, grid=grid, n_folds=4, seed=1)
+
+
+@pytest.mark.parametrize(
+    "train, grid",
+    [
+        (_train_bundle_data, [GridPoint(k=1, n_components=1, kernel="linear", c=10.0)]),
+        (_train_bundle_data, QUICK_GRID),
+        (_train_small_corpus, QUICK_GRID),
+    ],
+)
+def test_pooled_bundle_bytes_equal_inline(monkeypatch, tmp_path, pools, train, grid):
+    _workers(monkeypatch, 1)
+    inline = _saved_bytes(train(grid), tmp_path / "inline.json")
+    assert pools == []
+    _workers(monkeypatch, 2)
+    pooled = _saved_bytes(train(grid), tmp_path / "pooled.json")
+    assert len(pools) == 1 and len(pools[0].tasks) >= 2
+    assert pooled == inline
+    assert multiprocessing.active_children() == []
+
+
+def test_pooled_path_submits_one_task_per_label_vector(monkeypatch, pools):
+    feature_rows, runtime_rows = _three_configs_two_label_vectors()
+    _workers(monkeypatch, 2)
+    grid = [GridPoint(k=1, n_components=1, kernel="linear", c=10.0)]
+    bundle = train_model_bundle(
+        feature_rows, runtime_rows, grid=grid, n_folds=4, seed=0, configs=("1", "2", "3")
+    )
+    assert len(pools) == 1
+    label_vectors = [tuple(y) for _, y, *_ in pools[0].tasks]
+    assert len(label_vectors) == 2 and label_vectors[0] != label_vectors[1]
+    assert bundle.models["3"] is bundle.models["1"]
+    assert bundle.models["2"] is not bundle.models["1"]
+
+
+def _overflowing_data():
+    """`_bundle_training_data` with +-1e300 in the informative column, which
+    overflow its standard deviation under both configurations."""
+    feature_rows, runtime_rows = _bundle_training_data()
+    overflowing = []
+    for i, (oid, fv) in enumerate(feature_rows):
+        values = [float(v) for v in fv.values]
+        values[0] = {1: 1e300, 2: -1e300}.get(i, values[0])
+        overflowing.append((oid, FeatureVector(tuple(values))))
+    return overflowing, runtime_rows
+
+
+def _training_error(data):
+    with pytest.raises(DegenerateData) as info:
+        train_model_bundle(*data, grid=QUICK_GRID, n_folds=4, seed=0, configs=("1", "2"))
+    return info.value
+
+
+def test_worker_exception_reaches_caller(monkeypatch, pools):
+    _workers(monkeypatch, 1)
+    inline = _training_error(_overflowing_data())
+    _workers(monkeypatch, 2)
+    pooled = _training_error(_overflowing_data())
+    assert len(pools) == 1
+    assert type(pooled) is type(inline)
+    assert str(pooled) == str(inline) == "a feature column's mean or standard deviation is not finite"
+    assert multiprocessing.active_children() == []
+
+
+def test_train_cli_exits_2_when_a_worker_raises(monkeypatch, tmp_path, capsys, pools):
+    feature_rows, runtime_rows = _overflowing_data()
+    # `train` learns all twelve configurations: odd ones copy 1, even ones 2
+    runtime_rows = [
+        RuntimeRow(r.ontology_id, c, r.cost, r.outcome)
+        for r in runtime_rows
+        for c in CONFIG_NUMBERS
+        if int(c) % 2 == int(r.config) % 2
+    ]
+    features, runtimes, model = (str(tmp_path / n) for n in ("f.csv", "r.csv", "m.json"))
+    write_feature_csv(feature_rows, features)
+    write_runtime_csv(runtime_rows, runtimes)
+    _workers(monkeypatch, 2)
+    rc = main(
+        ["train", "--features", features, "--runtimes", runtimes,
+         "--folds", "2", "--quick", "--out", model]
+    )
+    assert rc == 2
+    assert len(pools) == 1
+    assert capsys.readouterr().err == (
+        "error: a feature column's mean or standard deviation is not finite\n"
+    )
+    assert not os.path.exists(model)
+    assert multiprocessing.active_children() == []
+
+
+def _one_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 1)
+
+
+def _daemonic(monkeypatch):
+    monkeypatch.setitem(multiprocessing.current_process()._config, "daemon", True)
+
+
+def _no_fork(monkeypatch):
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+
+
+@pytest.mark.parametrize("condition", [_one_cpu, _daemonic, _no_fork])
+def test_trains_inline_without_a_usable_pool(monkeypatch, tmp_path, pools, condition):
+    want = _saved_bytes(_train_small_bundle(), tmp_path / "want.json")
+    pools.clear()
+    condition(monkeypatch)
+    assert pipeline._worker_count(2) == 1
+    assert _saved_bytes(_train_small_bundle(), tmp_path / "got.json") == want
+    assert pools == []
+
+
+def test_one_problem_trains_inline(pools):
+    feature_rows, runtime_rows = _bundle_training_data()
+    grid = [GridPoint(k=1, n_components=1, kernel="linear", c=10.0)]
+    bundle = train_model_bundle(
+        feature_rows, runtime_rows, grid=grid, n_folds=4, seed=0, configs=("1",)
+    )
+    assert pools == []
+    assert bundle.models["1"].accuracy >= 0.9
+
+
+def test_worker_count_follows_usable_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+    assert [pipeline._worker_count(n) for n in (0, 1, 2, 5, 8, 12)] == [1, 1, 2, 5, 8, 8]
+    # without an affinity mask the CPU count stands in for it
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert pipeline._worker_count(12) == 3
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert pipeline._worker_count(12) == 1
+
+
+def _blas_threads():
+    """OpenBLAS's thread count in this process, or None where it cannot be
+    read."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for name in pipeline._BLAS_THREAD_SETTERS:
+            getter = getattr(lib, name.replace("_set_", "_get_"), None)
+            if getter is not None:
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return getter()
+    return None
+
+
+def test_workers_run_blas_on_one_thread(monkeypatch, pools):
+    if _blas_threads() is None:
+        pytest.skip("no OpenBLAS thread count to read")
+    _workers(monkeypatch, 2)
+    _train_small_bundle()
+    assert pools[0]._initializer is pipeline._one_blas_thread
+    fork = multiprocessing.get_context("fork")
+    with ProcessPoolExecutor(1, mp_context=fork, initializer=pipeline._one_blas_thread) as pool:
+        assert pool.submit(_blas_threads).result(timeout=60) == 1
+
+
+def test_daemonic_process_trains_inline(tmp_path):
+    """A real daemonic caller may not start a pool; it trains inline."""
+    ctx = multiprocessing.get_context("fork")
+    path = tmp_path / "model.json"
+    child = ctx.Process(target=lambda: save_bundle(_train_small_bundle(), str(path)), daemon=True)
+    child.start()
+    child.join(60)
+    assert child.exitcode == 0
+    assert path.read_bytes() == _saved_bytes(_train_small_bundle(), tmp_path / "here.json")
 
 
 # ------------------------------------------------------------ persistence
