@@ -25,6 +25,7 @@ generator keyed on ``(seed, i)``, so corpora are reproducible byte for byte.
 
 from __future__ import annotations
 
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -56,15 +57,32 @@ class CorpusSpec:
     all_timeout_count: int = 2
 
     def __post_init__(self):
-        for lo, hi in (self.classes, self.roles, self.axioms, self.quantifier_depth):
-            if lo > hi or lo < 0:
-                raise ValueError("empty range in corpus spec")
+        for name in ("count", "seed", "all_timeout_count"):
+            _check_int(name, getattr(self, name))
+        _check_int("hot_width", self.hot_width, least=1)
+        for name in ("classes", "roles", "axioms", "quantifier_depth"):
+            pair = getattr(self, name)
+            if not isinstance(pair, (tuple, list)) or len(pair) != 2:
+                raise ValueError(f"corpus spec {name} must be a [low, high] pair, got {pair!r}")
+            for value in pair:
+                _check_int(name, value)
+            if pair[0] > pair[1]:
+                raise ValueError(f"empty range in corpus spec: {name} {list(pair)}")
         if self.classes[0] < 3:
             raise ValueError("need at least 3 classes for guaranteed disjunctions")
-        if not 0.0 <= self.sensitive_fraction <= 1.0:
-            raise ValueError("sensitive fraction must be within [0, 1]")
-        if not self.warm_widths:
+        for name in ("disjunction_density", "sensitive_fraction", "hot_fraction"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Real) or isinstance(value, bool) or not 0 <= value <= 1:
+                raise ValueError(f"corpus spec {name} must be a number in [0, 1], got {value!r}")
+        if not isinstance(self.warm_widths, (tuple, list)) or not self.warm_widths:
             raise ValueError("need at least one warm trap width")
+        for value in self.warm_widths:
+            _check_int("warm_widths", value, least=1)
+
+
+def _check_int(name: str, value, least: int = 0) -> None:
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
+        raise ValueError(f"corpus spec {name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -22,9 +22,10 @@ from ..krss import ParseError, parse_ontology
 from ..learn.pipeline import (
     GridPoint,
     ModelBundle,
+    choose_heuristic,
     f_score,
     label_examples,
-    select_heuristic,
+    predict_labels,
     train_model_bundle,
 )
 from ..learn.svm import TooFewExamples
@@ -55,12 +56,11 @@ def run_benchmark(
     `corpus` is a list of (ontology id, source text) pairs.  The pseudo
     configuration "default" reruns the label picked by the rule-based
     default for that ontology's features (reusing the sweep when that label
-    was already benchmarked).  A configuration whose child permutations
-    equal those of one already swept on the same ontology reuses that
-    sweep's cost and outcome: the search, and so the row, would be the
-    same.  Sources that fail to parse, or hold an RBox axiom or ABox
-    assertion (see ``check_supported``), are recorded and skipped, not
-    fatal.
+    was already benchmarked).  Every other configuration is swept; a class
+    test that an earlier ordering of the ontology already ran on the same
+    rows is answered from its result (see the tableau module docstring).
+    Sources that fail to parse, or hold an RBox axiom or ABox assertion
+    (see ``check_supported``), are recorded and skipped, not fatal.
 
     Rows are a function of (text, configs, budget) alone, so each distinct
     text is benchmarked once per call and a repeat gets the same features,
@@ -100,25 +100,17 @@ def _benchmark_text(
     default_label = str(default_config(fv).number)
     real = tuple(c for c in configs if c != DEFAULT_LABEL)
     want_default = DEFAULT_LABEL in configs
-    # Configurations that permute every vertex alike run the same search:
-    # sweep each distinct permutation set once per ontology.
-    swept: dict[tuple, tuple[float, str]] = {}
     per_label: dict[str, tuple[float, str]] = {}
-    labels_to_run = list(real)
-    if want_default and default_label not in labels_to_run:
-        labels_to_run.append(default_label)
-    for label in labels_to_run:
-        odag = apply_ordering(d, parse_config(label))
-        key = tuple(odag.permutations.values())
-        if key not in swept:
-            sweep = satisfiability_sweep(odag, budget)
-            if sweep.timed_out:
-                swept[key] = (float(budget), TIMEOUT)
-            elif not sweep.consistent:
-                swept[key] = (float(sweep.total_steps), INCONSISTENT)
-            else:
-                swept[key] = (float(sweep.total_steps), FINISHED)
-        per_label[label] = swept[key]
+    for label in real + ((default_label,) if want_default else ()):
+        if label in per_label:
+            continue
+        sweep = satisfiability_sweep(apply_ordering(d, parse_config(label)), budget)
+        if sweep.timed_out:
+            per_label[label] = (float(budget), TIMEOUT)
+        elif not sweep.consistent:
+            per_label[label] = (float(sweep.total_steps), INCONSISTENT)
+        else:
+            per_label[label] = (float(sweep.total_steps), FINISHED)
     cells = [(label, *per_label[label]) for label in real]
     if want_default:
         cells.append((DEFAULT_LABEL, *per_label[default_label]))
@@ -284,7 +276,9 @@ def run_pipeline(
     feature_rows = [(oid, bench.features[oid]) for oid in train_ids]
     bundle = train_model_bundle(feature_rows, train_rows, grid=grid, n_folds=n_folds, seed=seed)
 
-    selections = {oid: select_heuristic(bundle, bench.features[oid]) for oid in test_ids}
+    # each classifier predicts each test ontology once, for both uses
+    preds = {oid: predict_labels(bundle, bench.features[oid]) for oid in test_ids}
+    selections = {oid: choose_heuristic(bundle, preds[oid]) for oid in test_ids}
     learned = _cost_map(eligible, test_ids, selections)
     standard = _cost_map(eligible, test_ids, {oid: DEFAULT_LABEL for oid in test_ids})
     report = speedup_report(learned, standard, float(budget))
@@ -299,12 +293,7 @@ def run_pipeline(
             f_scores[label] = 0.0
             continue
         y_true = np.asarray([lab[oid] for oid in oids])
-        y_pred = np.asarray(
-            [bundle.models[label].pipeline.predict(
-                np.asarray(bench.features[oid].values)[None, :]
-            )[0] for oid in oids]
-        )
-        f_scores[label] = f_score(y_true, y_pred)
+        f_scores[label] = f_score(y_true, np.asarray([preds[oid][label] for oid in oids]))
 
     text = render_report(bench, eligible, test_ids, selections, report, f_scores, budget)
     return PipelineResult(

@@ -133,7 +133,10 @@ def _load_spec(path: str | None) -> CorpusSpec:
     if unknown:
         raise CliError(f"{path}: unknown spec fields {unknown}")
     kwargs = {k: tuple(v) if isinstance(v, list) else v for k, v in raw.items()}
-    return CorpusSpec(**kwargs)
+    try:
+        return CorpusSpec(**kwargs)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}") from exc
 
 
 def _write_ids(ids: list[str], path: str) -> None:
@@ -231,6 +234,9 @@ def _cmd_bench(args) -> int:
         bad = [c for c in configs if c != DEFAULT_LABEL and c not in CONFIG_NUMBERS]
         if bad:
             raise CliError(f"unknown configs {bad}; use 1..12 or '{DEFAULT_LABEL}'")
+        if len(set(configs)) < len(configs):
+            # the runtime CSV holds one row per (id, config)
+            raise CliError(f"repeated configs in {args.configs!r}")
     result = run_benchmark(corpus, configs=configs, budget=args.budget)
     for oid, msg in result.parse_failures:
         print(f"parse failure: {oid}: {msg}", file=sys.stderr)

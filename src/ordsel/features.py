@@ -197,10 +197,14 @@ def read_feature_csv(path: str) -> list[tuple[str, FeatureVector]]:
         if header != ["id", *FEATURE_NAMES]:
             raise ValueError(f"unexpected feature CSV header in {path}")
         rows = []
+        seen: set[str] = set()
         for row in r:
             try:
                 if len(row) != 1 + N_FEATURES:
                     raise ValueError(f"expected {1 + N_FEATURES} fields, got {len(row)}")
+                if row[0] in seen:
+                    raise ValueError(f"duplicate id {row[0]!r}")
+                seen.add(row[0])
                 values = tuple(float(x) for x in row[1:])
                 if not all(math.isfinite(v) for v in values):
                     raise ValueError("feature values must be finite")

@@ -457,9 +457,14 @@ def predict_labels(bundle: ModelBundle, fv: FeatureVector) -> dict[str, float]:
 
 
 def select_heuristic(bundle: ModelBundle, fv: FeatureVector) -> str:
-    """The highest-priority configuration predicted good; when every
-    classifier predicts bad, the lowest-priority configuration."""
-    preds = predict_labels(bundle, fv)
+    """The configuration ``choose_heuristic`` picks for one feature vector."""
+    return choose_heuristic(bundle, predict_labels(bundle, fv))
+
+
+def choose_heuristic(bundle: ModelBundle, preds: dict[str, float]) -> str:
+    """The highest-priority configuration predicted good (``preds`` as from
+    ``predict_labels``); when every classifier predicts bad, the
+    lowest-priority configuration."""
     good = [label for label, p in preds.items() if p == GOOD]
     if good:
         return min(good, key=lambda label: bundle.priorities[label])

@@ -48,10 +48,14 @@ def read_runtime_csv(path: str) -> list[RuntimeRow]:
         if header != ["id", "config", "cost", "outcome"]:
             raise ValueError(f"unexpected runtime CSV header in {path}")
         rows = []
+        seen: set[tuple[str, str]] = set()
         for row in r:
             try:
                 if len(row) != 4:
                     raise ValueError(f"expected 4 fields, got {len(row)}")
+                if (row[0], row[1]) in seen:
+                    raise ValueError(f"duplicate row for id {row[0]!r} under config {row[1]!r}")
+                seen.add((row[0], row[1]))
                 rows.append(RuntimeRow(row[0], row[1], float(row[2]), row[3]))
             except ValueError as exc:
                 raise ValueError(f"{path}, line {r.line_num}: {exc}") from exc

@@ -23,9 +23,9 @@ Implementation (Horrocks, "Implementation and optimisation techniques",
 *The Description Logic Handbook*, 2003):
 
 * Signed references are packed into ints, ``2 * vertex + negated``, so a
-  complement is ``r ^ 1``.  Per-reference rule tables are built once per
-  ``OrderedDag`` and shared by every test on it (see "Work shared per
-  DAG" below).
+  complement is ``r ^ 1``.  Per-reference rule tables are built at most
+  once per ``OrderedDag`` and shared by every test on it (see "Work shared
+  per DAG" below).
 * Each node keeps one label, an ordered ``items`` list plus an ``index``
   set.  A choice point records the label length as its mark; a failed
   branch truncates the label back to the mark (an undo trail) instead of
@@ -73,33 +73,32 @@ work of the chronological reasoner.
 
 Work shared per DAG.  The benchmark tests one DAG under up to twelve
 orderings, and an ordering changes nothing but the child order of
-``and`` vertices.  So the rows that no ordering changes (atom unfolding,
-value and existential restrictions, ``inert``, ``bottom`` and the global
-constraint) are built once per ``Dag``, when its first ordering's tables
-are built, and each ordering copies them and fills in only its ``and``
-rows.  Each ordering's tables also keep the result of
-every test run on them, by target and budget.  A test under a new
-ordering reuses the result of the same test (same target, same budget)
-under an earlier ordering of the DAG when the two orderings agree on the
-``and`` rows the search can read: those of the ``and`` vertices reached,
-in either sign, from the target and the global constraint through
+``and`` vertices.  So a DAG's tables are built in full once, for its
+first ordering, and a later ordering copies them and rewrites only the
+rows of the ``and`` vertices it *moves*, that is, permutes differently
+from the first ordering.  The DAG keeps one dict of results.  Its key is
+the target, the budget, and the (vertex, permutation) pairs of the moved
+vertices that the search can read: the ``and`` vertices reached, in
+either sign, from the target and the global constraint through
 conjunction and disjunction children, restrictions, told subsumers and
-definitions.  This is sound because the search is a deterministic function
-of exactly those rows: a label only ever holds references reached that
-way, every rule reads only the rows of references in a label, and the
-other rows, ``inert`` included, are the same for every ordering.  The
-reused result therefore comes from a search that would run step for step
-the same, so outcome, steps and branch points are unchanged; this is not
-a satisfiability cache, which would change the count.  The set of rows a
-target reads is worked out only when there is an earlier result to check,
-so a DAG tested under one ordering (corpus validation, ``sat``, ``sweep``)
-pays for none of it.  All of this lives in caches keyed weakly on the
-``Dag`` and the ``OrderedDag`` (both compared by identity) and dies with
-them: nothing is kept from one benchmark run to the next.
+definitions.  The search is a deterministic function of those rows: a
+label only ever holds references reached that way, every rule reads only
+the rows of references in a label, and the other rows, ``inert``
+included, are the same for every ordering.  So two orderings that give a
+test one key run the same search step for step, and the later one reuses
+the result, with outcome, steps and branch points unchanged; this is not
+a satisfiability cache, which would change the count.  The vertices a
+target reads are worked out only under an ordering that moved something,
+so a DAG tested under one ordering (corpus validation, ``sat``,
+``sweep``) pays for none of it, and an ordering that moves nothing
+answers a test already run with one lookup.  This state is kept weakly
+per ``Dag`` and per ``OrderedDag`` (both compared by identity) and dies
+with them: nothing is kept from one benchmark run to the next.
 """
 
 from __future__ import annotations
 
+import copy
 import weakref
 from dataclasses import dataclass
 
@@ -135,38 +134,44 @@ def _packed(ref: Ref) -> int:
     return 2 * ref[0] + ref[1]
 
 
-class _Rules:
-    """The rule rows of one ``Dag`` that no ordering changes, indexed by
-    packed reference, and the per-ordering tables built from them.
+class _Tables:
+    """Rule rows of one ordering, indexed by packed reference.
 
-    ``expand[r]``: references an unfoldable atom adds (one step), else None;
-    the rows of ``and`` vertices are left to each ordering.  ``exists[r]`` /
-    ``forall[r]``: (role, packed child) of an existential / value
-    restriction, else None.  ``inert[r]``: whether ``r`` is an inert
-    disjunction (module docstring).  ``bottom``: the packed negated top (-1
-    when there is no top vertex).  ``ands``: each ``and`` vertex with the
-    identity permutation of its children and its packed children, plain
-    and flipped, in encoding order.  ``orderings``: the tables of every
-    ordering built on the DAG so far, oldest first.  ``reads``: per test
-    target, the ``and`` rows its search can read (see ``_reads``).
+    ``expand[r]``: references a conjunction (children in the permuted
+    order) or an unfoldable atom adds (one step), else None.
+    ``disjuncts[r]``: flipped children of a negated ``and`` in the permuted
+    order, else None.  ``exists[r]`` / ``forall[r]``: (role, packed child)
+    of an existential / value restriction, else None.  ``inert[r]``:
+    whether ``r`` is an inert disjunction (module docstring).  ``bottom``:
+    the packed negated top (-1 when there is no top vertex).  ``gci``: the
+    packed global constraint, or None.
     """
 
-    __slots__ = (
-        "expand", "exists", "forall", "inert", "bottom", "gci", "ands", "orderings", "reads"
-    )
+    __slots__ = ("expand", "disjuncts", "exists", "forall", "inert", "bottom", "gci")
 
-    def __init__(self, d: Dag):
+
+class _Rules:
+    """What the orderings of one ``Dag`` share: ``tables``, those of its
+    first ordering; ``ands``, each ``and`` vertex's permutation under that
+    ordering and its packed children, plain and flipped, in encoding order;
+    ``reads``, per test target, the ``and`` vertices its search can read
+    (see ``_reads``); ``results``, every test run on the DAG, keyed as the
+    module docstring says.
+    """
+
+    __slots__ = ("tables", "ands", "reads", "results")
+
+    def __init__(self, d: Dag, permutations: dict[int, tuple[int, ...]]):
         n = 2 * len(d.vertices)
-        self.expand: list[tuple[int, ...] | None] = [None] * n
-        self.exists: list[tuple[str, int] | None] = [None] * n
-        self.forall: list[tuple[str, int] | None] = [None] * n
-        self.inert = [False] * n
-        self.bottom = -1 if d.top_id is None else 2 * d.top_id + 1
-        self.gci = None if d.gci_constraint is None else _packed(d.gci_constraint)
-        self.ands: list[tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
-        self.orderings: list[_Tables] = []
+        self.tables = t = _Tables()
+        t.expand = expand = [None] * n
+        t.disjuncts = disjuncts = [None] * n
+        t.exists, t.forall, t.inert = [None] * n, [None] * n, [False] * n
+        t.bottom = -1 if d.top_id is None else 2 * d.top_id + 1
+        t.gci = None if d.gci_constraint is None else _packed(d.gci_constraint)
+        self.ands: dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
         self.reads: dict[int | None, list[int]] = {}
-        expand = self.expand
+        self.results: dict[tuple, SatResult] = {}
         for vid, v in enumerate(d.vertices):
             pos, neg = 2 * vid, 2 * vid + 1
             if v.op == ATOM:
@@ -181,12 +186,15 @@ class _Rules:
             elif v.op == AND:
                 kids = tuple([2 * e.target + e.negated for e in v.children])
                 flipped = tuple([k ^ 1 for k in kids])
-                self.ands.append((vid, tuple(range(len(kids))), kids, flipped))
+                perm = permutations[vid]
+                self.ands[vid] = (perm, kids, flipped)
+                expand[pos] = tuple([kids[i] for i in perm])
+                disjuncts[neg] = tuple([flipped[i] for i in perm])
             elif v.op == ALL:
                 e = v.children[0]
                 child = 2 * e.target + e.negated
-                self.forall[pos] = (v.role, child)
-                self.exists[neg] = (v.role, child ^ 1)
+                t.forall[pos] = (v.role, child)
+                t.exists[neg] = (v.role, child ^ 1)
         # references to each vertex: edges plus the roots of definitions,
         # told subsumers, the global constraint and assertions
         uses = [0] * len(d.vertices)
@@ -200,7 +208,7 @@ class _Rules:
             uses[vid] += 1
             positive[vid] = positive[vid] or not negated
         for vid, v in enumerate(d.vertices):
-            self.inert[2 * vid + 1] = (
+            t.inert[2 * vid + 1] = (
                 v.op == AND
                 and not positive[vid]
                 and all(
@@ -213,61 +221,58 @@ class _Rules:
                 )
             )
 
+    def tables_for(self, moved: dict[int, tuple[int, ...]]) -> _Tables:
+        """The tables of an ordering that moves the vertices of ``moved``
+        (vertex → permutation): the first ordering's, with the ``and``
+        rows of those vertices rewritten and the other rows shared."""
+        if not moved:
+            return self.tables
+        t = copy.copy(self.tables)
+        t.expand = expand = t.expand.copy()
+        t.disjuncts = disjuncts = t.disjuncts.copy()
+        for vid, perm in moved.items():
+            _, kids, flipped = self.ands[vid]
+            expand[2 * vid] = tuple([kids[i] for i in perm])
+            disjuncts[2 * vid + 1] = tuple([flipped[i] for i in perm])
+        return t
 
-class _Tables:
-    """Rule tables of one ordering: the ``_Rules`` rows plus the ``and``
-    rows.  ``expand[r]`` of a conjunction is its children in the permuted
-    order; ``disjuncts[r]``: flipped children of a negated ``and`` in the
-    permuted order, else None.  ``results`` holds each test run on the
-    ordering, by (packed target, budget).
-    """
 
-    __slots__ = (
-        "expand", "disjuncts", "exists", "forall", "inert", "bottom", "gci", "results"
-    )
+class _Ordering:
+    """What one ``OrderedDag`` keeps: the DAG's ``rules``; ``moved``, each
+    ``and`` vertex it permutes differently from the DAG's first ordering,
+    with its permutation; and ``tables``, built at its first search."""
 
-    def __init__(self, rules: _Rules, permutations: dict[int, tuple[int, ...]]):
-        self.expand = expand = rules.expand.copy()
-        self.disjuncts: list[tuple[int, ...] | None] = [None] * len(expand)
-        self.exists, self.forall, self.inert = rules.exists, rules.forall, rules.inert
-        self.bottom, self.gci = rules.bottom, rules.gci
-        self.results: dict[tuple[int | None, int], SatResult] = {}
-        disjuncts = self.disjuncts
-        for vid, identity, kids, flipped in rules.ands:
-            perm = permutations.get(vid, identity)
-            if perm == identity:
-                expand[2 * vid], disjuncts[2 * vid + 1] = kids, flipped
-            else:
-                expand[2 * vid] = tuple([kids[i] for i in perm])
-                disjuncts[2 * vid + 1] = tuple([flipped[i] for i in perm])
+    __slots__ = ("rules", "moved", "tables")
+
+    def __init__(self, rules: _Rules, moved: dict[int, tuple[int, ...]]):
+        self.rules, self.moved = rules, moved
+        self.tables: _Tables | None = None
 
 
 # Both caches key on identity (``Dag`` and ``OrderedDag`` compare by
 # identity) and die with their key: nothing outlives the DAG it was built
 # for.  No value refers back to a ``Dag`` or ``OrderedDag``.
 _RULES: weakref.WeakKeyDictionary[Dag, _Rules] = weakref.WeakKeyDictionary()
-_TABLES: weakref.WeakKeyDictionary[OrderedDag, tuple[_Rules, _Tables]] = (
-    weakref.WeakKeyDictionary()
-)
+_ORDERINGS: weakref.WeakKeyDictionary[OrderedDag, _Ordering] = weakref.WeakKeyDictionary()
 
 
-def _compiled(odag: OrderedDag) -> tuple[_Rules, _Tables]:
-    """The DAG's shared rows and the ordering's tables, built on first use."""
-    hit = _TABLES.get(odag)
-    if hit is None:
-        rules = _RULES.get(odag.dag)
-        if rules is None:
-            rules = _RULES[odag.dag] = _Rules(odag.dag)
-        hit = _TABLES[odag] = (rules, _Tables(rules, odag.permutations))
-        rules.orderings.append(hit[1])
-    return hit
+def _ordering(odag: OrderedDag) -> _Ordering:
+    """The state of an ordering not tested yet, and the DAG's on its first
+    ordering."""
+    perms = odag.permutations
+    rules = _RULES.get(odag.dag)
+    if rules is None:
+        rules = _RULES[odag.dag] = _Rules(odag.dag, perms)
+    moved = {v: perms[v] for v, (first, _, _) in rules.ands.items() if perms[v] != first}
+    o = _ORDERINGS[odag] = _Ordering(rules, moved)
+    return o
 
 
 def _reads(t: _Tables, target: int | None) -> list[int]:
-    """The negated ``and`` references whose rows a search for ``target``
-    can read: every reference a label can hold is reached from the target
-    and the global constraint through ``expand``, ``disjuncts``, ``exists``
-    and ``forall``, and a vertex's two ``and`` rows are one permutation."""
+    """The ``and`` vertices whose rows a search for ``target`` can read:
+    every reference a label can hold is reached from the target and the
+    global constraint through ``expand``, ``disjuncts``, ``exists`` and
+    ``forall``, whichever the ordering."""
     seen: set[int] = set()
     stack = [r for r in (target, t.gci) if r is not None]
     while stack:
@@ -280,25 +285,7 @@ def _reads(t: _Tables, target: int | None) -> list[int]:
         for edge in (t.exists[r], t.forall[r]):
             if edge is not None:
                 stack.append(edge[1])
-    return list({r | 1 for r in seen if t.disjuncts[r | 1] is not None})
-
-
-def _earlier_result(rules: _Rules, t: _Tables, key: tuple[int | None, int]) -> SatResult | None:
-    """The result of the same test under an earlier ordering of the DAG
-    whose ``and`` rows agree with ``t``'s on every row the search reads.
-    The search would run identically, so its result is reused."""
-    rows = None
-    for u in rules.orderings:
-        res = u.results.get(key)
-        if res is None:
-            continue
-        if rows is None:
-            rows = rules.reads.get(key[0])
-            if rows is None:
-                rows = rules.reads[key[0]] = _reads(t, key[0])
-        if all(u.disjuncts[r] == t.disjuncts[r] for r in rows):
-            return res
-    return None
+    return list({r >> 1 for r in seen if t.disjuncts[r | 1] is not None})
 
 
 class _Budget(Exception):
@@ -503,13 +490,21 @@ def is_satisfiable(odag: OrderedDag, target: Ref | None, budget: int) -> SatResu
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    rules, t = _compiled(odag)
-    packed = None if target is None else _packed(target)
-    key = (packed, budget)
-    res = t.results.get(key)
+    o = _ORDERINGS.get(odag) or _ordering(odag)
+    rules, moved = o.rules, o.moved
+    packed = None if target is None else 2 * target[0] + target[1]
+    read: tuple = ()
+    if moved:
+        reads = rules.reads.get(packed)
+        if reads is None:
+            reads = rules.reads[packed] = _reads(rules.tables, packed)
+        read = tuple([(v, moved[v]) for v in reads if v in moved])
+    key = (packed, budget, read)
+    res = rules.results.get(key)
     if res is None:
-        res = _earlier_result(rules, t, key) or _search(t, packed, budget)
-        t.results[key] = res
+        if o.tables is None:
+            o.tables = rules.tables_for(moved)
+        res = rules.results[key] = _search(o.tables, packed, budget)
     return res
 
 
@@ -562,8 +557,8 @@ def satisfiability_sweep(odag: OrderedDag, budget_per_test: int) -> SweepResult:
     per_class: dict[str, SatResult] = {}
     timed_out = consistency.outcome == BUDGET_EXCEEDED
     if not timed_out:
-        for name in odag.dag.atom_ids:
-            res = is_satisfiable(odag, class_ref(odag.dag, name), budget_per_test)
+        for name, vid in odag.dag.atom_ids.items():
+            res = is_satisfiable(odag, (vid, False), budget_per_test)
             per_class[name] = res
             total += res.steps
             if res.outcome == BUDGET_EXCEEDED:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from ordsel import tableau
 from ordsel.concepts import (
     BOTTOM,
     TOP,
@@ -170,6 +171,21 @@ def naive_cross_validate(x, y, params, n_folds: int = 10, seed: int = 0) -> floa
         correct += int(np.count_nonzero(pred == y[val]))
         total += int(val.sum())
     return correct / total if total else 0.0
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The list of every ``tableau._search`` call made while the test
+    runs, as (tables, packed target, budget), in call order."""
+    calls = []
+    search = tableau._search
+
+    def spy(t, target, budget):
+        calls.append((t, target, budget))
+        return search(t, target, budget)
+
+    monkeypatch.setattr(tableau, "_search", spy)
+    return calls
 
 
 @pytest.fixture

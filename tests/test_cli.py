@@ -207,6 +207,43 @@ def test_gen_corpus_rejects_bad_spec(tmp_path, capsys):
     assert main(["gen-corpus", "--spec", str(bad), "--out", str(tmp_path / "o")]) == 2
 
 
+# Wrong types used to end in a TypeError traceback, and out-of-range
+# values in a silently odd corpus (a negative count wrote none).
+@pytest.mark.parametrize("command", ["gen-corpus", "pipeline"])
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"count": "x"},
+        {"count": 2.5},
+        {"count": -3},
+        {"seed": 1.5},
+        {"seed": True},
+        {"classes": [3, "9"]},
+        {"classes": [3, 5, 9]},
+        {"roles": 2},
+        {"axioms": [-1, 4]},
+        {"disjunction_density": "a"},
+        {"disjunction_density": -0.1},
+        {"sensitive_fraction": None},
+        {"hot_fraction": 2},
+        {"hot_fraction": float("nan")},
+        {"all_timeout_count": -1},
+        {"warm_widths": [10, 0]},
+        {"warm_widths": 10},
+        {"hot_width": 0},
+    ],
+)
+def test_bad_spec_exits_2_with_one_error_line(tmp_path, capsys, command, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "out"
+    flag = "--out" if command == "gen-corpus" else "--out-dir"
+    assert main([command, "--spec", str(path), flag, str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}: "), err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ bench
 
 
@@ -253,6 +290,9 @@ def test_bench_error_paths(corpus_dir, tmp_path, capsys):
     out = str(tmp_path / "r.csv")
     assert main(["bench", "--corpus", corpus_dir, "--configs", "1,99", "--out", out]) == 2
     assert "99" in capsys.readouterr().err
+    assert main(["bench", "--corpus", corpus_dir, "--configs", "1,2,1", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: repeated configs in '1,2,1'\n"
+    assert not os.path.exists(out)
     empty = tmp_path / "empty"
     empty.mkdir()
     assert main(["bench", "--corpus", str(empty), "--out", out]) == 2
@@ -463,6 +503,30 @@ def test_train_rejects_fewer_than_two_folds(trained, tmp_path, capsys, folds):
     assert rc == 2
     err = capsys.readouterr().err
     assert err == f"error: need at least 2 folds, got {folds}\n"
+
+
+# A repeated feature row would be trained on twice; a repeated runtime row
+# would be counted twice by the threshold while labelling kept the last.
+@pytest.mark.parametrize(
+    "table, message",
+    [("features", "duplicate id 't1'"), ("runtimes", "duplicate row for id 't0' under config '1'")],
+)
+def test_train_rejects_duplicate_rows(trained, tmp_path, capsys, table, message):
+    path = tmp_path / f"{table}.csv"
+    with open(trained[table]) as fh:
+        lines = fh.read().splitlines()
+    if table == "features":
+        lines.append(lines[2])
+    else:
+        lines.append(",".join(lines[1].split(",")[:2] + ["1.0", "finished"]))
+    path.write_text("\n".join(lines) + "\n")
+    tables = {**trained, table: str(path)}
+    rc = main(
+        ["train", "--features", tables["features"], "--runtimes", tables["runtimes"],
+         "--folds", "2", "--quick", "--out", str(tmp_path / "m.json")]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: {path}, line {len(lines)}: {message}\n"
 
 
 def test_train_rejects_features_too_large_to_standardize(trained, tmp_path, capsys):

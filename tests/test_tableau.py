@@ -337,18 +337,34 @@ def test_replay_near_miss_disjunction_at_ancestor_and_descendant():
 # changed (see the tableau module docstring).
 
 
-def test_shared_tables_equal_fresh_tables_for_every_ordering():
+def test_shared_tables_equal_fresh_tables_for_every_ordering(searches):
+    # A new budget makes every test a new key, so each ordering searches
+    # once, on its own tables; the first ordering is c1, not the identity.
     texts = [inst.text for inst in generate_corpus(CorpusSpec(count=12, seed=5))]
     texts += [replay_ontology_text(random.Random(seed)) for seed in range(20)]
     texts += [BASIC_TEXT, BRANCHY_TEXT]
     texts.append("(implies *top* (or A *bottom*))\n(equivalent B (and A C))\n")
     for text in texts:
         d = encode_dag(parse_ontology(text))
-        for cfg in (None, *CONFIGS):
+        for budget, cfg in enumerate((*CONFIGS, None), start=1):
             odag = apply_ordering(d, cfg)
-            (_, got), want = tableau._compiled(odag), chronological._Tables(odag)
+            n = len(searches)
+            is_satisfiable(odag, None, budget)
+            assert len(searches) == n + 1
+            got, want = searches[-1][0], chronological._Tables(odag)
             for row in ("expand", "disjuncts", "exists", "forall", "bottom", "gci"):
                 assert getattr(got, row) == getattr(want, row), (text, cfg, row)
+
+
+def _identity(d):
+    return {v: tuple(range(len(x.children))) for v, x in enumerate(d.vertices) if x.op == AND}
+
+
+def _disjunction_of(d, name):
+    """The ``and`` vertex that holds the negated atom ``name`` as a child."""
+    edge = DagEdge(d.atom_ids[name], True)
+    (vid,) = [v for v, x in enumerate(d.vertices) if x.op == AND and edge in x.children]
+    return vid
 
 
 # Near misses: two orderings that differ only in the disjunction
@@ -367,13 +383,10 @@ def test_shared_tables_equal_fresh_tables_for_every_ordering():
         ("(implies *top* (or (and P (not P)) Q))\n", None),
     ],
 )
-def test_result_is_not_reused_when_a_readable_row_differs(text, target):
+def test_result_is_not_reused_when_a_readable_row_differs(searches, text, target):
     d = encode_dag(parse_ontology(text))
-    q = DagEdge(d.atom_ids["Q"], True)
-    (vid,) = [v for v, x in enumerate(d.vertices) if x.op == AND and q in x.children]
-    clash_first = {
-        v: tuple(range(len(x.children))) for v, x in enumerate(d.vertices) if x.op == AND
-    }
+    vid = _disjunction_of(d, "Q")
+    clash_first = _identity(d)
     q_first = {**clash_first, vid: clash_first[vid][::-1]}
     ref = None if target is None else class_ref(d, target)
     results = []
@@ -383,3 +396,46 @@ def test_result_is_not_reused_when_a_readable_row_differs(text, target):
         assert is_satisfiable(odag, ref, 100) == want
         results.append(want)
     assert results[0] != results[1]
+    assert len(searches) == 2
+
+
+def test_result_is_reused_when_only_unreadable_rows_differ(searches):
+    # A reaches only its own disjunction; moving B's leaves A's key as it
+    # was, while B reads the moved row and is searched again.
+    d = encode_dag(parse_ontology("(implies A (or (and P (not P)) Q))\n(implies B (or X Y))\n"))
+    first = _identity(d)
+    x = _disjunction_of(d, "X")
+    moved = OrderedDag(dag=d, config=None, permutations={**first, x: first[x][::-1]})
+    a, b = class_ref(d, "A"), class_ref(d, "B")
+    for ref in (a, b):
+        is_satisfiable(OrderedDag(dag=d, config=None, permutations=first), ref, 100)
+    assert len(searches) == 2
+    assert is_satisfiable(moved, a, 100) == chronological_sat(moved)(a, 100)
+    assert len(searches) == 2
+    assert is_satisfiable(moved, b, 100) == chronological_sat(moved)(b, 100)
+    assert len(searches) == 3
+
+
+def test_ordering_equal_to_the_first_searches_nothing(searches):
+    text = generate_corpus(CorpusSpec(count=1, seed=11))[0].text
+    d = encode_dag(parse_ontology(text))
+    first = apply_ordering(d, parse_config("Fdn"))
+    want = satisfiability_sweep(first, 12000)
+    n = len(searches)
+    assert n > 0
+    again = OrderedDag(dag=d, config=None, permutations=dict(first.permutations))
+    assert satisfiability_sweep(again, 12000) == want
+    assert len(searches) == n
+    assert not tableau._RULES[d].reads  # each test was one lookup
+
+
+def test_dag_swept_under_one_ordering_computes_no_read_set(monkeypatch):
+    def no_reads(*args):
+        raise AssertionError("read set computed")
+
+    monkeypatch.setattr(tableau, "_reads", no_reads)
+    for inst in generate_corpus(CorpusSpec(count=6, seed=2)):
+        odag = apply_ordering(encode_dag(parse_ontology(inst.text)), parse_config("Ddn"))
+        for budget in (50, 12000):
+            satisfiability_sweep(odag, budget)
+            satisfiability_sweep(odag, budget)
