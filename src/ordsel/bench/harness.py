@@ -271,7 +271,7 @@ def run_pipeline(
     eligible, exclusions = filter_eligible(bench.rows)
     ids = sorted({r.ontology_id for r in eligible})
     train_ids, test_ids = split_train_test(ids, fraction=test_fraction, seed=seed)
-    train_set = set(train_ids)
+    train_set, test_set = set(train_ids), set(test_ids)
     train_rows = [r for r in eligible if r.ontology_id in train_set and r.config in CONFIG_NUMBERS]
     feature_rows = [(oid, bench.features[oid]) for oid in train_ids]
     bundle = train_model_bundle(feature_rows, train_rows, grid=grid, n_folds=n_folds, seed=seed)
@@ -283,7 +283,7 @@ def run_pipeline(
     standard = _cost_map(eligible, test_ids, {oid: DEFAULT_LABEL for oid in test_ids})
     report = speedup_report(learned, standard, float(budget))
 
-    test_rows = [r for r in eligible if r.ontology_id in set(test_ids) and r.config in CONFIG_NUMBERS]
+    test_rows = [r for r in eligible if r.ontology_id in test_set and r.config in CONFIG_NUMBERS]
     truth = label_examples(test_rows, bundle.threshold)
     f_scores: dict[str, float] = {}
     for label in CONFIG_NUMBERS:

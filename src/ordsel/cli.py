@@ -231,6 +231,8 @@ def _cmd_bench(args) -> int:
         configs = CONFIG_NUMBERS + (DEFAULT_LABEL,)
     else:
         configs = tuple(c.strip() for c in args.configs.split(",") if c.strip())
+        if not configs:
+            raise CliError(f"no configs in {args.configs!r}")
         bad = [c for c in configs if c != DEFAULT_LABEL and c not in CONFIG_NUMBERS]
         if bad:
             raise CliError(f"unknown configs {bad}; use 1..12 or '{DEFAULT_LABEL}'")

@@ -9,9 +9,11 @@ Concept grammar:
            | (some r C) | (all r C)           r a role name
 
 All concept nodes are immutable and hashable so they can be shared and
-used as dictionary keys.  ``conj``/``disj`` are the preferred constructors
-for programmatic building: they flatten nested operators of the same kind
-and collapse trivial arities instead of violating the n >= 2 invariant.
+used as dictionary keys.  Equality and hashing walk the tree on an
+explicit stack, so they work at any depth; only ``repr`` recurses.
+``conj``/``disj`` are the preferred constructors for programmatic
+building: they flatten nested operators of the same kind and collapse
+trivial arities instead of violating the n >= 2 invariant.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, NamedTuple, Union
 
 NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
@@ -33,28 +36,45 @@ class Concept:
 
     __slots__ = ()
 
+    def _shapes(self) -> Iterator[tuple]:
+        """``(type, name or role, and/or width)`` of every node in pre-order:
+        the sequence determines the tree."""
+        for node, _, _ in walk(self):
+            label = getattr(node, "name", getattr(node, "role", None))
+            yield type(node), label, len(getattr(node, "children", ()))
 
-@dataclass(frozen=True, slots=True)
+    def __eq__(self, other):
+        if not isinstance(other, Concept):
+            return NotImplemented
+        # no tree's sequence is a proper prefix of another's
+        return self is other or all(a == b for a, b in zip(self._shapes(), other._shapes()))
+
+    def __hash__(self):
+        # a bounded prefix of the sequence, so equal trees hash equal
+        return hash(tuple(islice(self._shapes(), 64)))
+
+
+@dataclass(frozen=True, slots=True, eq=False)
 class Top(Concept):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Bottom(Concept):
     pass
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Atomic(Concept):
     name: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Not(Concept):
     child: Concept
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class And(Concept):
     children: tuple[Concept, ...]
 
@@ -63,7 +83,7 @@ class And(Concept):
             raise ValueError("conjunction needs at least two children")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Or(Concept):
     children: tuple[Concept, ...]
 
@@ -72,13 +92,13 @@ class Or(Concept):
             raise ValueError("disjunction needs at least two children")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Some(Concept):
     role: str
     child: Concept
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class All(Concept):
     role: str
     child: Concept

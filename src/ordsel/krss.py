@@ -18,9 +18,9 @@ its parent's head and position; each class name has one shared ``Atomic``.
 Constructs outside ALC (``one-of``, ``at-least``, ...) raise
 ``UnsupportedConstruct``; malformed input raises ``ParseError`` with the
 1-based line and column of the offending token.  The first axiom in
-error decides.  Within it, an unclosed or too deeply nested parenthesis
-wins; otherwise the error nearest its start, so a form's own head and
-arity come before its arguments.
+error decides.  Within it, an unclosed parenthesis wins; otherwise the
+error nearest its start, so a form's own head and arity come before its
+arguments.
 """
 
 from __future__ import annotations
@@ -48,14 +48,6 @@ from .concepts import (
     conj,
     disj,
 )
-
-
-# Deepest parenthesis nesting an axiom may use, its own parentheses
-# included: an input-size limit.  Reading and encoding use explicit
-# stacks, but the hash and equality of concept nodes recurse once per
-# level, and this bound keeps them well inside the default recursion
-# limit of 1000.
-MAX_NESTING = 256
 
 
 class ParseError(ValueError):
@@ -161,8 +153,6 @@ def parse_ontology(text: str) -> Ontology:
                 if slot is _ROLE or slot is _INDIVIDUAL:
                     fail(i, ParseError, f"expected {_NAME_WANTED[slot]}")
                     slot = None
-            if len(stack) >= MAX_NESTING:
-                raise _error(text, i, ParseError, f"nested deeper than {MAX_NESTING} levels")
             frame = [slot, None, [], i, i]
             stack.append(frame)
         elif t == ")":

@@ -648,11 +648,11 @@ def load_bundle(path: str) -> ModelBundle:
                 accuracy=m["accuracy"],
                 pipeline=_pipeline_from_json(m["pipeline"]),
             )
-        priorities = {label: int(v) for label, v in doc["priorities"].items()}
+        priorities = dict(doc["priorities"].items())
         bundle = ModelBundle(
             threshold=float(doc["threshold"]), models=models, priorities=priorities
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         if isinstance(exc, (VersionMismatch, CorruptModel)):
             raise
         raise CorruptModel(f"malformed model bundle: {exc}") from exc
@@ -660,6 +660,8 @@ def load_bundle(path: str) -> ModelBundle:
         raise CorruptModel("model bundle threshold is not finite")
     if set(priorities) != set(models):
         raise CorruptModel("model bundle priorities and models name different configurations")
+    if sorted(v for v in priorities.values() if type(v) is int) != list(range(1, len(models) + 1)):
+        raise CorruptModel("model bundle priorities do not rank its models 1..n")
     unknown = sorted(set(models) - set(CONFIG_NUMBERS))
     if unknown:
         raise CorruptModel(f"model bundle has unknown configurations {unknown}")

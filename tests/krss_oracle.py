@@ -31,7 +31,12 @@ from ordsel.concepts import (
     conj,
     disj,
 )
-from ordsel.krss import MAX_NESTING, ParseError, UnsupportedConstruct
+from ordsel.krss import ParseError, UnsupportedConstruct
+
+# Deepest parenthesis nesting this reader takes.  `_Reader` and `_Builder`
+# recurse once per level, so deeper text would meet the recursion limit
+# rather than an answer to compare; it raises `RecursionError` instead.
+MAX_DEPTH = 256
 
 
 # operator heads that belong to richer logics than the one handled here
@@ -105,8 +110,8 @@ class _Reader:
             raise ParseError(tok.line, tok.column, "unexpected ')'")
         if tok.text != "(":
             return tok
-        if depth > MAX_NESTING:
-            raise ParseError(tok.line, tok.column, f"nested deeper than {MAX_NESTING} levels")
+        if depth > MAX_DEPTH:
+            raise RecursionError(f"the oracle reads at most {MAX_DEPTH} levels")
         items = []
         while True:
             nxt = self.peek()

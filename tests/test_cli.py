@@ -13,9 +13,10 @@ import pytest
 from ordsel import cli
 from ordsel.bench.corpus import FAMILY_FAST, CorpusSpec, generate_corpus
 from ordsel.cli import main
-from ordsel.features import N_FEATURES, FeatureVector, write_feature_csv
+from ordsel.dag import encode_dag
+from ordsel.features import N_FEATURES, FeatureVector, extract_features, write_feature_csv
 from ordsel.heuristics import CONFIG_NUMBERS, DEFAULT_MIN_GCIS
-from ordsel.krss import MAX_NESTING
+from ordsel.krss import parse_ontology
 from ordsel.runtimes import RuntimeRow, read_runtime_csv, write_runtime_csv
 
 from conftest import BASIC_TEXT
@@ -292,6 +293,8 @@ def test_bench_error_paths(corpus_dir, tmp_path, capsys):
     assert "99" in capsys.readouterr().err
     assert main(["bench", "--corpus", corpus_dir, "--configs", "1,2,1", "--out", out]) == 2
     assert capsys.readouterr().err == "error: repeated configs in '1,2,1'\n"
+    assert main(["bench", "--corpus", corpus_dir, "--configs", " , ", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: no configs in ' , '\n"
     assert not os.path.exists(out)
     empty = tmp_path / "empty"
     empty.mkdir()
@@ -344,24 +347,29 @@ def test_reasoning_commands_reject_rbox_and_abox_axioms(tmp_path, capsys, text, 
 
 
 TBOX_HEADS = ("implies A", "implies A2", "equivalent E")
+QUANTIFIED = ("(some R ", "(not ", "(and C ", "(all S ", "(or D ")
+QUANTIFIER_FREE = ("(not ", "(and C ", "(not ", "(or D ")
+DEEP = 100_000  # levels in one axiom: a hundred times the default recursion limit
 
 
-def _nested_text(depth, heads=TBOX_HEADS + ("instance a",)):
+def _nested_text(depth, heads=TBOX_HEADS + ("instance a",), ops=QUANTIFIED):
     """Axioms whose parentheses nest exactly `depth` levels deep, all over
     one concept, so encoding compares equal deep concepts too."""
-    ops = ["(some R ", "(not ", "(and C ", "(all S ", "(or D "]
     inner = "".join(ops[i % len(ops)] for i in range(depth - 1)) + "B" + ")" * (depth - 1)
     return "".join(f"({head} {inner})\n" for head in heads)
 
 
-def test_nesting_at_the_bound_needs_no_more_recursion(tmp_path, capsys):
+def test_deep_quantified_nesting_needs_no_more_recursion(tmp_path, capsys):
+    # a quantified chain still costs quadratic time in subset blocking, so
+    # the commands that search run it at 2,000 levels
+    depth = 2_000
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     path = corpus / "deep.krss"
     # the reasoner refuses ABox assertions; `features` reads them
-    path.write_text(_nested_text(MAX_NESTING, TBOX_HEADS))
+    path.write_text(_nested_text(depth, TBOX_HEADS))
     with_abox = tmp_path / "deep-abox.krss"
-    with_abox.write_text(_nested_text(MAX_NESTING))
+    with_abox.write_text(_nested_text(depth))
     out = str(tmp_path / "r.csv")
     with _default_recursion_limit():
         assert main(["sat", "--ontology", str(path), "--class", "A"]) == 0
@@ -372,24 +380,23 @@ def test_nesting_at_the_bound_needs_no_more_recursion(tmp_path, capsys):
     assert {r.ontology_id for r in read_runtime_csv(out)} == {"deep"}
 
 
-def test_nesting_past_the_bound_exits_2(tmp_path, capsys):
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    path = corpus / "deep.krss"
-    text = _nested_text(MAX_NESTING + 1)
-    path.write_text(text)
-    pos = -1  # the first parenthesis past the bound
-    for _ in range(MAX_NESTING + 1):
-        pos = text.index("(", pos + 1)
-    expected = f"1:{pos + 1}: nested deeper than {MAX_NESTING} levels"
-    for command in ("sat", "sweep", "features"):
-        assert main([command, "--ontology", str(path)]) == 2
-        assert capsys.readouterr().err == f"error: {expected}\n"
-    (corpus / "good.krss").write_text(BASIC_TEXT)
-    out = str(tmp_path / "r.csv")
-    assert main(["bench", "--corpus", str(corpus), "--configs", "1", "--out", out]) == 0
-    assert capsys.readouterr().err == f"parse failure: deep: {expected}\n"
-    assert {r.ontology_id for r in read_runtime_csv(out)} == {"good"}
+def test_deepest_nesting_needs_no_recursion(tmp_path, capsys):
+    text = _nested_text(DEEP, ("implies A",))
+    path = tmp_path / "deep.krss"
+    path.write_text(_nested_text(DEEP, ("implies A",), QUANTIFIER_FREE))
+    with _default_recursion_limit():
+        onto = parse_ontology(text)
+        features = extract_features(onto, encode_dag(onto))
+        deep, again = onto.tbox[0].rhs, parse_ontology(text).tbox[0].rhs
+        assert deep is not again and deep == again and hash(deep) == hash(again)
+        # the one leaf is the last node either walk reaches
+        assert deep != parse_ontology(text.replace("B)", "E)", 1)).tbox[0].rhs
+        # ordering 1 spares the default ordering's feature pass
+        assert main(["sat", "--ontology", str(path), "--class", "A", "--config", "1"]) == 0
+        assert main(["sweep", "--ontology", str(path), "--config", "1"]) == 0
+    # `some` and `all` open 40,000 of the 99,999 levels below the axiom's own
+    assert features["maxConceptDepth"] == 40_000
+    assert capsys.readouterr().err == ""
 
 
 # ------------------------------------------------------- filter and split

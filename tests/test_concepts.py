@@ -1,8 +1,12 @@
-"""Concept algebra: constructors and the iterative walk over expressions."""
+"""Concept algebra: constructors, structural equality and hashing, and the
+iterative walk over expressions."""
 
+import pickle
 from collections import Counter
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import concept_frequency
 from ordsel.concepts import (
@@ -97,6 +101,34 @@ def test_walk_needs_no_recursion():
         nodes = list(walk(c))
     assert len(nodes) == 5001
     assert nodes[-1] == (A, False, 2500)
+
+
+# Small concepts over two names and two roles, so that independent draws
+# are often equal or nearly so.
+_ROLES = st.sampled_from("RS")
+CONCEPTS = st.recursive(
+    st.sampled_from([TOP, BOTTOM]) | st.builds(Atomic, st.sampled_from("AB")),
+    lambda kids: st.builds(Not, kids)
+    | st.builds(Some, _ROLES, kids)
+    | st.builds(All, _ROLES, kids)
+    | st.builds(lambda cs: And(tuple(cs)), st.lists(kids, min_size=2, max_size=3))
+    | st.builds(lambda cs: Or(tuple(cs)), st.lists(kids, min_size=2, max_size=3)),
+    max_leaves=6,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(CONCEPTS, CONCEPTS)
+@example(Or((And((A, B)), C)), Or((And((A, B, C)), C)))  # equal but for one width
+def test_equality_is_structural(a, b):
+    # the recursive dataclass repr spells out the whole tree
+    assert (a == b) is (repr(a) == repr(b))
+    assert (a != b) is not (a == b)
+    copy = pickle.loads(pickle.dumps(a))
+    assert copy is not a and copy == a and hash(copy) == hash(a)
+    if a == b:
+        assert hash(a) == hash(b)
+    assert a != repr(a) and a != None  # noqa: E711
 
 
 def test_walk_rejects_non_concepts():

@@ -1,15 +1,10 @@
 """Differential tests of the one-pass encoder against `dag_oracle`, the
 recursive encoder it replaced: every field of the two `Dag`s agrees, the
 vertex, edge and stats types keep their field names and keyword
-construction, and an axiom nested `MAX_NESTING` deep parses and encodes
-under a recursion limit far below that depth."""
+construction, and an axiom nested far deeper than the recursion limit
+parses and encodes under it."""
 
 import dataclasses
-import os
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 from hypothesis import Phase, given, settings
@@ -20,7 +15,9 @@ from conftest import random_ontology_text
 from ordsel.bench.corpus import CorpusSpec, generate_corpus
 from ordsel.concepts import ConceptStats
 from ordsel.dag import DagEdge, DagVertex, encode_dag
-from ordsel.krss import MAX_NESTING, parse_ontology
+from ordsel.krss import parse_ontology
+from test_cli import _nested_text
+from test_tableau import _default_recursion_limit
 
 DETERMINISTIC = settings(
     derandomize=True, database=None, deadline=None, max_examples=200, phases=(Phase.generate,)
@@ -80,27 +77,10 @@ def test_vertex_types_keep_fields_and_keywords():
     assert (vertex.stats, vertex.child_stats, vertex.nondeterministic) == (stats, (stats,), False)
 
 
-def test_nesting_at_the_bound_needs_no_recursion():
-    # Concept hashing and equality still recurse, so the check runs in a
-    # fresh interpreter where nothing but parsing and encoding touches the
-    # deep concept.
-    script = textwrap.dedent(
-        f"""
-        import sys
-        from ordsel.dag import encode_dag
-        from ordsel.krss import parse_ontology
-
-        ops = ["(some R ", "(not ", "(and C ", "(all S ", "(or D "]
-        inner = "".join(ops[i % 5] for i in range({MAX_NESTING} - 1)) + "B" + ")" * ({MAX_NESTING} - 1)
-        text = "(implies A " + inner + ")\\n(equivalent E " + inner + ")\\n"
-        sys.setrecursionlimit(100)
-        d = encode_dag(parse_ontology(text))
-        print(d.vertices[-1].stats.size)
-        """
-    )
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=60
-    )
-    assert out.returncode == 0, out.stderr
-    assert int(out.stdout) > MAX_NESTING
+def test_deep_nesting_encodes_without_recursion():
+    with _default_recursion_limit():
+        d = encode_dag(parse_ontology(_nested_text(5_000, ("implies A", "equivalent E"))))
+    # the definition of E is the deep concept, encoded once for both axioms
+    assert d.definitions["E"] == d.told["A"]
+    # `some` and `all` open 2,000 of the 4,999 levels below the axiom's own
+    assert d.vertices[d.told["A"][0][0]].stats.depth == 2_000

@@ -1,6 +1,13 @@
 """Parser and serializer for the s-expression ontology format."""
 
+import contextlib
+import io
+import os
+import tempfile
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BASIC_TEXT, unparse
 from ordsel.concepts import (
@@ -18,7 +25,11 @@ from ordsel.concepts import (
     Top,
     Transitivity,
 )
+from ordsel.cli import main
+from ordsel.dag import encode_dag
+from ordsel.features import extract_features
 from ordsel.krss import ParseError, UnsupportedConstruct, parse_ontology
+from test_tableau import _default_recursion_limit
 
 
 def test_basic_axioms_and_declarations():
@@ -131,3 +142,51 @@ def test_stray_close_paren_rejected():
 def test_empty_input_is_empty_ontology():
     onto = parse_ontology("")
     assert onto.tbox == () and onto.classes == ()
+
+
+# Token soups: an axiom head, a run of openers nested up to 1,200 deep, a
+# small concept or a soup of tokens, about as many closers as openers, and
+# more soup.  Tokens cover parentheses, every head of the format, heads
+# outside ALC, names valid and not, and comments.
+_SOUP = st.lists(
+    st.sampled_from(
+        ["(", ")", "()", "; (note\n", "\n", "*top*", "*bottom*", "not", "and", "or", "some", "all",
+         "implies", "equivalent", "disjoint", "implies-role", "transitive", "instance", "related",
+         "one-of", "at-least", "frob", "A", "B", "R", "a", "bad.name", "x*y"]
+    ),
+    max_size=12,
+).map(" ".join)
+_OPENERS = ["(not ", "(and A ", "(or B ", "(some R ", "(all R ", "; ((\n"]
+
+
+@st.composite
+def token_soups(draw) -> str:
+    depth = draw(st.integers(0, 8) | st.integers(257, 1200))
+    ops = draw(st.lists(st.sampled_from(_OPENERS), min_size=1, max_size=4))
+    head = draw(st.sampled_from(["(implies A ", "(equivalent B ", "(disjoint A ", "(instance a ", ""]))
+    middle = draw(st.sampled_from(["B", "(some R *top*)", "(not A)"]) | _SOUP)
+    closers = max(0, depth + (head != "") + draw(st.sampled_from([0, 0, -1, 1])))
+    prefix = "".join(ops[i % len(ops)] for i in range(depth))
+    return head + prefix + middle + ")" * closers + draw(st.just("") | _SOUP)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(token_soups())
+def test_token_soups_parse_or_exit_2(text):
+    with _default_recursion_limit():
+        try:
+            onto = parse_ontology(text)
+        except ParseError as exc:  # UnsupportedConstruct included
+            expected = (2, f"error: {exc}\n")
+        else:
+            extract_features(onto, encode_dag(onto))
+            again = parse_ontology(text)
+            assert again == onto and hash(again) == hash(onto)
+            expected = (0, "")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "soup.krss")
+            with open(path, "w") as fh:
+                fh.write(text)
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                assert (main(["features", "--ontology", path]), err.getvalue()) == expected

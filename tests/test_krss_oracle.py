@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import krss_oracle
 from conftest import random_ontology_text
 from ordsel.bench.corpus import CorpusSpec, generate_corpus
-from ordsel.krss import MAX_NESTING, ParseError, parse_ontology
+from ordsel.krss import ParseError, parse_ontology
 
 # Each example is a seed of a numpy generator, so there is nothing to shrink.
 DETERMINISTIC = settings(
@@ -98,6 +98,9 @@ def test_reference_corpus_parses_as_the_oracle_parses():
         assert_same(inst.text)
 
 
+DEPTH = krss_oracle.MAX_DEPTH
+
+
 def nested(depth: int, inner: str = "B") -> str:
     ops = ["(some R ", "(not ", "(and C ", "(all S ", "(or D "]
     return "".join(ops[i % len(ops)] for i in range(depth - 1)) + inner + ")" * (depth - 1)
@@ -106,15 +109,15 @@ def nested(depth: int, inner: str = "B") -> str:
 @pytest.mark.parametrize(
     "text",
     [
-        # bounds: an axiom at the limit, one past it, and past it after
-        # an earlier error in the same axiom or a later axiom
-        f"(implies A {nested(MAX_NESTING)})",
-        f"(implies A {nested(MAX_NESTING + 1)})",
-        f"(implies A\n {nested(MAX_NESTING - 1, '(frob x)')})",
-        f"(implies A {nested(MAX_NESTING - 1, '(frob x)')})",
-        f"(implies bad.name {nested(MAX_NESTING + 1)})",
-        f"(implies bad.name B)\n(implies A {nested(MAX_NESTING + 1)})",
-        f"(implies A {nested(MAX_NESTING)}\n(implies A B)",
+        # axioms as deep as the oracle reads: alone, with an error at the
+        # bottom, after an earlier error in the same axiom or an earlier
+        # axiom, and unclosed
+        f"(implies A {nested(DEPTH)})",
+        f"(implies A\n {nested(DEPTH - 1, '(frob x)')})",
+        f"(implies A {nested(DEPTH - 1, '(frob x)')})",
+        f"(implies bad.name {nested(DEPTH)})",
+        f"(implies bad.name B)\n(implies A {nested(DEPTH)})",
+        f"(implies A {nested(DEPTH)}\n(implies A B)",
         # unbalanced, stray and bare tokens
         "(implies A (and B C)",
         "(implies A (and B C)))",

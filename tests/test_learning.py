@@ -4,12 +4,15 @@ selection, persistence)."""
 
 import concurrent.futures
 import ctypes
+import functools
 import json
 import math
 import multiprocessing
 import os
+import tempfile
 import warnings
 from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -847,10 +850,16 @@ def test_load_rejects_corrupt_files(tmp_path, content):
         load_bundle(path)
 
 
+@functools.cache
+def _small_bundle_json() -> bytes:
+    """The small bundle as saved, trained once for all the load tests."""
+    with tempfile.TemporaryDirectory() as tmp:
+        return _saved_bytes(_train_small_bundle(), Path(tmp) / "model.json")
+
+
 def _load_edited(tmp_path, edit):
     path = tmp_path / "model.json"
-    save_bundle(_train_small_bundle(), str(path))
-    doc = json.loads(path.read_text())
+    doc = json.loads(_small_bundle_json())
     edit(doc)
     path.write_text(json.dumps(doc))
     return load_bundle(str(path))
@@ -880,6 +889,25 @@ def test_load_rejects_mismatched_array_shapes(tmp_path, key):
 def test_load_rejects_priorities_without_models(tmp_path):
     with pytest.raises(CorruptModel, match="priorities"):
         _load_edited(tmp_path, lambda doc: doc["priorities"].pop("2"))
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[1, 1], [1.7, 1.7], [True, True], [-5, -5], [1, 3], ["1", "2"], [1.0, 2.0], [False, True]],
+)
+def test_load_rejects_priorities_that_do_not_rank_the_models(tmp_path, values):
+    # selection picks by priority, so anything but 1..n once each would pick by dict order
+    def edit(doc):
+        doc["priorities"] = dict(zip(doc["priorities"], values))
+
+    with pytest.raises(CorruptModel, match="priorities"):
+        _load_edited(tmp_path, edit)
+
+
+@pytest.mark.parametrize("key", ["priorities", "models"])
+def test_load_rejects_lists_for_maps(tmp_path, key):
+    with pytest.raises(CorruptModel, match="malformed"):
+        _load_edited(tmp_path, lambda doc: doc.update({key: []}))
 
 
 def test_load_missing_file_is_corrupt(tmp_path):
