@@ -31,6 +31,7 @@ from ..learn.pipeline import (
 from ..learn.svm import TooFewExamples
 from ..runtimes import FINISHED, INCONSISTENT, TIMEOUT, RuntimeRow, rows_by_ontology
 from ..tableau import UnsupportedAxiom, check_supported, satisfiability_sweep
+from ..workers import ordered_map
 
 DEFAULT_LABEL = "default"
 
@@ -63,19 +64,20 @@ def run_benchmark(
     (see ``check_supported``), are recorded and skipped, not fatal.
 
     Rows are a function of (text, configs, budget) alone, so each distinct
-    text is benchmarked once per call and a repeat gets the same features,
-    rows or failure message under its own id; rows keep corpus order.
-    Nothing is kept between calls.
+    text is benchmarked once per call, in the pool of forked workers that
+    training shares (`workers.ordered_map`, with no option for it), and a
+    repeat gets the same features, rows or failure message under its own
+    id; rows keep corpus order.  Each worker builds its own DAGs, and
+    nothing is kept between calls.
     """
     if not corpus:
         raise ValueError("empty corpus")
     rows: list[RuntimeRow] = []
     features: dict[str, FeatureVector] = {}
     failures: list[tuple[str, str]] = []
-    done: dict[str, tuple[FeatureVector, list[tuple[str, float, str]]] | str] = {}
+    texts = list(dict.fromkeys(text for _, text in corpus))
+    done = dict(zip(texts, ordered_map(_benchmark_text, [(t, configs, budget) for t in texts])))
     for oid, text in corpus:
-        if text not in done:
-            done[text] = _benchmark_text(text, configs, budget)
         result = done[text]
         if isinstance(result, str):
             failures.append((oid, result))

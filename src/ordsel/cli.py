@@ -36,7 +36,7 @@ from .bench.harness import (
     split_train_test,
 )
 from .dag import encode_dag
-from .features import extract_features, read_feature_csv, write_feature_csv
+from .features import extract_features, profile_features, read_feature_csv, write_feature_csv
 from .heuristics import (
     CONFIG_NUMBERS,
     CONFIGS,
@@ -93,7 +93,7 @@ def _load_ontology(path: str):
 
 def _ordered(dag, onto, config_text: str):
     if config_text == DEFAULT_LABEL:
-        cfg = default_config(extract_features(onto, dag))
+        cfg = default_config(profile_features(onto, dag))
     else:
         cfg = parse_config(config_text)
     return apply_ordering(dag, cfg)

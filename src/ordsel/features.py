@@ -91,19 +91,25 @@ class FeatureVector:
         return self.values[FEATURE_NAMES.index(name)]
 
 
-def extract_features(onto: Ontology, d: Dag) -> FeatureVector:
-    f: dict[str, float] = {}
+def profile_features(onto: Ontology, d: Dag) -> dict[str, float]:
+    """The two features `heuristics.default_config` reads, by name, without
+    the cost of the other 37."""
+    return {
+        "numInstances": float(sum(1 for ax in onto.abox if isinstance(ax, ConceptAssertion))),
+        "numGCIs": float(len(d.gci_refs)),
+    }
 
-    num_instances = sum(1 for ax in onto.abox if isinstance(ax, ConceptAssertion))
+
+def extract_features(onto: Ontology, d: Dag) -> FeatureVector:
+    f = profile_features(onto, d)
+
     num_classes = len(onto.classes)
     n_tbox, n_rbox, n_abox = len(onto.tbox), len(onto.rbox), len(onto.abox)
     total_axioms = n_tbox + n_rbox + n_abox
 
     f["numNominals"] = 0.0  # nominals are outside the supported logic
-    f["numInstances"] = float(num_instances)
     f["numClasses"] = float(num_classes)
-    f["avgPopulation"] = num_instances / max(num_classes, 1)
-    f["numGCIs"] = float(len(d.gci_refs))
+    f["avgPopulation"] = f["numInstances"] / max(num_classes, 1)
 
     ops: Counter[type] = Counter()  # raw operator counts, by node type
     generating = 0  # existentials of the negation normal form

@@ -14,21 +14,14 @@ verdict — or falls back to the lowest-priority configuration when every
 classifier votes negative.
 
 The configurations' trainings are independent, so `train_model_bundle` runs
-them in a pool of worker processes: one per CPU this process may use, at
-most one per distinct training problem, each running BLAS on one thread so
-that the workers do not oversubscribe the CPUs.  Workers are forked rather
-than spawned: a `spawn` or `forkserver` worker would import numpy and ordsel
-again (about 0.2 s each), while a forked one starts with them loaded.
-Results come back in submission order and are bit for bit those of training
-inline, which is what happens with one problem, one usable CPU, no `fork`
-start method, or a daemonic caller (which may not have children).
+them through `workers.ordered_map`, the one pool of forked worker processes
+that the benchmark sweep uses too; the models are the same bits as inline.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -36,6 +29,7 @@ import numpy as np
 from ..features import FEATURE_NAMES, FeatureVector
 from ..heuristics import CONFIG_NUMBERS
 from ..runtimes import FINISHED, RuntimeRow, rows_by_config
+from ..workers import ordered_map
 from .svm import LINEAR, RBF, SingleClass, SvmModel, kernel_matrix, svm_predict, svm_train
 from .transforms import (
     apply_scaler,
@@ -328,77 +322,6 @@ def _train_config(
     return ConfigModel(params=point, accuracy=acc, pipeline=fit_config_pipeline(x, y, point))
 
 
-# Names of OpenBLAS's thread-count setter: plain, and as numpy's wheels
-# build it (64-bit integers, `scipy_` prefix).
-_BLAS_THREAD_SETTERS = tuple(
-    f"{prefix}openblas_set_num_threads{suffix}"
-    for prefix in ("", "scipy_")
-    for suffix in ("", "64_", "_64")
-)
-
-
-def _one_blas_thread() -> None:
-    """Pool initializer: run this worker's BLAS on one thread.  The workers
-    already fill the CPUs, and a second OpenBLAS thread in each worker spins
-    on a CPU another worker needs: without this, `QUICK_GRID` training ran
-    about 2.5 times slower than in one process on a 2-CPU host.  Finds
-    OpenBLAS among the mapped libraries (Linux); does nothing where it
-    cannot."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
-    except OSError:
-        return
-    import ctypes
-
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for name in _BLAS_THREAD_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                return
-
-
-def _worker_count(n_problems: int) -> int:
-    """Worker processes for `n_problems` independent trainings: one per CPU
-    this process may use, at most one per problem.  1 means train inline:
-    also when there is no `fork` start method or the caller is a daemonic
-    process."""
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # not on every platform
-        cpus = os.cpu_count() or 1
-    workers = min(cpus, n_problems)
-    if workers < 2:
-        return 1
-    import multiprocessing
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    if multiprocessing.current_process().daemon:
-        return 1
-    return workers
-
-
-def _train_all(tasks: list[tuple]) -> list[ConfigModel]:
-    """`_train_config` of every task, in task order.  A failing task raises
-    its own exception, the first in task order as inline, once the tasks
-    already running have finished; the tasks not started are cancelled.  No
-    worker outlives the call, and none is ever killed: a worker killed while
-    it sends a result would leave its queue locked."""
-    workers = _worker_count(len(tasks))
-    if workers == 1:
-        return [_train_config(*task) for task in tasks]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_one_blas_thread) as pool:
-        return list(pool.map(_train_config, *zip(*tasks)))
-
-
 def train_model_bundle(
     feature_rows: list[tuple[str, FeatureVector]],
     runtime_rows: list[RuntimeRow],
@@ -416,14 +339,10 @@ def train_model_bundle(
     model, trained once; their priorities are still assigned per
     configuration.
 
-    The distinct (examples, labels) problems train in parallel: in a pool of
-    forked workers, one per CPU this process may use (its affinity mask,
-    else `os.cpu_count()`) and at most one per problem, each with BLAS on
-    one thread; the pool is closed and joined before the function returns
-    or raises.  They train inline when there is one problem, one usable CPU,
-    no `fork` start method or a daemonic caller.  Either way the models are
-    the same bits, and a failing training raises its own exception, the
-    first in configuration order.
+    The distinct (examples, labels) problems train in parallel through
+    `workers.ordered_map` (inline with one problem or one usable CPU).
+    Either way the models are the same bits, and a failing training raises
+    its own exception, the first in configuration order.
     """
     threshold = compute_threshold(runtime_rows, configs)
     labels = label_examples(runtime_rows, threshold, configs)
@@ -442,7 +361,7 @@ def train_model_bundle(
         if key not in tasks:
             x = np.asarray([feat_by_id[oid].values for oid in ids], dtype=float)
             tasks[key] = (x, np.asarray(key[1], dtype=float), grid, n_folds, seed)
-    trained = dict(zip(tasks, _train_all(list(tasks.values()))))
+    trained = dict(zip(tasks, ordered_map(_train_config, list(tasks.values()))))
     models = {label: trained[key] for label, key in keys.items()}
     priorities = assign_priorities({label: m.accuracy for label, m in models.items()})
     return ModelBundle(threshold=threshold, models=models, priorities=priorities)

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import concurrent.futures
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 import pytest
 
-from ordsel import tableau
+from ordsel import tableau, workers
 from ordsel.concepts import (
     BOTTOM,
     TOP,
@@ -186,6 +189,39 @@ def searches(monkeypatch):
 
     monkeypatch.setattr(tableau, "_search", spy)
     return calls
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Spy on the pool constructor: every pool made, each with the function
+    it mapped and the tasks it was given."""
+    made = []
+
+    class SpyPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.fn, self.tasks = None, []
+            made.append(self)
+
+        def map(self, fn, *iterables, **kwargs):
+            self.fn, self.tasks = fn, list(zip(*iterables))
+            return super().map(fn, *iterables, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    return made
+
+
+def set_workers(monkeypatch, count: int) -> None:
+    """Run `workers.ordered_map` in `count` processes (at most one per task;
+    1 is inline), whatever the host's CPU count."""
+    monkeypatch.setattr(workers, "_worker_count", lambda n_tasks: min(count, n_tasks))
+
+
+@pytest.fixture
+def inline(monkeypatch):
+    """Run every `workers.ordered_map` task in this process, where the
+    test's spies can see it: a forked worker's spy records nothing here."""
+    set_workers(monkeypatch, 1)
 
 
 @pytest.fixture

@@ -4,6 +4,8 @@ filtering, the train/test split, and speedup reporting."""
 import gc
 import hashlib
 import math
+import multiprocessing
+import os
 import weakref
 
 import numpy as np
@@ -28,6 +30,7 @@ from ordsel.bench.harness import (
     speedup_report,
     split_train_test,
 )
+from ordsel.cli import main
 from ordsel.dag import encode_dag, nondeterministic_vertices
 from ordsel.heuristics import CONFIG_NUMBERS, apply_ordering, default_config, parse_config
 from ordsel.krss import parse_ontology
@@ -37,7 +40,7 @@ from ordsel.runtimes import FINISHED, INCONSISTENT, TIMEOUT, RuntimeRow, write_r
 from ordsel.tableau import satisfiability_sweep
 
 from chronological import reference_rows
-from conftest import BASIC_TEXT, random_ontology_text
+from conftest import BASIC_TEXT, random_ontology_text, set_workers
 
 # A small, fast corpus: 5 ordering-sensitive instances (one hopeless
 # all-timeout trap, the rest warm) and 5 plain ones.
@@ -210,7 +213,7 @@ def corpus8():
     return [(inst.ontology_id, inst.text) for inst in generate_corpus(CorpusSpec(count=8, seed=7))]
 
 
-def test_per_dag_state_dies_with_its_dags(corpus8, monkeypatch):
+def test_per_dag_state_dies_with_its_dags(corpus8, monkeypatch, inline):
     dags = []
 
     def encode(onto):
@@ -228,7 +231,7 @@ def test_per_dag_state_dies_with_its_dags(corpus8, monkeypatch):
     assert (len(tableau._RULES), len(tableau._ORDERINGS)) == before
 
 
-def test_second_benchmark_runs_every_search_again(corpus8, searches, monkeypatch):
+def test_second_benchmark_runs_every_search_again(corpus8, searches, monkeypatch, inline):
     tests = 0
     is_satisfiable = tableau.is_satisfiable
 
@@ -265,7 +268,7 @@ def test_repeated_texts_get_the_rows_of_texts_run_alone(repeating_corpus):
     assert [oid for oid, _ in got.parse_failures] == ["rep0", "rep2", "rep4", "rep6"]
 
 
-def test_each_distinct_text_is_parsed_once(repeating_corpus, monkeypatch):
+def test_each_distinct_text_is_parsed_once(repeating_corpus, monkeypatch, inline):
     parsed = []
 
     def parse(text):
@@ -305,6 +308,88 @@ def test_runtime_table_is_pinned(tmp_path):
 def test_run_benchmark_empty_corpus():
     with pytest.raises(ValueError):
         run_benchmark([])
+
+
+# -------------------------------------------------------- worker processes
+
+
+@pytest.fixture(scope="module")
+def corpus24():
+    return [(inst.ontology_id, inst.text) for inst in generate_corpus(CorpusSpec(count=24, seed=11))]
+
+
+@pytest.mark.parametrize("corpus_name, budget", [("repeating_corpus", 400), ("corpus24", 2000)])
+def test_pooled_benchmark_equals_inline(request, monkeypatch, pools, corpus_name, budget):
+    corpus = request.getfixturevalue(corpus_name)
+    set_workers(monkeypatch, 1)
+    inline = run_benchmark(corpus, budget=budget)
+    assert pools == []
+    set_workers(monkeypatch, 2)
+    pooled = run_benchmark(corpus, budget=budget)
+    assert len(pools) == 1 and pools[0].fn is harness._benchmark_text
+    # one task per distinct text, in corpus order
+    assert [task[0] for task in pools[0].tasks] == list(dict.fromkeys(t for _, t in corpus))
+    assert pooled == inline
+    assert multiprocessing.active_children() == []
+
+
+def _eight_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
+
+
+def test_one_distinct_text_benchmarks_inline(monkeypatch, pools):
+    _eight_cpus(monkeypatch)
+    res = run_benchmark([("a", BASIC_TEXT), ("b", BASIC_TEXT)], budget=400)
+    assert pools == []
+    assert [r.config for r in res.rows if r.ontology_id == "b"] == [
+        *CONFIG_NUMBERS, DEFAULT_LABEL
+    ]
+
+
+def test_daemonic_caller_benchmarks_inline(corpus8, monkeypatch, pools):
+    want = run_benchmark(corpus8, budget=400)
+    pools.clear()
+    _eight_cpus(monkeypatch)
+    monkeypatch.setitem(multiprocessing.current_process()._config, "daemon", True)
+    assert run_benchmark(corpus8, budget=400) == want
+    assert pools == []
+
+
+def _unencodable(onto):
+    """Stands in for `encode_dag` in forked workers too: every text fails,
+    each with a message of its own."""
+    raise ValueError(f"cannot encode {onto.source_size} bytes")
+
+
+def test_worker_exception_reaches_caller(corpus8, monkeypatch, pools):
+    monkeypatch.setattr(harness, "encode_dag", _unencodable)
+    errors = []
+    for count in (1, 2):
+        set_workers(monkeypatch, count)
+        with pytest.raises(ValueError) as info:
+            run_benchmark(corpus8, budget=400)
+        errors.append(info.value)
+    inline, pooled = errors
+    assert len(pools) == 1
+    assert type(pooled) is type(inline)
+    # the first failure in corpus order, as inline
+    first = parse_ontology(corpus8[0][1]).source_size
+    assert str(pooled) == str(inline) == f"cannot encode {first} bytes"
+    assert multiprocessing.active_children() == []
+
+
+def test_bench_cli_exits_2_when_a_worker_raises(corpus8, monkeypatch, tmp_path, capsys, pools):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for oid, text in corpus8:
+        (corpus / f"{oid}.krss").write_text(text)
+    out = tmp_path / "runtimes.csv"
+    set_workers(monkeypatch, 2)
+    assert main(["bench", "--corpus", str(corpus), "--budget", "0", "--out", str(out)]) == 2
+    assert len(pools) == 1
+    assert capsys.readouterr().err == "error: budget must be >= 1\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 # -------------------------------------------------------------- filtering

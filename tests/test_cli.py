@@ -15,7 +15,7 @@ from ordsel.bench.corpus import FAMILY_FAST, CorpusSpec, generate_corpus
 from ordsel.cli import main
 from ordsel.dag import encode_dag
 from ordsel.features import N_FEATURES, FeatureVector, extract_features, write_feature_csv
-from ordsel.heuristics import CONFIG_NUMBERS, DEFAULT_MIN_GCIS
+from ordsel.heuristics import CONFIG_NUMBERS, DEFAULT_MIN_GCIS, default_config
 from ordsel.krss import parse_ontology
 from ordsel.runtimes import RuntimeRow, read_runtime_csv, write_runtime_csv
 
@@ -169,6 +169,31 @@ def test_gci_rich_default_is_fdn_in_sweep_and_bench(tmp_path, capsys):
         rows["10"].outcome,
     )
     assert rows["1"].cost != rows["10"].cost
+
+
+_GCIS = "".join(f"(implies (and G{i} H{i}) J{i})\n" for i in range(DEFAULT_MIN_GCIS))
+
+
+@pytest.mark.parametrize(
+    "text, label",
+    [
+        (BASIC_TEXT + _GCIS, "Fdn"),
+        (BASIC_TEXT, "Sap"),
+        # more instances than the rule allows (`sat` and `sweep` reject ABoxes)
+        (BASIC_TEXT + _GCIS + "".join(f"(instance a{i} C)\n" for i in range(11)), "Sap"),
+    ],
+)
+def test_default_ordering_is_the_rule_on_the_full_features(monkeypatch, text, label):
+    onto = parse_ontology(text)
+    dag = encode_dag(onto)
+    want = default_config(extract_features(onto, dag))
+    assert want.label == label
+
+    def full_features(*args):
+        raise AssertionError("the default rule reads only numGCIs and numInstances")
+
+    monkeypatch.setattr(cli, "extract_features", full_features)
+    assert cli._ordered(dag, onto, "default").config == want
 
 
 # --------------------------------------------------------------- features
@@ -391,9 +416,8 @@ def test_deepest_nesting_needs_no_recursion(tmp_path, capsys):
         assert deep is not again and deep == again and hash(deep) == hash(again)
         # the one leaf is the last node either walk reaches
         assert deep != parse_ontology(text.replace("B)", "E)", 1)).tbox[0].rhs
-        # ordering 1 spares the default ordering's feature pass
-        assert main(["sat", "--ontology", str(path), "--class", "A", "--config", "1"]) == 0
-        assert main(["sweep", "--ontology", str(path), "--config", "1"]) == 0
+        assert main(["sat", "--ontology", str(path), "--class", "A"]) == 0
+        assert main(["sweep", "--ontology", str(path)]) == 0
     # `some` and `all` open 40,000 of the 99,999 levels below the axiom's own
     assert features["maxConceptDepth"] == 40_000
     assert capsys.readouterr().err == ""

@@ -2,7 +2,6 @@
 pipeline (threshold, labeling, cross-validation, grid search, priorities,
 selection, persistence)."""
 
-import concurrent.futures
 import ctypes
 import functools
 import json
@@ -17,8 +16,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import naive_cross_validate
+from conftest import naive_cross_validate, set_workers
 from learning_oracle import mi_from_joint
+from ordsel import workers
 from ordsel.bench.corpus import CorpusSpec, generate_corpus
 from ordsel.bench.harness import filter_eligible, run_benchmark
 from ordsel.cli import QUICK_GRID, main
@@ -546,10 +546,8 @@ def _three_configs_two_label_vectors():
     return feature_rows, runtime_rows
 
 
-def test_configs_with_equal_labels_train_once(monkeypatch):
+def test_configs_with_equal_labels_train_once(monkeypatch, inline):
     feature_rows, runtime_rows = _three_configs_two_label_vectors()
-    # inline, so the grid searches run in this process where they are counted
-    monkeypatch.setattr(pipeline, "_worker_count", lambda n_problems: 1)
     searches = []
 
     def counting(x, y, **kwargs):
@@ -575,32 +573,6 @@ def test_train_model_bundle_requires_rows():
 
 
 # ---------------------------------------------------- worker processes
-
-
-@pytest.fixture
-def pools(monkeypatch):
-    """Spy on the pool constructor: every pool made, each with the tasks it
-    was given."""
-    made = []
-
-    class SpyPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.tasks = []
-            made.append(self)
-
-        def map(self, fn, *iterables, **kwargs):
-            self.tasks = list(zip(*iterables))
-            return super().map(fn, *iterables, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
-    return made
-
-
-def _workers(monkeypatch, workers):
-    """Train in `workers` processes (at most one per problem; 1 is inline),
-    whatever the host's CPU count."""
-    monkeypatch.setattr(pipeline, "_worker_count", lambda n_problems: min(workers, n_problems))
 
 
 def _saved_bytes(bundle, path):
@@ -638,19 +610,21 @@ def _train_small_corpus(grid):
     ],
 )
 def test_pooled_bundle_bytes_equal_inline(monkeypatch, tmp_path, pools, train, grid):
-    _workers(monkeypatch, 1)
+    set_workers(monkeypatch, 1)
     inline = _saved_bytes(train(grid), tmp_path / "inline.json")
     assert pools == []
-    _workers(monkeypatch, 2)
+    set_workers(monkeypatch, 2)
     pooled = _saved_bytes(train(grid), tmp_path / "pooled.json")
-    assert len(pools) == 1 and len(pools[0].tasks) >= 2
+    # the small corpus is swept in a pool of its own first
+    trainings = [pool for pool in pools if pool.fn is pipeline._train_config]
+    assert len(trainings) == 1 and len(trainings[0].tasks) >= 2
     assert pooled == inline
     assert multiprocessing.active_children() == []
 
 
 def test_pooled_path_submits_one_task_per_label_vector(monkeypatch, pools):
     feature_rows, runtime_rows = _three_configs_two_label_vectors()
-    _workers(monkeypatch, 2)
+    set_workers(monkeypatch, 2)
     grid = [GridPoint(k=1, n_components=1, kernel="linear", c=10.0)]
     bundle = train_model_bundle(
         feature_rows, runtime_rows, grid=grid, n_folds=4, seed=0, configs=("1", "2", "3")
@@ -681,9 +655,9 @@ def _training_error(data):
 
 
 def test_worker_exception_reaches_caller(monkeypatch, pools):
-    _workers(monkeypatch, 1)
+    set_workers(monkeypatch, 1)
     inline = _training_error(_overflowing_data())
-    _workers(monkeypatch, 2)
+    set_workers(monkeypatch, 2)
     pooled = _training_error(_overflowing_data())
     assert len(pools) == 1
     assert type(pooled) is type(inline)
@@ -703,7 +677,7 @@ def test_train_cli_exits_2_when_a_worker_raises(monkeypatch, tmp_path, capsys, p
     features, runtimes, model = (str(tmp_path / n) for n in ("f.csv", "r.csv", "m.json"))
     write_feature_csv(feature_rows, features)
     write_runtime_csv(runtime_rows, runtimes)
-    _workers(monkeypatch, 2)
+    set_workers(monkeypatch, 2)
     rc = main(
         ["train", "--features", features, "--runtimes", runtimes,
          "--folds", "2", "--quick", "--out", model]
@@ -735,7 +709,7 @@ def test_trains_inline_without_a_usable_pool(monkeypatch, tmp_path, pools, condi
     want = _saved_bytes(_train_small_bundle(), tmp_path / "want.json")
     pools.clear()
     condition(monkeypatch)
-    assert pipeline._worker_count(2) == 1
+    assert workers._worker_count(2) == 1
     assert _saved_bytes(_train_small_bundle(), tmp_path / "got.json") == want
     assert pools == []
 
@@ -752,13 +726,13 @@ def test_one_problem_trains_inline(pools):
 
 def test_worker_count_follows_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-    assert [pipeline._worker_count(n) for n in (0, 1, 2, 5, 8, 12)] == [1, 1, 2, 5, 8, 8]
+    assert [workers._worker_count(n) for n in (0, 1, 2, 5, 8, 12)] == [1, 1, 2, 5, 8, 8]
     # without an affinity mask the CPU count stands in for it
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    assert pipeline._worker_count(12) == 3
+    assert workers._worker_count(12) == 3
     monkeypatch.setattr(os, "cpu_count", lambda: None)
-    assert pipeline._worker_count(12) == 1
+    assert workers._worker_count(12) == 1
 
 
 def _blas_threads():
@@ -771,7 +745,7 @@ def _blas_threads():
         return None
     for path in paths:
         lib = ctypes.CDLL(path)
-        for name in pipeline._BLAS_THREAD_SETTERS:
+        for name in workers._BLAS_THREAD_SETTERS:
             getter = getattr(lib, name.replace("_set_", "_get_"), None)
             if getter is not None:
                 getter.argtypes, getter.restype = [], ctypes.c_int
@@ -782,11 +756,11 @@ def _blas_threads():
 def test_workers_run_blas_on_one_thread(monkeypatch, pools):
     if _blas_threads() is None:
         pytest.skip("no OpenBLAS thread count to read")
-    _workers(monkeypatch, 2)
+    set_workers(monkeypatch, 2)
     _train_small_bundle()
-    assert pools[0]._initializer is pipeline._one_blas_thread
+    assert pools[0]._initializer is workers._one_blas_thread
     fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(1, mp_context=fork, initializer=pipeline._one_blas_thread) as pool:
+    with ProcessPoolExecutor(1, mp_context=fork, initializer=workers._one_blas_thread) as pool:
         assert pool.submit(_blas_threads).result(timeout=60) == 1
 
 
