@@ -30,7 +30,7 @@ from ..learn.pipeline import (
 )
 from ..learn.svm import TooFewExamples
 from ..runtimes import FINISHED, INCONSISTENT, TIMEOUT, RuntimeRow, rows_by_ontology
-from ..tableau import UnsupportedAxiom, check_supported, satisfiability_sweep
+from ..tableau import UnsupportedAxiom, check_budget, check_supported, satisfiability_sweep
 from ..workers import ordered_map
 
 DEFAULT_LABEL = "default"
@@ -72,6 +72,7 @@ def run_benchmark(
     """
     if not corpus:
         raise ValueError("empty corpus")
+    check_budget(budget)
     rows: list[RuntimeRow] = []
     features: dict[str, FeatureVector] = {}
     failures: list[tuple[str, str]] = []

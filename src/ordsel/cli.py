@@ -21,6 +21,8 @@ unparsable input, malformed CSV, model version mismatch).
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import os
 import sys
@@ -36,7 +38,13 @@ from .bench.harness import (
     split_train_test,
 )
 from .dag import encode_dag
-from .features import extract_features, profile_features, read_feature_csv, write_feature_csv
+from .features import (
+    FEATURE_NAMES,
+    extract_features,
+    profile_features,
+    read_feature_csv,
+    write_feature_csv,
+)
 from .heuristics import (
     CONFIG_NUMBERS,
     CONFIGS,
@@ -56,6 +64,7 @@ from .learn.pipeline import (
 )
 from .runtimes import read_runtime_csv, write_runtime_csv
 from .tableau import (
+    check_budget,
     check_supported,
     check_tbox_consistency,
     class_ref,
@@ -124,7 +133,7 @@ def _load_spec(path: str | None) -> CorpusSpec:
         return CorpusSpec()
     try:
         raw = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise CliError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise CliError(f"{path}: spec must be a JSON object")
@@ -139,20 +148,21 @@ def _load_spec(path: str | None) -> CorpusSpec:
         raise CliError(f"{path}: {exc}") from exc
 
 
+def _csv_text(header: tuple[str, ...], rows) -> str:
+    buf = io.StringIO()
+    w = csv.writer(buf, lineterminator="\n")
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
 def _write_ids(ids: list[str], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("id\n")
-        for oid in ids:
-            fh.write(oid + "\n")
-
-
-def _write_exclusions(log: list[tuple[str, str]], path: str) -> None:
-    _write_or_print("id,reason\n" + "".join(f"{oid},{reason}\n" for oid, reason in log), path)
+    _write_or_print(_csv_text(("id",), ([oid] for oid in ids)), path)
 
 
 def _selections_csv(choices: list[tuple[str, str]]) -> str:
-    lines = [f"{oid},{c},{config_label(CONFIGS[int(c) - 1])}\n" for oid, c in choices]
-    return "id,config,label\n" + "".join(lines)
+    rows = ((oid, c, config_label(CONFIGS[int(c) - 1])) for oid, c in choices)
+    return _csv_text(("id", "config", "label"), rows)
 
 
 def _read_corpus_dir(path: str) -> list[tuple[str, str]]:
@@ -187,11 +197,9 @@ def _cmd_sweep(args) -> int:
     check_supported(onto)
     odag = _ordered(dag, onto, args.config)
     res = satisfiability_sweep(odag, args.budget)
-    lines = ["class,outcome,steps"]
-    for name, sat in res.per_class.items():
-        lines.append(f"{name},{sat.outcome},{sat.steps}")
-    lines.append(f"#total,{'timeout' if res.timed_out else 'finished'},{res.total_steps}")
-    _write_or_print("\n".join(lines) + "\n", args.out)
+    rows = [(name, sat.outcome, sat.steps) for name, sat in res.per_class.items()]
+    rows.append(("#total", "timeout" if res.timed_out else "finished", res.total_steps))
+    _write_or_print(_csv_text(("class", "outcome", "steps"), rows), args.out)
     return 0
 
 
@@ -200,14 +208,8 @@ def _cmd_features(args) -> int:
     fv = extract_features(onto, dag)
     oid = os.path.splitext(os.path.basename(args.ontology))[0]
     if args.out is None:
-        import io
-
-        from .features import FEATURE_NAMES
-
-        buf = io.StringIO()
         for name, value in zip(FEATURE_NAMES, fv.values):
-            buf.write(f"{name},{value!r}\n")
-        sys.stdout.write(buf.getvalue())
+            print(f"{name},{value!r}")
     else:
         write_feature_csv([(oid, fv)], args.out)
     return 0
@@ -257,7 +259,7 @@ def _cmd_filter(args) -> int:
     rows = read_runtime_csv(args.runtimes)
     kept, log = filter_eligible(rows)
     write_runtime_csv(kept, args.out)
-    _write_exclusions(log, args.log)
+    _write_or_print(_csv_text(("id", "reason"), log), args.log)
     print(f"kept {len({r.ontology_id for r in kept})} ontologies, excluded {len(log)}")
     return 0
 
@@ -318,6 +320,7 @@ def _cmd_pipeline(args) -> int:
     # fail before the corpus is generated and swept, not at training time
     check_folds(args.folds)
     check_test_fraction(args.test_fraction)
+    check_budget(args.budget)
     spec = _load_spec(args.spec)
     corpus = generate_corpus(spec)
     grid = QUICK_GRID if args.quick else None
@@ -333,7 +336,7 @@ def _cmd_pipeline(args) -> int:
     join = lambda name: os.path.join(args.out_dir, name)  # noqa: E731
     write_runtime_csv(result.bench.rows, join("runtimes.csv"))
     write_feature_csv(sorted(result.bench.features.items()), join("features.csv"))
-    _write_exclusions(result.exclusions, join("exclusions.csv"))
+    _write_or_print(_csv_text(("id", "reason"), result.exclusions), join("exclusions.csv"))
     _write_ids(result.train_ids, join("train.csv"))
     _write_ids(result.test_ids, join("test.csv"))
     save_bundle(result.bundle, join("model.json"))

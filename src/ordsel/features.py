@@ -32,6 +32,7 @@ from .concepts import (
     walk,
 )
 from .dag import Dag, nondeterministic_vertices
+from .runtimes import read_csv
 
 FEATURE_NAMES: tuple[str, ...] = (
     "numNominals",
@@ -197,24 +198,17 @@ def write_feature_csv(rows: list[tuple[str, FeatureVector]], path: str) -> None:
 
 
 def read_feature_csv(path: str) -> list[tuple[str, FeatureVector]]:
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        if header != ["id", *FEATURE_NAMES]:
-            raise ValueError(f"unexpected feature CSV header in {path}")
-        rows = []
-        seen: set[str] = set()
-        for row in r:
-            try:
-                if len(row) != 1 + N_FEATURES:
-                    raise ValueError(f"expected {1 + N_FEATURES} fields, got {len(row)}")
-                if row[0] in seen:
-                    raise ValueError(f"duplicate id {row[0]!r}")
-                seen.add(row[0])
-                values = tuple(float(x) for x in row[1:])
-                if not all(math.isfinite(v) for v in values):
-                    raise ValueError("feature values must be finite")
-                rows.append((row[0], FeatureVector(values)))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {r.line_num}: {exc}") from exc
-        return rows
+    seen: set[str] = set()
+
+    def parse(row: list[str]) -> tuple[str, FeatureVector]:
+        if len(row) != 1 + N_FEATURES:
+            raise ValueError(f"expected {1 + N_FEATURES} fields, got {len(row)}")
+        if row[0] in seen:
+            raise ValueError(f"duplicate id {row[0]!r}")
+        seen.add(row[0])
+        values = tuple(float(x) for x in row[1:])
+        if not all(math.isfinite(v) for v in values):
+            raise ValueError("feature values must be finite")
+        return row[0], FeatureVector(values)
+
+    return read_csv(path, ["id", *FEATURE_NAMES], parse)

@@ -16,13 +16,22 @@ classifier votes negative.
 The configurations' trainings are independent, so `train_model_bundle` runs
 them through `workers.ordered_map`, the one pool of forked worker processes
 that the benchmark sweep uses too; the models are the same bits as inline.
+
+`save_bundle` writes `model.json`.  Its top level is spelled out key by key,
+so side data that `ConfigModel` or `ModelBundle` may gain stays out of the
+file.  Below it, each `GridPoint`, `FittedPipeline` and `SvmModel` is written
+field by field under the field's own name, and `load_bundle` rebuilds it from
+those names.  The float-array fields (`scaler_mean`, `scaler_std`,
+`pca_mean`, `pca_components`, and the SVM's `x`, `y` and `alpha`) are written
+as nested lists.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+import sys
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -116,7 +125,7 @@ class FittedPipeline:
     scaler_std: np.ndarray = field(repr=False)
     pca_mean: np.ndarray = field(repr=False)
     pca_components: np.ndarray = field(repr=False)
-    model: SvmModel | None
+    svm: SvmModel | None
     constant: float | None = None
 
     def transform(self, x: np.ndarray) -> np.ndarray:
@@ -128,7 +137,7 @@ class FittedPipeline:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         if self.constant is not None:
             return np.full(x.shape[0], self.constant)
-        return svm_predict(self.model, self.transform(x))
+        return svm_predict(self.svm, self.transform(x))
 
 
 def _transform_shape(scores: np.ndarray, n_rows: int, params: GridPoint) -> tuple:
@@ -145,7 +154,7 @@ def _fit_transforms(x: np.ndarray, selected: tuple, n_comp: int) -> tuple:
     mean, std = fit_scaler(sub)
     scaled = apply_scaler(sub, mean, std)
     pmean, comps = pca_fit(scaled, n_comp)
-    prep = FittedPipeline(selected, mean, std, pmean, comps, model=None)
+    prep = FittedPipeline(selected, mean, std, pmean, comps, svm=None)
     return prep, pca_transform(scaled, pmean, comps)
 
 
@@ -157,7 +166,7 @@ def fit_config_pipeline(x: np.ndarray, y: np.ndarray, params: GridPoint) -> Fitt
         raise SingleClass("training labels contain a single class")
     prep, reduced = _fit_transforms(x, *_transform_shape(mutual_information(x, y), len(x), params))
     model = svm_train(reduced, y, kernel=params.kernel, c=params.c, gamma=params.gamma)
-    return replace(prep, model=model)
+    return replace(prep, svm=model)
 
 
 # -------------------------------------------------------- cross-validation
@@ -314,7 +323,7 @@ def _train_config(
             scaler_std=np.zeros(0),
             pca_mean=np.zeros(0),
             pca_components=np.zeros((0, 0)),
-            model=None,
+            svm=None,
             constant=float(y[0]),
         )
         return ConfigModel(params=None, accuracy=1.0, pipeline=pipeline)
@@ -408,55 +417,25 @@ def f_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
 # ------------------------------------------------------------ persistence
 
 
-def _pipeline_to_json(p: FittedPipeline) -> dict:
-    d: dict = {
-        "selected": list(p.selected),
-        "scaler_mean": p.scaler_mean.tolist(),
-        "scaler_std": p.scaler_std.tolist(),
-        "pca_mean": p.pca_mean.tolist(),
-        "pca_components": p.pca_components.tolist(),
-        "constant": p.constant,
-    }
-    if p.model is not None:
-        d["svm"] = {
-            "kernel": p.model.kernel,
-            "c": p.model.c,
-            "gamma": p.model.gamma,
-            "x": p.model.x.tolist(),
-            "y": p.model.y.tolist(),
-            "alpha": p.model.alpha.tolist(),
-            "bias": p.model.bias,
-        }
-    else:
-        d["svm"] = None
-    return d
+# The leaf-record fields that hold float arrays; every other field is saved
+# and loaded as the JSON value it is.
+_FLOAT_ARRAYS = {"scaler_mean", "scaler_std", "pca_mean", "pca_components", "x", "y", "alpha"}
+
+
+def _record(cls, d: dict):
+    """The leaf record `cls` from its saved fields: a missing one raises
+    KeyError, and extra keys are ignored."""
+    return cls(**{
+        f.name: np.asarray(d[f.name], dtype=float) if f.name in _FLOAT_ARRAYS else d[f.name]
+        for f in fields(cls)
+    })
 
 
 def _pipeline_from_json(d: dict) -> FittedPipeline:
-    svm = d["svm"]
-    model = None
-    if svm is not None:
-        model = SvmModel(
-            kernel=svm["kernel"],
-            c=svm["c"],
-            gamma=svm["gamma"],
-            x=np.asarray(svm["x"], dtype=float),
-            y=np.asarray(svm["y"], dtype=float),
-            alpha=np.asarray(svm["alpha"], dtype=float),
-            bias=svm["bias"],
-        )
-    comps = np.asarray(d["pca_components"], dtype=float)
-    if comps.size == 0:
-        comps = comps.reshape((0, 0))
-    return FittedPipeline(
-        selected=tuple(d["selected"]),
-        scaler_mean=np.asarray(d["scaler_mean"], dtype=float),
-        scaler_std=np.asarray(d["scaler_std"], dtype=float),
-        pca_mean=np.asarray(d["pca_mean"], dtype=float),
-        pca_components=comps,
-        model=model,
-        constant=d["constant"],
-    )
+    p = _record(FittedPipeline, d)
+    comps = p.pca_components if p.pca_components.size else np.zeros((0, 0))
+    svm = None if p.svm is None else _record(SvmModel, p.svm)
+    return replace(p, selected=tuple(p.selected), pca_components=comps, svm=svm)
 
 
 def _check_pipeline(label: str, p: FittedPipeline) -> None:
@@ -469,27 +448,27 @@ def _check_pipeline(label: str, p: FittedPipeline) -> None:
     k = len(p.selected)
     if any(type(i) is not int or not 0 <= i < len(FEATURE_NAMES) for i in p.selected):
         raise CorruptModel(f"model {label}: selected feature index out of range")
-    if (p.model is None) == (p.constant is None):
+    if (p.svm is None) == (p.constant is None):
         raise CorruptModel(f"model {label}: needs exactly one of an SVM and a constant")
     comps = p.pca_components
     shapes = p.scaler_mean.shape == p.scaler_std.shape == p.pca_mean.shape == (k,)
     shapes = shapes and comps.ndim == 2 and comps.shape[1] == k
-    if p.model is not None:
-        y = p.model.y
-        shapes = shapes and y.ndim == 1 and p.model.alpha.shape == y.shape
-        shapes = shapes and p.model.x.shape == (len(y), comps.shape[0])
+    if p.svm is not None:
+        y = p.svm.y
+        shapes = shapes and y.ndim == 1 and p.svm.alpha.shape == y.shape
+        shapes = shapes and p.svm.x.shape == (len(y), comps.shape[0])
     if not shapes:
         raise CorruptModel(f"model {label}: array shapes disagree with {k} selected features")
     arrays = [p.scaler_mean, p.scaler_std, p.pca_mean, comps]
-    if p.model is not None:
-        arrays += [p.model.x, p.model.y, p.model.alpha]
+    if p.svm is not None:
+        arrays += [p.svm.x, p.svm.y, p.svm.alpha]
     if not all(np.isfinite(a).all() for a in arrays):
         raise CorruptModel(f"model {label}: arrays hold non-finite values")
-    if p.model is None:
+    if p.svm is None:
         if not (_finite_number(p.constant) and p.constant in (GOOD, BAD)):
             raise CorruptModel(f"model {label}: constant prediction is not +1 or -1")
         return
-    m = p.model
+    m = p.svm
     if m.kernel not in (LINEAR, RBF):
         raise CorruptModel(f"model {label}: unknown kernel {m.kernel!r}")
     if m.kernel == RBF and not (_finite_number(m.gamma) and m.gamma > 0):
@@ -504,7 +483,8 @@ def _check_pipeline(label: str, p: FittedPipeline) -> None:
 
 
 def _finite_number(v) -> bool:
-    return type(v) in (int, float) and math.isfinite(v)
+    # an int past the float range is as unusable as inf
+    return type(v) in (int, float) and abs(v) <= sys.float_info.max
 
 
 def save_bundle(bundle: ModelBundle, path: str) -> None:
@@ -515,23 +495,15 @@ def save_bundle(bundle: ModelBundle, path: str) -> None:
         "priorities": bundle.priorities,
         "models": {
             label: {
-                "params": None
-                if m.params is None
-                else {
-                    "k": m.params.k,
-                    "n_components": m.params.n_components,
-                    "kernel": m.params.kernel,
-                    "c": m.params.c,
-                    "gamma": m.params.gamma,
-                },
+                "params": None if m.params is None else asdict(m.params),
                 "accuracy": m.accuracy,
-                "pipeline": _pipeline_to_json(m.pipeline),
+                "pipeline": asdict(m.pipeline),
             }
             for label, m in bundle.models.items()
         },
     }
     with open(path, "w") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        json.dump(doc, fh, sort_keys=True, indent=1, default=np.ndarray.tolist)
         fh.write("\n")
 
 
@@ -539,7 +511,7 @@ def load_bundle(path: str) -> ModelBundle:
     try:
         with open(path) as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise CorruptModel(f"cannot read model bundle: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc:
         raise CorruptModel("model bundle lacks a version field")
@@ -547,33 +519,20 @@ def load_bundle(path: str) -> ModelBundle:
         raise VersionMismatch(
             f"model format {doc['version']!r}, expected {MODEL_FORMAT_VERSION!r}"
         )
+    if doc.get("feature_names") != list(FEATURE_NAMES):
+        raise CorruptModel("model bundle was trained on a different feature schema")
     try:
-        if doc["feature_names"] != list(FEATURE_NAMES):
-            raise CorruptModel("model bundle was trained on a different feature schema")
-        models: dict[str, ConfigModel] = {}
-        for label, m in doc["models"].items():
-            params = None
-            if m["params"] is not None:
-                pd = m["params"]
-                params = GridPoint(
-                    k=pd["k"],
-                    n_components=pd["n_components"],
-                    kernel=pd["kernel"],
-                    c=pd["c"],
-                    gamma=pd["gamma"],
-                )
-            models[label] = ConfigModel(
-                params=params,
+        models = {
+            label: ConfigModel(
+                params=None if m["params"] is None else _record(GridPoint, m["params"]),
                 accuracy=m["accuracy"],
                 pipeline=_pipeline_from_json(m["pipeline"]),
             )
+            for label, m in doc["models"].items()
+        }
         priorities = dict(doc["priorities"].items())
-        bundle = ModelBundle(
-            threshold=float(doc["threshold"]), models=models, priorities=priorities
-        )
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        if isinstance(exc, (VersionMismatch, CorruptModel)):
-            raise
+        bundle = ModelBundle(float(doc["threshold"]), models, priorities)
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise CorruptModel(f"malformed model bundle: {exc}") from exc
     if not math.isfinite(bundle.threshold):
         raise CorruptModel("model bundle threshold is not finite")

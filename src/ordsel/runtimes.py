@@ -41,25 +41,33 @@ def write_runtime_csv(rows: list[RuntimeRow], path: str) -> None:
             w.writerow((r.ontology_id, r.config, repr(r.cost), r.outcome))
 
 
-def read_runtime_csv(path: str) -> list[RuntimeRow]:
+def read_csv(path: str, header: list[str], parse) -> list:
+    """`parse` of every row under `header` in a CSV file.  A wrong header, a
+    line the csv module cannot read (a field over its size limit, say) or a
+    row `parse` rejects with ValueError raises ValueError naming the path
+    and the line."""
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r, None)
-        if header != ["id", "config", "cost", "outcome"]:
-            raise ValueError(f"unexpected runtime CSV header in {path}")
-        rows = []
-        seen: set[tuple[str, str]] = set()
-        for row in r:
-            try:
-                if len(row) != 4:
-                    raise ValueError(f"expected 4 fields, got {len(row)}")
-                if (row[0], row[1]) in seen:
-                    raise ValueError(f"duplicate row for id {row[0]!r} under config {row[1]!r}")
-                seen.add((row[0], row[1]))
-                rows.append(RuntimeRow(row[0], row[1], float(row[2]), row[3]))
-            except ValueError as exc:
-                raise ValueError(f"{path}, line {r.line_num}: {exc}") from exc
-        return rows
+        try:
+            if next(r, None) != header:
+                raise ValueError("unexpected CSV header")
+            return [parse(row) for row in r]
+        except (ValueError, csv.Error) as exc:
+            raise ValueError(f"{path}, line {max(r.line_num, 1)}: {exc}") from exc
+
+
+def read_runtime_csv(path: str) -> list[RuntimeRow]:
+    seen: set[tuple[str, str]] = set()
+
+    def parse(row: list[str]) -> RuntimeRow:
+        if len(row) != 4:
+            raise ValueError(f"expected 4 fields, got {len(row)}")
+        if (row[0], row[1]) in seen:
+            raise ValueError(f"duplicate row for id {row[0]!r} under config {row[1]!r}")
+        seen.add((row[0], row[1]))
+        return RuntimeRow(row[0], row[1], float(row[2]), row[3])
+
+    return read_csv(path, ["id", "config", "cost", "outcome"], parse)
 
 
 def rows_by_ontology(rows: list[RuntimeRow]) -> dict[str, list[RuntimeRow]]:

@@ -481,6 +481,12 @@ def _search(t: _Tables, target: int | None, budget: int) -> SatResult:
         return SatResult(BUDGET_EXCEEDED, steps, branch_points)
 
 
+def check_budget(budget: int) -> None:
+    """Reject a step budget under which no class test can run."""
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+
+
 def is_satisfiable(odag: OrderedDag, target: Ref | None, budget: int) -> SatResult:
     """Satisfiability of a signed reference w.r.t. the encoded TBox.
 
@@ -489,7 +495,7 @@ def is_satisfiable(odag: OrderedDag, target: Ref | None, budget: int) -> SatResu
     again only if a row its search reads differs (module docstring).
     """
     if budget < 1:
-        raise ValueError("budget must be >= 1")
+        check_budget(budget)  # raises; no call on the common path
     o = _ORDERINGS.get(odag) or _ordering(odag)
     rules, moved = o.rules, o.moved
     packed = None if target is None else 2 * target[0] + target[1]

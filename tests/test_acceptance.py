@@ -129,7 +129,7 @@ def _replay_bundle(costs):
             scaler_std=np.zeros(0),
             pca_mean=np.zeros(0),
             pca_components=np.zeros((0, 0)),
-            model=None,
+            svm=None,
             constant=labels[c]["s"],
         )
         models[c] = ConfigModel(params=None, accuracy=CV_ACCURACIES[i], pipeline=pipeline)

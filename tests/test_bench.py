@@ -378,16 +378,36 @@ def test_worker_exception_reaches_caller(corpus8, monkeypatch, pools):
     assert multiprocessing.active_children() == []
 
 
+def _corpus_dir(corpus, tmp_path):
+    path = tmp_path / "corpus"
+    path.mkdir()
+    for oid, text in corpus:
+        (path / f"{oid}.krss").write_text(text)
+    return str(path)
+
+
 def test_bench_cli_exits_2_when_a_worker_raises(corpus8, monkeypatch, tmp_path, capsys, pools):
-    corpus = tmp_path / "corpus"
-    corpus.mkdir()
-    for oid, text in corpus8:
-        (corpus / f"{oid}.krss").write_text(text)
+    monkeypatch.setattr(harness, "encode_dag", _unencodable)
     out = tmp_path / "runtimes.csv"
     set_workers(monkeypatch, 2)
-    assert main(["bench", "--corpus", str(corpus), "--budget", "0", "--out", str(out)]) == 2
+    assert main(["bench", "--corpus", _corpus_dir(corpus8, tmp_path), "--out", str(out)]) == 2
     assert len(pools) == 1
+    first = parse_ontology(corpus8[0][1]).source_size
+    assert capsys.readouterr().err == f"error: cannot encode {first} bytes\n"
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_bench_cli_refuses_a_budget_below_1_before_any_pool(
+    corpus8, monkeypatch, tmp_path, capsys, pools, budget
+):
+    out = tmp_path / "runtimes.csv"
+    set_workers(monkeypatch, 2)
+    argv = ["bench", "--corpus", _corpus_dir(corpus8, tmp_path), "--budget", budget]
+    assert main(argv + ["--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: budget must be >= 1\n"
+    assert pools == []
     assert not out.exists()
     assert multiprocessing.active_children() == []
 

@@ -4,7 +4,9 @@ Success paths must exit 0 and produce the documented artifacts; validation
 failures (bad flags, unreadable input, malformed CSV, corrupt models) must
 exit 2 with a diagnostic on stderr rather than raising."""
 
+import csv
 import json
+import multiprocessing
 import os
 
 import numpy as np
@@ -14,12 +16,19 @@ from ordsel import cli
 from ordsel.bench.corpus import FAMILY_FAST, CorpusSpec, generate_corpus
 from ordsel.cli import main
 from ordsel.dag import encode_dag
-from ordsel.features import N_FEATURES, FeatureVector, extract_features, write_feature_csv
+from ordsel.features import (
+    FEATURE_NAMES,
+    N_FEATURES,
+    FeatureVector,
+    extract_features,
+    read_feature_csv,
+    write_feature_csv,
+)
 from ordsel.heuristics import CONFIG_NUMBERS, DEFAULT_MIN_GCIS, default_config
 from ordsel.krss import parse_ontology
 from ordsel.runtimes import RuntimeRow, read_runtime_csv, write_runtime_csv
 
-from conftest import BASIC_TEXT
+from conftest import BASIC_TEXT, set_workers
 from test_tableau import _default_recursion_limit
 
 SPEC = {"count": 10, "seed": 3, "all_timeout_count": 1, "hot_fraction": 0.0}
@@ -462,6 +471,85 @@ def test_bad_runtime_csv_exits_2(tmp_path, capsys, command, body, message):
     assert message in err
 
 
+# A field over the csv module's 131,072-character limit is a csv.Error, which
+# is no ValueError; it used to end in a traceback.
+@pytest.mark.parametrize("command", ["filter", "split", "report", "train", "predict"])
+def test_oversized_csv_field_exits_2(trained, tmp_path, capsys, command):
+    bad = tmp_path / "bad.csv"
+    if command in ("train", "predict"):
+        header = ",".join(["id", *FEATURE_NAMES])
+        bad.write_text(f"{header}\n{'x' * 200_000}{',0.0' * N_FEATURES}\n")
+    else:
+        bad.write_text(f"id,config,cost,outcome\n{'x' * 200_000},1,1.0,finished\n")
+    out = str(tmp_path / "out.csv")
+    argv = {
+        "filter": ["--runtimes", str(bad), "--out", out, "--log", str(tmp_path / "log.csv")],
+        "split": ["--runtimes", str(bad), "--train-out", out, "--test-out", out],
+        "report": ["--learned", str(bad), "--standard", str(bad), "--budget", "10"],
+        "train": ["--features", str(bad), "--runtimes", trained["runtimes"], "--out", out],
+        "predict": ["--features", str(bad), "--model", trained["model"], "--out", out],
+    }[command]
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {bad}, line 2: field larger than field limit (131072)"]
+    assert not os.path.exists(out)
+
+
+# JSON nested past the recursion limit used to end in a RecursionError
+# traceback.
+@pytest.mark.parametrize("command", ["predict", "gen-corpus", "pipeline"])
+def test_deeply_nested_json_exits_2(trained, tmp_path, capsys, command):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    out = tmp_path / "out"
+    argv = {
+        "predict": ["--features", trained["features"], "--model", str(deep)],
+        "gen-corpus": ["--spec", str(deep), "--out", str(out)],
+        "pipeline": ["--spec", str(deep), "--quick", "--out-dir", str(out)],
+    }[command]
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+    assert "maximum recursion depth exceeded" in err[0]
+    assert not out.exists()
+
+
+# An id holding a comma and a quote, as a corpus file named `on,"t1.krss`
+# gives, must come back whole from every CSV the CLI writes.
+ODD_ID = 'on,"t1'
+
+
+def test_odd_ids_round_trip_through_filter_split_and_predict(trained, tmp_path):
+    rows = [RuntimeRow(ODD_ID, c, 500.0, "timeout") for c in CONFIG_NUMBERS]
+    rows += [RuntimeRow(f"o{i}", "1", 1.0, "finished") for i in range(7)]
+    runtimes = str(tmp_path / "r.csv")
+    write_runtime_csv(rows, runtimes)
+
+    def table(path):
+        with open(path, newline="") as fh:
+            return list(csv.reader(fh))
+
+    log = str(tmp_path / "log.csv")
+    argv = ["filter", "--runtimes", runtimes, "--out", str(tmp_path / "kept.csv"), "--log", log]
+    assert main(argv) == 0
+    assert table(log) == [["id", "reason"], [ODD_ID, "all-timeout"]]
+
+    train, test = str(tmp_path / "train.csv"), str(tmp_path / "test.csv")
+    argv = ["split", "--runtimes", runtimes, "--train-out", train, "--test-out", test]
+    assert main(argv) == 0
+    ids = table(train)[1:] + table(test)[1:]
+    assert sorted(ids) == sorted([[ODD_ID]] + [[f"o{i}"] for i in range(7)])
+
+    features = read_feature_csv(trained["features"])
+    features[0] = (ODD_ID, features[0][1])
+    odd_features = str(tmp_path / "f.csv")
+    write_feature_csv(features, odd_features)
+    selections = str(tmp_path / "sel.csv")
+    argv = ["predict", "--features", odd_features, "--model", trained["model"]]
+    assert main(argv + ["--out", selections]) == 0
+    assert [row[0] for row in table(selections)] == ["id"] + [oid for oid, _ in features]
+
+
 def test_filter_has_no_closeness_option():
     with pytest.raises(SystemExit) as exc:
         main(["filter", "--runtimes", "r.csv", "--out", "o.csv", "--log", "l.csv",
@@ -594,6 +682,21 @@ def test_pipeline_rejects_fewer_than_two_folds(tmp_path, capsys, monkeypatch):
             "--out-dir", str(tmp_path / "run")]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: need at least 2 folds, got 1\n"
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_pipeline_rejects_a_budget_below_1_before_generating(
+    tmp_path, capsys, monkeypatch, pools, budget
+):
+    monkeypatch.setattr(cli, "generate_corpus", _no_corpus)
+    set_workers(monkeypatch, 2)
+    out = tmp_path / "run"
+    argv = ["pipeline", "--budget", budget, "--quick", "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: budget must be >= 1\n"
+    assert pools == []
+    assert not out.exists()
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("fraction", ["1.5", "0", "nan"])

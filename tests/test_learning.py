@@ -3,7 +3,9 @@ pipeline (threshold, labeling, cross-validation, grid search, priorities,
 selection, persistence)."""
 
 import ctypes
+import dataclasses
 import functools
+import hashlib
 import json
 import math
 import multiprocessing
@@ -53,6 +55,7 @@ from ordsel.learn.pipeline import (
 )
 from ordsel.learn.svm import (
     SingleClass,
+    SvmModel,
     TooFewExamples,
     svm_decision,
     svm_predict,
@@ -430,7 +433,7 @@ def _const_pipeline(value):
         scaler_std=np.zeros(0),
         pca_mean=np.zeros(0),
         pca_components=np.zeros((0, 0)),
-        model=None,
+        svm=None,
         constant=value,
     )
 
@@ -778,14 +781,35 @@ def test_daemonic_process_trains_inline(tmp_path):
 # ------------------------------------------------------------ persistence
 
 
+def _assert_same_record(a, b, where):
+    """Every field of two records equal, nested records field by field and
+    arrays by shape and value."""
+    assert type(a) is type(b), where
+    for f in dataclasses.fields(a):
+        x, y = getattr(a, f.name), getattr(b, f.name)
+        if dataclasses.is_dataclass(x):
+            _assert_same_record(x, y, f"{where}.{f.name}")
+        elif isinstance(x, np.ndarray):
+            assert y.dtype == x.dtype and np.array_equal(x, y), f"{where}.{f.name}"
+        else:
+            assert type(y) is type(x) and y == x, f"{where}.{f.name}"
+
+
 def test_save_load_round_trip(tmp_path):
-    bundle = _train_small_bundle()
+    trained = _train_small_bundle()
+    # one trained SVM and one constant model
+    constant = ConfigModel(params=None, accuracy=1.0, pipeline=_const_pipeline(BAD))
+    bundle = dataclasses.replace(trained, models={"1": trained.models["1"], "2": constant})
     path = str(tmp_path / "model.json")
     save_bundle(bundle, path)
     loaded = load_bundle(path)
     assert loaded.threshold == bundle.threshold
     assert loaded.priorities == bundle.priorities
     assert tuple(loaded.models) == tuple(bundle.models)
+    for label, m in bundle.models.items():
+        _assert_same_record(m, loaded.models[label], f"models[{label}]")
+    assert loaded.models["1"].pipeline.svm is not None
+    assert loaded.models["2"].pipeline.pca_components.shape == (0, 0)
     feature_rows, _ = _bundle_training_data()
     for oid, fv in feature_rows:
         assert predict_labels(loaded, fv) == predict_labels(bundle, fv), oid
@@ -829,6 +853,34 @@ def _small_bundle_json() -> bytes:
     """The small bundle as saved, trained once for all the load tests."""
     with tempfile.TemporaryDirectory() as tmp:
         return _saved_bytes(_train_small_bundle(), Path(tmp) / "model.json")
+
+
+def test_small_bundle_bytes_are_pinned():
+    # any change to the saved format or to the learner's arithmetic shows here
+    assert hashlib.sha256(_small_bundle_json()).hexdigest() == (
+        "1595ddba862c6dc6d96462a4a22446013a6fc492a7e3db09f110e03fad445e3e"
+    )
+
+
+def _leaf_fields(record, doc_path):
+    return [(doc_path, f.name) for f in dataclasses.fields(record)]
+
+
+@pytest.mark.parametrize(
+    "doc_path, key",
+    _leaf_fields(GridPoint, ("params",))
+    + _leaf_fields(FittedPipeline, ("pipeline",))
+    + _leaf_fields(SvmModel, ("pipeline", "svm")),
+)
+def test_load_rejects_a_missing_field(tmp_path, doc_path, key):
+    def edit(doc):
+        record = doc["models"]["1"]
+        for step in doc_path:
+            record = record[step]
+        del record[key]
+
+    with pytest.raises(CorruptModel, match="malformed"):
+        _load_edited(tmp_path, edit)
 
 
 def _load_edited(tmp_path, edit):
