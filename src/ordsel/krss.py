@@ -8,7 +8,8 @@ Axiom forms, one s-expression per axiom, ``;`` starts a comment:
 
 Concepts use ``*top*``, ``*bottom*``, bare names, ``(not C)``,
 ``(and C1 C2 ...)``, ``(or C1 C2 ...)``, ``(some r C)``, ``(all r C)``.
-Binary and/or chains are flattened into n-ary nodes while parsing.
+Binary and/or chains are flattened into n-ary nodes while parsing, each
+chain once, when its outermost form closes.
 
 The reader is one loop over the tokens with a stack of open forms; a form
 becomes its concept or axiom when it closes.  A name is declared when its
@@ -93,11 +94,31 @@ class _Form(NamedTuple):
     box: int = -1
 
 
+def _leaves(args: tuple) -> list:
+    """The arguments of a chain of nested same-operator forms, in order: an
+    inner form's argument list stands in the chain for its arguments."""
+    leaves, stack = [], [iter(args)]
+    while stack:
+        for arg in stack[-1]:
+            if type(arg) is list:
+                stack.append(iter(arg))
+                break
+            leaves.append(arg)
+        else:
+            stack.pop()
+    return leaves
+
+
 _TBOX, _RBOX, _ABOX = range(3)
+# A nested and/or form directly inside one of its own kind hands its argument
+# list up, and the chain's outermost form flattens it once: building every
+# level would copy the flattened inner children at each (quadratic time).
+_AND = _Form((_CLASS, _CLASS), _CLASS, "at least two concepts", lambda *a: conj(_leaves(a)))
+_OR = _Form((_CLASS, _CLASS), _CLASS, "at least two concepts", lambda *a: disj(_leaves(a)))
 _CONCEPT_FORMS = {
     "not": _Form((_CLASS,), None, "one concept", Not),
-    "and": _Form((_CLASS, _CLASS), _CLASS, "at least two concepts", lambda *a: conj(a)),
-    "or": _Form((_CLASS, _CLASS), _CLASS, "at least two concepts", lambda *a: disj(a)),
+    "and": _AND,
+    "or": _OR,
     "some": _Form((_ROLE, _CLASS), None, "a role and a concept", Some),
     "all": _Form((_ROLE, _CLASS), None, "a role and a concept", All),
 }
@@ -166,6 +187,8 @@ def parse_ontology(text: str) -> Ontology:
                 fail(opened, ParseError, f"expected an {_FORM_NAME[slot]}")
             elif len(args) < len(form.slots) or form.rest is None and len(args) > len(form.slots):
                 fail(head, ParseError, f"'{toks[head]}' takes {form.takes}")
+            elif first is None and stack and stack[-1][1] is form and (form is _AND or form is _OR):
+                value = args  # flattened by the chain's outermost form
             elif first is None:
                 value = form.build(*args)
             if stack:

@@ -1,32 +1,25 @@
 """One pool of forked worker processes, for the benchmark sweep and training.
 
-`ordered_map` runs tasks in one worker per CPU this process may use, at most
-one per task, each with BLAS on one thread.  Workers are forked, not
-spawned: a spawned one would import numpy and ordsel again (about 0.2 s).
-Results are those of running inline, which happens with one task, one usable
-CPU, no `fork` start method, or a daemonic caller (which may have no
-children).  There is no option for it.
-"""
+`ordered_map` runs tasks in one worker per usable CPU, at most one per task,
+each with BLAS on one thread.  Workers inherit the function and the tasks
+through the fork: a 4-byte task index goes out on a worker's task pipe and a
+length-prefixed pickle of the result comes back on its result pipe."""
 
-from __future__ import annotations
-
+import contextlib
 import os
+import pickle
+import sys
 
-# Names of OpenBLAS's thread-count setter: plain, and as numpy's wheels
-# build it (64-bit integers, `scipy_` prefix).
+# OpenBLAS's thread-count setter, plain and as numpy's wheels build it.
 _BLAS_THREAD_SETTERS = tuple(
-    f"{prefix}openblas_set_num_threads{suffix}"
-    for prefix in ("", "scipy_")
-    for suffix in ("", "64_", "_64")
+    f"{p}openblas_set_num_threads{s}" for p in ("", "scipy_") for s in ("", "64_", "_64")
 )
 
 
 def _one_blas_thread() -> None:
-    """Pool initializer: run this worker's BLAS on one thread.  The workers
-    already fill the CPUs, and a second OpenBLAS thread in each spins on a
-    CPU another worker needs (`QUICK_GRID` training ran about 2.5 times
-    slower than inline on 2 CPUs).  Finds OpenBLAS among the mapped
-    libraries (Linux); does nothing where it cannot."""
+    """Run this worker's BLAS on one thread: the workers fill the CPUs, and a
+    second thread in each made `QUICK_GRID` training 2.5 times slower on 2
+    CPUs.  Finds OpenBLAS among the mapped libraries (Linux), if it can."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
@@ -45,37 +38,102 @@ def _one_blas_thread() -> None:
 
 
 def _worker_count(n_tasks: int) -> int:
-    """Worker processes for `n_tasks` independent tasks: one per CPU this
-    process may use, at most one per task.  1 means run inline: also when
-    there is no `fork` start method or the caller is a daemonic process."""
+    """Workers for `n_tasks` tasks: one per usable CPU, at most one per task;
+    1 (inline) where this platform cannot fork."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
         cpus = os.cpu_count() or 1
-    workers = min(cpus, n_tasks)
-    if workers < 2:
-        return 1
-    import multiprocessing
+    return max(1, min(cpus, n_tasks)) if hasattr(os, "fork") else 1
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 1
-    if multiprocessing.current_process().daemon:
-        return 1
-    return workers
+
+def _serve(fn, tasks: list[tuple], inbox: int, outbox: int) -> None:
+    """A worker: answer each task index read from `inbox` with the pickled
+    `(index, ok, value)` on `outbox`, and exit once `inbox` closes."""
+    try:
+        _one_blas_thread()
+        with open(inbox, "rb") as indices, open(outbox, "wb") as out:
+            while len(raw := indices.read(4)) == 4:
+                i = int.from_bytes(raw, "little")
+                try:
+                    message = (i, True, fn(*tasks[i]))
+                except Exception as exc:
+                    message = (i, False, exc)
+                try:
+                    data = pickle.dumps(message)
+                    if not message[1]:  # an exception must also load back
+                        pickle.loads(data)
+                except Exception as exc:
+                    error = pickle.PicklingError(f"task {i}: cannot send back {message[2]!r}: {exc}")
+                    data = pickle.dumps((i, False, error))
+                out.write(len(data).to_bytes(8, "little") + data)
+                out.flush()
+    finally:
+        with contextlib.suppress(Exception):
+            sys.stdout.flush()
+            sys.stderr.flush()
+        os._exit(0)
+
+
+def _pool_map(fn, tasks: list[tuple], workers: int) -> list:
+    """`ordered_map` in `workers` forked processes, the tasks sent in order."""
+    import selectors  # here, like `signal`: a process that never pools skips them
+    import signal
+    sys.stdout.flush()  # else every worker writes what is buffered again
+    sys.stderr.flush()
+    results, failed = [None] * len(tasks), len(tasks)  # values or errors; lowest failed
+    pids, ends = [], []  # each worker's pid; its task and result pipes, in turn
+    done = False
+    try:
+        for _ in range(workers):
+            (task_r, task_w), (result_r, result_w) = os.pipe(), os.pipe()
+            ends += (open(task_w, "wb", buffering=0), open(result_r, "rb"))
+            try:
+                if (pid := os.fork()) == 0:
+                    for end in ends:  # the parent's
+                        end.close()
+                    _serve(fn, tasks, task_r, result_w)
+                pids.append(pid)
+            finally:
+                os.close(task_r)
+                os.close(result_w)
+        with selectors.DefaultSelector() as selector:
+            for sent, (task, result) in enumerate(zip(ends[::2], ends[1::2])):
+                task.write(sent.to_bytes(4, "little"))
+                selector.register(result, selectors.EVENT_READ, [task, sent])
+            while selector.get_map():
+                for key, _ in selector.select():
+                    task, i = key.data
+                    size = int.from_bytes(header := key.fileobj.read(8), "little")
+                    if len(header) == 8 and len(data := key.fileobj.read(size)) == size:
+                        ok, results[i] = pickle.loads(data)[1:]
+                    else:
+                        ok, results[i] = False, ChildProcessError(f"a worker died running task {i}")
+                    failed = failed if ok else min(failed, i)
+                    if (sent := sent + 1) < failed:
+                        task.write(sent.to_bytes(4, "little"))
+                        key.data[1] = sent
+                    else:
+                        selector.unregister(key.fileobj)
+        done = True
+    finally:
+        for end in ends:
+            end.close()
+        for pid in pids:
+            if not done:  # the caller was interrupted: no answer will be read
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failed < len(tasks):
+        raise results[failed]
+    return results
 
 
 def ordered_map(fn, tasks: list[tuple]) -> list:
-    """`fn(*task)` for every task, in task order; workers get `fn` pickled by
-    name.  A failing task raises its own exception, the first in task order
-    as inline, once the running tasks have finished; the others are
-    cancelled.  No worker outlives the call, and none is ever killed: one
-    killed while it sends a result would leave its queue locked."""
+    """`fn(*task)` for every task, in task order.  A failing task raises its
+    own exception, the first in task order as inline, once the tasks before
+    it have finished; no later task starts.  A worker that dies raises
+    `ChildProcessError` naming its task.  No worker outlives the call."""
     workers = _worker_count(len(tasks))
     if workers == 1:
         return [fn(*task) for task in tasks]
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(workers, mp_context=fork, initializer=_one_blas_thread) as pool:
-        return list(pool.map(fn, *zip(*tasks)))
+    return _pool_map(fn, tasks, workers)

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import concurrent.futures
-from concurrent.futures import ProcessPoolExecutor
+import os
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -193,22 +193,23 @@ def searches(monkeypatch):
 
 @pytest.fixture
 def pools(monkeypatch):
-    """Spy on the pool constructor: every pool made, each with the function
-    it mapped and the tasks it was given."""
+    """Spy on the pool: every pooled `workers.ordered_map` call, each with
+    the function it mapped and the tasks it was given."""
     made = []
+    pool_map = workers._pool_map
 
-    class SpyPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.fn, self.tasks = None, []
-            made.append(self)
+    def spy(fn, tasks, count):
+        made.append(SimpleNamespace(fn=fn, tasks=list(tasks)))
+        return pool_map(fn, tasks, count)
 
-        def map(self, fn, *iterables, **kwargs):
-            self.fn, self.tasks = fn, list(zip(*iterables))
-            return super().map(fn, *iterables, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(workers, "_pool_map", spy)
     return made
+
+
+def assert_no_children() -> None:
+    """This process has no child process left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def set_workers(monkeypatch, count: int) -> None:

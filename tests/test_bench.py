@@ -1,10 +1,10 @@
 """Tests for corpus generation, the benchmark harness, eligibility
 filtering, the train/test split, and speedup reporting."""
 
+import functools
 import gc
 import hashlib
 import math
-import multiprocessing
 import os
 import weakref
 
@@ -40,7 +40,7 @@ from ordsel.runtimes import FINISHED, INCONSISTENT, TIMEOUT, RuntimeRow, write_r
 from ordsel.tableau import satisfiability_sweep
 
 from chronological import reference_rows
-from conftest import BASIC_TEXT, random_ontology_text, set_workers
+from conftest import BASIC_TEXT, assert_no_children, random_ontology_text, set_workers
 
 # A small, fast corpus: 5 ordering-sensitive instances (one hopeless
 # all-timeout trap, the rest warm) and 5 plain ones.
@@ -330,7 +330,7 @@ def test_pooled_benchmark_equals_inline(request, monkeypatch, pools, corpus_name
     # one task per distinct text, in corpus order
     assert [task[0] for task in pools[0].tasks] == list(dict.fromkeys(t for _, t in corpus))
     assert pooled == inline
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def _eight_cpus(monkeypatch):
@@ -346,11 +346,11 @@ def test_one_distinct_text_benchmarks_inline(monkeypatch, pools):
     ]
 
 
-def test_daemonic_caller_benchmarks_inline(corpus8, monkeypatch, pools):
+def test_no_fork_benchmarks_inline(corpus8, monkeypatch, pools):
     want = run_benchmark(corpus8, budget=400)
     pools.clear()
     _eight_cpus(monkeypatch)
-    monkeypatch.setitem(multiprocessing.current_process()._config, "daemon", True)
+    monkeypatch.delattr(os, "fork")
     assert run_benchmark(corpus8, budget=400) == want
     assert pools == []
 
@@ -375,7 +375,7 @@ def test_worker_exception_reaches_caller(corpus8, monkeypatch, pools):
     # the first failure in corpus order, as inline
     first = parse_ontology(corpus8[0][1]).source_size
     assert str(pooled) == str(inline) == f"cannot encode {first} bytes"
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def _corpus_dir(corpus, tmp_path):
@@ -395,7 +395,26 @@ def test_bench_cli_exits_2_when_a_worker_raises(corpus8, monkeypatch, tmp_path, 
     first = parse_ontology(corpus8[0][1]).source_size
     assert capsys.readouterr().err == f"error: cannot encode {first} bytes\n"
     assert not out.exists()
-    assert multiprocessing.active_children() == []
+    assert_no_children()
+
+
+def _dies_in_worker(onto, parent):
+    """Stands in for `encode_dag`: ends the forked worker it runs in."""
+    if os.getpid() == parent:
+        raise AssertionError("encoded in the calling process")
+    os._exit(3)
+
+
+def test_bench_cli_exits_2_when_a_worker_dies(corpus8, monkeypatch, tmp_path, capsys, pools):
+    monkeypatch.setattr(harness, "encode_dag", functools.partial(_dies_in_worker, parent=os.getpid()))
+    out = tmp_path / "runtimes.csv"
+    set_workers(monkeypatch, 2)
+    assert main(["bench", "--corpus", _corpus_dir(corpus8, tmp_path), "--out", str(out)]) == 2
+    assert len(pools) == 1
+    # every worker dies; the error names the first task in corpus order
+    assert capsys.readouterr().err == "error: a worker died running task 0\n"
+    assert not out.exists()
+    assert_no_children()
 
 
 @pytest.mark.parametrize("budget", ["0", "-5"])
@@ -409,7 +428,7 @@ def test_bench_cli_refuses_a_budget_below_1_before_any_pool(
     assert capsys.readouterr().err == "error: budget must be >= 1\n"
     assert pools == []
     assert not out.exists()
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 # -------------------------------------------------------------- filtering

@@ -6,7 +6,6 @@ exit 2 with a diagnostic on stderr rather than raising."""
 
 import csv
 import json
-import multiprocessing
 import os
 
 import numpy as np
@@ -28,7 +27,7 @@ from ordsel.heuristics import CONFIG_NUMBERS, DEFAULT_MIN_GCIS, default_config
 from ordsel.krss import parse_ontology
 from ordsel.runtimes import RuntimeRow, read_runtime_csv, write_runtime_csv
 
-from conftest import BASIC_TEXT, set_workers
+from conftest import BASIC_TEXT, assert_no_children, set_workers
 from test_tableau import _default_recursion_limit
 
 SPEC = {"count": 10, "seed": 3, "all_timeout_count": 1, "hot_fraction": 0.0}
@@ -696,7 +695,7 @@ def test_pipeline_rejects_a_budget_below_1_before_generating(
     assert capsys.readouterr().err == "error: budget must be >= 1\n"
     assert pools == []
     assert not out.exists()
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 @pytest.mark.parametrize("fraction", ["1.5", "0", "nan"])

@@ -25,6 +25,7 @@ from ordsel.concepts import (
     Top,
     Transitivity,
 )
+from ordsel import krss
 from ordsel.cli import main
 from ordsel.dag import encode_dag
 from ordsel.features import extract_features
@@ -190,3 +191,29 @@ def test_token_soups_parse_or_exit_2(text):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 assert (main(["features", "--ontology", path]), err.getvalue()) == expected
+
+
+@pytest.mark.parametrize("op, cls", [("and", And), ("or", Or)])
+def test_right_nested_chains_flatten_in_linear_time(monkeypatch, op, cls):
+    """`(op X (op X (... (op X B))))` is flattened once, by its outermost
+    form: building each level would copy the inner level's flattened
+    children again, n^2 / 2 of them in all."""
+    n = 100_000
+    handled = []  # how many children each conjunction or disjunction built holds
+    for name in ("conj", "disj"):
+
+        def spy(children, build=getattr(krss, name)):
+            built = build(children)
+            handled.append(len(getattr(built, "children", ())))
+            return built
+
+        monkeypatch.setattr(krss, name, spy)
+    chain = f"({op} X " * n + "B" + ")" * n
+    with _default_recursion_limit():
+        onto = parse_ontology(f"(implies A {chain})\n(implies C (not {chain}))\n")
+        flat = cls((Atomic("X"),) * n + (Atomic("B"),))
+        assert onto.tbox == (
+            Subsumption(Atomic("A"), flat),
+            Subsumption(Atomic("C"), Not(flat)),
+        )
+    assert sum(handled) <= 2 * (2 * n)  # two chains, at most 2n children each

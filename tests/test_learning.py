@@ -12,13 +12,12 @@ import multiprocessing
 import os
 import tempfile
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import naive_cross_validate, set_workers
+from conftest import assert_no_children, naive_cross_validate, set_workers
 from learning_oracle import mi_from_joint
 from ordsel import workers
 from ordsel.bench.corpus import CorpusSpec, generate_corpus
@@ -622,7 +621,7 @@ def test_pooled_bundle_bytes_equal_inline(monkeypatch, tmp_path, pools, train, g
     trainings = [pool for pool in pools if pool.fn is pipeline._train_config]
     assert len(trainings) == 1 and len(trainings[0].tasks) >= 2
     assert pooled == inline
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_pooled_path_submits_one_task_per_label_vector(monkeypatch, pools):
@@ -665,7 +664,7 @@ def test_worker_exception_reaches_caller(monkeypatch, pools):
     assert len(pools) == 1
     assert type(pooled) is type(inline)
     assert str(pooled) == str(inline) == "a feature column's mean or standard deviation is not finite"
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def test_train_cli_exits_2_when_a_worker_raises(monkeypatch, tmp_path, capsys, pools):
@@ -691,7 +690,7 @@ def test_train_cli_exits_2_when_a_worker_raises(monkeypatch, tmp_path, capsys, p
         "error: a feature column's mean or standard deviation is not finite\n"
     )
     assert not os.path.exists(model)
-    assert multiprocessing.active_children() == []
+    assert_no_children()
 
 
 def _one_cpu(monkeypatch):
@@ -699,15 +698,11 @@ def _one_cpu(monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 1)
 
 
-def _daemonic(monkeypatch):
-    monkeypatch.setitem(multiprocessing.current_process()._config, "daemon", True)
-
-
 def _no_fork(monkeypatch):
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    monkeypatch.delattr(os, "fork")
 
 
-@pytest.mark.parametrize("condition", [_one_cpu, _daemonic, _no_fork])
+@pytest.mark.parametrize("condition", [_one_cpu, _no_fork])
 def test_trains_inline_without_a_usable_pool(monkeypatch, tmp_path, pools, condition):
     want = _saved_bytes(_train_small_bundle(), tmp_path / "want.json")
     pools.clear()
@@ -760,15 +755,14 @@ def test_workers_run_blas_on_one_thread(monkeypatch, pools):
     if _blas_threads() is None:
         pytest.skip("no OpenBLAS thread count to read")
     set_workers(monkeypatch, 2)
-    _train_small_bundle()
-    assert pools[0]._initializer is workers._one_blas_thread
-    fork = multiprocessing.get_context("fork")
-    with ProcessPoolExecutor(1, mp_context=fork, initializer=workers._one_blas_thread) as pool:
-        assert pool.submit(_blas_threads).result(timeout=60) == 1
+    assert workers.ordered_map(_blas_threads, [(), ()]) == [1, 1]
+    assert len(pools) == 1
+    assert_no_children()
 
 
-def test_daemonic_process_trains_inline(tmp_path):
-    """A real daemonic caller may not start a pool; it trains inline."""
+def test_daemonic_process_trains_the_same_bundle(tmp_path):
+    """A daemonic `multiprocessing` child, which that module forbids to
+    have children of its own, still trains the bundle this process does."""
     ctx = multiprocessing.get_context("fork")
     path = tmp_path / "model.json"
     child = ctx.Process(target=lambda: save_bundle(_train_small_bundle(), str(path)), daemon=True)
