@@ -108,37 +108,32 @@ TOP = Top()
 BOTTOM = Bottom()
 
 
+def _flattened(kind: type, unit: Concept, children: Iterable[Concept]) -> Concept:
+    """``kind`` (And or Or) over ``children``, nested ``kind`` nodes spliced
+    in order; ``unit`` for no children, the child itself for one."""
+    flat: list[Concept] = []
+    for c in children:
+        if isinstance(c, kind):
+            flat.extend(c.children)
+        else:
+            flat.append(c)
+    if len(flat) > 1:
+        return kind(tuple(flat))
+    return flat[0] if flat else unit
+
+
 def conj(children: Iterable[Concept]) -> Concept:
     """Conjunction constructor: flattens nested ands, preserves order.
 
     Zero children yield *top*, a single child is returned as-is.
     """
-    flat: list[Concept] = []
-    for c in children:
-        if isinstance(c, And):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    if not flat:
-        return TOP
-    if len(flat) == 1:
-        return flat[0]
-    return And(tuple(flat))
+    return _flattened(And, TOP, children)
 
 
 def disj(children: Iterable[Concept]) -> Concept:
-    """Disjunction constructor: flattens nested ors, preserves order."""
-    flat: list[Concept] = []
-    for c in children:
-        if isinstance(c, Or):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    if not flat:
-        return BOTTOM
-    if len(flat) == 1:
-        return flat[0]
-    return Or(tuple(flat))
+    """Disjunction constructor: flattens nested ors, preserves order; zero
+    children yield *bottom*."""
+    return _flattened(Or, BOTTOM, children)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,16 @@ rule on A, yet C forces A and hence B.)  Impure equivalences are split:
 the A -> rhs half becomes a told subsumer and the rhs -> A half is
 absorbed when rhs is atomic, otherwise internalised as a residual.
 
+Which names are pure is settled in linear time, independent of how the
+classes are named.  A name heading an ``implies``, a ``disjoint`` or two
+equivalences is demoted; a demoted name's split equivalences constrain,
+and so demote, their atomic right-hand sides, transitively.  Then, once,
+after every such demotion, the names on a cycle of definitional uses
+among the survivors (a strongly connected component with more than one
+name, or a self-use) are demoted too.  That demotes nothing further: an
+atomic right-hand side of such a name lies on its cycle, and removing
+names makes no new cycle.
+
 Encoding walks each expression once, in post-order on an explicit stack,
 and makes each vertex, its edges, size and depth at its first use.  The
 frequencies and polarities need every reference, so one last sweep from
@@ -47,7 +57,7 @@ the last vertex down settles them and builds the `DagVertex`es.  Equal
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 from .concepts import (
     All,
@@ -238,77 +248,62 @@ class _Builder:
 
 def _pure_definition_heads(onto: Ontology) -> dict[str, Concept]:
     """Names eligible for both-polarity unfolding (see module docstring)."""
-    heads: dict[str, list[Concept]] = {}
-    base: set[str] = set()
-    equivs: list[tuple[Concept, Concept]] = []
+    bodies: dict[str, list[Concept]] = {}
+    todo: list[str] = []  # names to demote
     for ax in onto.tbox:
-        if isinstance(ax, Equivalence):
-            lhs, rhs = ax.lhs, ax.rhs
-            if not isinstance(lhs, Atomic) and isinstance(rhs, Atomic):
-                lhs, rhs = rhs, lhs
-            equivs.append((lhs, rhs))
-            if isinstance(lhs, Atomic):
-                heads.setdefault(lhs.name, []).append(rhs)
-        elif isinstance(ax.lhs, Atomic):
-            base.add(ax.lhs.name)
+        lhs, rhs = ax.lhs, ax.rhs
+        if isinstance(ax, Equivalence) and not isinstance(lhs, Atomic):
+            lhs, rhs = rhs, lhs
+        if isinstance(ax, Equivalence) and isinstance(lhs, Atomic):
+            bodies.setdefault(lhs.name, []).append(rhs)
+        elif isinstance(lhs, Atomic):
+            todo.append(lhs.name)
+    todo += [n for n, bs in bodies.items() if len(bs) > 1]
 
-    candidates = {n for n, bodies in heads.items() if len(bodies) == 1}
+    # A demoted name's equivalences split into told subsumptions, which
+    # constrain, and so demote, every atomic body.
+    demoted: set[str] = set()
+    while todo:
+        n = todo.pop()
+        if n not in demoted:
+            demoted.add(n)
+            todo.extend(b.name for b in bodies.get(n, ()) if isinstance(b, Atomic))
 
-    def cyclic_names(cands: set[str]) -> set[str]:
-        # definitional cycles among the current candidates; uses of a name
-        # elsewhere are fine.  Depth-first search with an explicit stack:
-        # `path` holds the names being visited, `todo` their unvisited
-        # dependencies in sorted order.
-        deps = {
-            n: {x.name for x, _, _ in walk(heads[n][0]) if isinstance(x, Atomic)} & cands
-            for n in cands
-        }
-        state: dict[str, int] = {}
-        cyclic: set[str] = set()
-        path: list[str] = []
-        todo: list[Iterator[str]] = []
-
-        def enter(n: str) -> None:
-            mark = state.get(n)
-            if mark == 2 or n in cyclic:
-                return
-            if mark == 1:
-                cyclic.update(path[path.index(n) :])
-                return
-            state[n] = 1
-            path.append(n)
-            todo.append(iter(sorted(deps[n])))
-
-        for n in sorted(cands):
-            enter(n)
-            while todo:
-                m = next(todo[-1], None)
-                if m is None:
-                    todo.pop()
-                    state[path.pop()] = 2
-                else:
-                    enter(m)
-        return cyclic
-
-    # An equivalence that does not serve as a definition decomposes into
-    # told subsumptions constraining every atomic side, which can in turn
-    # disqualify further definitions; iterate the (monotone, decreasing)
-    # candidate set to its fixed point.
-    while True:
-        constrained = set(base)
-        for lhs, rhs in equivs:
-            if isinstance(lhs, Atomic) and lhs.name in candidates:
-                continue
-            for side in (lhs, rhs):
-                if isinstance(side, Atomic):
-                    constrained.add(side.name)
-        kept = {n for n in candidates if n not in constrained}
-        kept -= cyclic_names(kept)
-        if kept == candidates:
-            break
-        candidates = kept
-
-    return {n: heads[n][0] for n in candidates}
+    # Tarjan's strongly connected components over the definitional uses
+    # among the survivors, on an explicit stack; every name of a component
+    # with a cycle is demoted.  A name's index is its place on `stack`; a
+    # closed component's names get `low` len(deps), past every place, so
+    # later uses of them lower nothing.
+    deps = {n: bs[0] for n, bs in bodies.items() if n not in demoted}
+    for n, body in deps.items():
+        deps[n] = [x.name for x, _, _ in walk(body) if type(x) is Atomic and x.name in deps]
+    low: dict[str, int] = {}
+    stack: list[str] = []
+    for root in deps:
+        if root in low:
+            continue
+        path = [(root, iter(deps[root]), len(stack))]
+        while path:
+            n, uses, at = path[-1]
+            if n not in low:
+                low[n] = at
+                stack.append(n)
+            m = next(uses, None)
+            if m is None:
+                path.pop()
+                if path:
+                    low[path[-1][0]] = min(low[path[-1][0]], low[n])
+                if low[n] == at:
+                    component = stack[at:]
+                    del stack[at:]
+                    low.update(dict.fromkeys(component, len(deps)))
+                    if len(component) > 1 or n in deps[n]:
+                        demoted.update(component)
+            elif m in low:
+                low[n] = min(low[n], low[m])
+            else:
+                path.append((m, iter(deps[m]), len(stack)))
+    return {n: bs[0] for n, bs in bodies.items() if n not in demoted}
 
 
 def encode_dag(onto: Ontology) -> Dag:

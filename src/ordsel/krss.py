@@ -58,6 +58,10 @@ class ParseError(ValueError):
         self.column = column
         self.message = message
 
+    def __reduce__(self):
+        # `args` holds only the formatted text; rebuild from the fields
+        return type(self), (self.line, self.column, self.message)
+
 
 class UnsupportedConstruct(ParseError):
     """A syntactically recognisable construct outside the supported logic."""

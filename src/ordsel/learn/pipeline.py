@@ -205,7 +205,8 @@ def cv_accuracies(
     fold = stratified_folds(y, n_folds, seed)
     correct = [0] * len(grid)
     total = 0
-    for f in range(n_folds):
+    # only folds that hold a sample; there are at most len(y) of them
+    for f in np.unique(fold):
         val = fold == f
         train = ~val
         if not val.any() or len(np.unique(y[train])) < 2:

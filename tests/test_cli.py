@@ -623,6 +623,18 @@ def test_train_rejects_fewer_than_two_folds(trained, tmp_path, capsys, folds):
     assert err == f"error: need at least 2 folds, got {folds}\n"
 
 
+def test_train_with_a_huge_fold_count_equals_one_fold_per_row(trained, tmp_path):
+    models = []
+    for folds in ("1000000000000000000", "8"):  # the fixture has 8 rows
+        models.append(tmp_path / f"m{len(models)}.json")
+        rc = main(
+            ["train", "--features", trained["features"], "--runtimes", trained["runtimes"],
+             "--folds", folds, "--quick", "--out", str(models[-1])]
+        )
+        assert rc == 0
+    assert models[0].read_bytes() == models[1].read_bytes()
+
+
 # A repeated feature row would be trained on twice; a repeated runtime row
 # would be counted twice by the threshold while labelling kept the last.
 @pytest.mark.parametrize(

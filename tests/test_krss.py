@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import pickle
 import tempfile
 
 import pytest
@@ -90,6 +91,13 @@ def test_syntax_error_carries_position():
         parse_ontology("(implies A B)\n(implies C")
     assert err.value.line == 2
     assert err.value.column >= 1
+
+
+@pytest.mark.parametrize("cls", [ParseError, UnsupportedConstruct])
+def test_parse_errors_survive_a_pickle_round_trip(cls):
+    back = pickle.loads(pickle.dumps(cls(3, 4, "boom")))
+    assert type(back) is cls
+    assert (back.line, back.column, back.message, str(back)) == (3, 4, "boom", "3:4: boom")
 
 
 @pytest.mark.parametrize(

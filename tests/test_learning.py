@@ -361,6 +361,13 @@ def test_grid_search_equals_per_point_refit(case):
     assert point == grid[want.index(acc)]
 
 
+@pytest.mark.parametrize("case", ["clamped", "skipped-folds"])
+def test_a_huge_fold_count_equals_one_fold_per_sample(case):
+    # the folds past len(y) are empty, so the loop never visits them
+    (x, y), grid, _ = ORACLE_CASES[case]
+    assert cv_accuracies(x, y, grid, 10**18, 42) == cv_accuracies(x, y, grid, len(y), 42)
+
+
 @pytest.mark.parametrize("case, usable_folds", [("learn-grid", 10), ("skipped-folds", 8)])
 def test_grid_search_runs_mi_once_per_usable_fold(monkeypatch, case, usable_folds):
     (x, y), grid, n_folds = ORACLE_CASES[case]

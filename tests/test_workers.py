@@ -15,6 +15,7 @@ import pytest
 import ordsel
 from conftest import assert_no_children, set_workers
 from ordsel import workers
+from ordsel.krss import ParseError, UnsupportedConstruct
 
 SRC = Path(ordsel.__file__).resolve().parent
 POOL_MODULES = ("multiprocessing", "concurrent.futures")
@@ -161,6 +162,22 @@ def test_an_exception_pickle_cannot_send_still_reaches_the_caller(monkeypatch, c
         workers.ordered_map(_raise, [(cls, i) for i in range(4)])
     # the first failing task, named, with its exception's repr
     assert str(info.value).startswith(f"task 0: cannot send back {cls.__name__}('task says 0'): ")
+    assert_no_children()
+
+
+def _parse_error(cls, i):
+    if i == 1:
+        raise cls(3, 4, "boom")
+    return i
+
+
+@pytest.mark.parametrize("cls", [ParseError, UnsupportedConstruct])
+def test_a_parse_error_in_a_worker_reaches_the_caller_as_itself(monkeypatch, cls):
+    set_workers(monkeypatch, 2)
+    with pytest.raises(cls) as info:
+        workers.ordered_map(_parse_error, [(cls, i) for i in range(4)])
+    assert type(info.value) is cls
+    assert (info.value.line, info.value.column, str(info.value)) == (3, 4, "3:4: boom")
     assert_no_children()
 
 
