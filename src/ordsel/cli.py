@@ -128,6 +128,13 @@ def _cost_table(path: str) -> dict[str, tuple[float, str]]:
     return table
 
 
+def _check_seed(seed: int) -> None:
+    """Reject a negative ``--seed`` before any work; numpy's generators
+    refuse one only once they are made."""
+    if seed < 0:
+        raise CliError(f"--seed must be >= 0, got {seed}")
+
+
 def _load_spec(path: str | None) -> CorpusSpec:
     if path is None:
         return CorpusSpec()
@@ -265,6 +272,7 @@ def _cmd_filter(args) -> int:
 
 
 def _cmd_split(args) -> int:
+    _check_seed(args.seed)
     rows = read_runtime_csv(args.runtimes)
     ids = sorted({r.ontology_id for r in rows})
     train, test = split_train_test(ids, fraction=args.test_fraction, seed=args.seed)
@@ -275,6 +283,7 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    _check_seed(args.seed)
     feature_rows = read_feature_csv(args.features)
     runtime_rows = read_runtime_csv(args.runtimes)
     if not feature_rows:
@@ -318,6 +327,7 @@ def _cmd_report(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     # fail before the corpus is generated and swept, not at training time
+    _check_seed(args.seed)
     check_folds(args.folds)
     check_test_fraction(args.test_fraction)
     check_budget(args.budget)

@@ -8,11 +8,14 @@ Negation lives on edges, so one vertex serves both polarities:
     some(r, C)  -> negated reference to all(r, ~C)
     *bottom*    -> negated reference to top
 
-A signed reference is a ``(vertex_id, negated)`` pair.  Hash-consing
-guarantees at most one vertex per (kind, role/name, signed children) so
-repeated subexpressions are shared.  Duplicate children of a single
-``and`` collapse; if only one child remains the vertex is elided and the
-reference points at the child directly.
+A signed reference (an edge, or a root such as a told subsumer) is one
+int, ``2 * vertex_id + negated``: its vertex is ``r >> 1``, its sign
+``r & 1`` and its complement ``r ^ 1`` (Horrocks, *The Description Logic
+Handbook*, ch. 9, 2003); the search and the features read it as it is.
+Hash-consing guarantees at most one vertex per (kind, role/name, signed
+children) so repeated subexpressions are shared.  Duplicate children of a
+single ``and`` collapse; if only one child remains the vertex is elided
+and the reference points at the child directly.
 
 A vertex is *nondeterministic* when it is an ``and`` reachable through an
 odd number of negated edges in at least one use: under that polarity the
@@ -51,7 +54,7 @@ Encoding walks each expression once, in post-order on an explicit stack,
 and makes each vertex, its edges, size and depth at its first use.  The
 frequencies and polarities need every reference, so one last sweep from
 the last vertex down settles them and builds the `DagVertex`es.  Equal
-`ConceptStats` are one object; all three vertex types are named tuples.
+`ConceptStats` are one object; both vertex types are named tuples.
 """
 
 from __future__ import annotations
@@ -84,32 +87,24 @@ ALL = "all"
 ATOM = "atom"
 TOP_OP = "top"
 
-Ref = tuple[int, bool]
-
-
-def flip(ref: Ref) -> Ref:
-    return (ref[0], not ref[1])
-
-
-class DagEdge(NamedTuple):
-    target: int
-    negated: bool
+Ref = int
 
 
 class DagVertex(NamedTuple):
     """One vertex of the DAG.
 
-    ``child_stats`` holds the stats of the signed child each edge denotes,
-    in child order.  A negated edge adds one node for the negation to the
-    size and is generating exactly when its target is an ``all`` (a negated
-    value restriction is an existential); a positive edge is never
-    generating.  Depth and frequency are the target's.
+    ``children`` are signed references.  ``child_stats`` holds the stats
+    of the signed child each denotes, in child order.  A negated reference
+    adds one node for the negation to the size and is generating exactly
+    when its vertex is an ``all`` (a negated value restriction is an
+    existential); a positive one is never generating.  Depth and frequency
+    are the vertex's.
     """
 
     op: str
     role: str | None
     name: str | None
-    children: tuple[DagEdge, ...]
+    children: tuple[Ref, ...]
     stats: ConceptStats
     child_stats: tuple[ConceptStats, ...]
     nondeterministic: bool
@@ -122,13 +117,13 @@ class Dag:
     Compared and hashed by identity, so per-DAG caches can key on it.
 
     ``vertices`` is topologically ordered (children precede parents).
-    ``top_id`` is the *top* vertex, None when the ontology never mentions
-    *top* or *bottom*.
+    ``definitions`` maps a defined name to its body.  ``top_id`` is the
+    *top* vertex, None when the ontology never mentions *top* or *bottom*.
     """
 
     vertices: tuple[DagVertex, ...]
     atom_ids: dict[str, int]
-    definitions: dict[str, tuple[Ref, ...]]
+    definitions: dict[str, Ref]
     told: dict[str, tuple[Ref, ...]]
     gci_refs: tuple[Ref, ...]
     gci_constraint: Ref | None
@@ -143,7 +138,7 @@ class _Builder:
     def __init__(self):
         # per vertex, in id order
         self.ops: list[str] = []
-        self.edges: list[tuple[DagEdge, ...]] = []
+        self.edges: list[tuple[Ref, ...]] = []
         self.size: list[int] = []
         self.depth: list[int] = []
         self.parents: list[int] = []
@@ -156,9 +151,9 @@ class _Builder:
         self.keep: list[Concept] = []
         self.top: int | None = None
 
-    def _new(self, op: str, edges: tuple[DagEdge, ...], size: int, depth: int) -> int:
-        for e in edges:
-            self.parents[e.target] += 1
+    def _new(self, op: str, edges: tuple[Ref, ...], size: int, depth: int) -> int:
+        for r in edges:
+            self.parents[r >> 1] += 1
         self.ops.append(op)
         self.edges.append(edges)
         self.size.append(size)
@@ -169,7 +164,7 @@ class _Builder:
     def top_ref(self) -> Ref:
         if self.top is None:
             self.top = self._new(TOP_OP, (), 1, 0)
-        return (self.top, False)
+        return 2 * self.top
 
     def atom(self, name: str) -> int:
         vid = self.atom_ids.get(name)
@@ -185,19 +180,17 @@ class _Builder:
         vid = self.ands.get(key)
         if vid is None:
             size, depth = self.size, self.depth
-            edges = tuple([DagEdge(t, negated) for t, negated in key])  # equal to the key
-            vid = self.ands[edges] = self._new(
-                AND, edges, 1 + sum([size[t] + negated for t, negated in key]), max([depth[t] for t, _ in key])
+            vid = self.ands[key] = self._new(
+                AND, key, 1 + sum([size[r >> 1] + (r & 1) for r in key]), max([depth[r >> 1] for r in key])
             )
-        return (vid, False)
+        return 2 * vid
 
-    def all_ref(self, role: str, child: Ref) -> int:
+    def all_ref(self, role: str, child: Ref) -> Ref:
         vid = self.alls.get((role, child))
         if vid is None:
-            t, negated = child
-            edges = (DagEdge(t, negated),)
-            vid = self.alls[role, child] = self._new(ALL, edges, 1 + self.size[t] + negated, 1 + self.depth[t])
-        return vid
+            t = child >> 1
+            vid = self.alls[role, child] = self._new(ALL, (child,), 1 + self.size[t] + (child & 1), 1 + self.depth[t])
+        return 2 * vid
 
     def encode(self, root: Concept) -> Ref:
         """Post-order over ``root`` with an explicit stack: a concept is
@@ -212,25 +205,25 @@ class _Builder:
                 c = c[0]
                 kind = type(c)
                 if kind is Not:
-                    ref = flip(refs.pop())
+                    ref = refs.pop() ^ 1
                 elif kind is And or kind is Or:
                     n = len(c.children)
                     if kind is And:
                         ref = self.conj_ref(refs[-n:])
                     else:
-                        ref = flip(self.conj_ref([flip(r) for r in refs[-n:]]))
+                        ref = self.conj_ref([r ^ 1 for r in refs[-n:]]) ^ 1
                     del refs[-n:]
                 elif kind is Some:
-                    ref = (self.all_ref(c.role, flip(refs.pop())), True)
+                    ref = self.all_ref(c.role, refs.pop() ^ 1) ^ 1
                 else:
-                    ref = (self.all_ref(c.role, refs.pop()), False)
+                    ref = self.all_ref(c.role, refs.pop())
             elif (ref := self.memo.get(id(c))) is not None:
                 refs.append(ref)
                 continue
             elif kind is Atomic:
-                ref = (self.atom(c.name), False)
+                ref = 2 * self.atom(c.name)
             elif kind is Top or kind is Bottom:
-                ref = (self.top_ref()[0], kind is Bottom)
+                ref = self.top_ref() + (kind is Bottom)
             elif kind is And or kind is Or:
                 todo.append((c,))
                 todo.extend(reversed(c.children))
@@ -312,7 +305,7 @@ def encode_dag(onto: Ontology) -> Dag:
         b.atom(name)
 
     pure = _pure_definition_heads(onto)
-    definitions: dict[str, list[Ref]] = {}
+    definitions: dict[str, Ref] = {}
     told: dict[str, list[Ref]] = {}
     residual: list[tuple[Concept, Concept]] = []
 
@@ -332,7 +325,7 @@ def encode_dag(onto: Ontology) -> Dag:
             if not isinstance(lhs, Atomic) and isinstance(rhs, Atomic):
                 lhs, rhs = rhs, lhs
             if isinstance(lhs, Atomic) and lhs.name in pure:
-                definitions[lhs.name] = [b.encode(rhs)]
+                definitions[lhs.name] = b.encode(rhs)
             else:
                 absorb(lhs, rhs)
                 absorb(rhs, lhs)
@@ -351,12 +344,12 @@ def encode_dag(onto: Ontology) -> Dag:
     parity = [0] * len(ops)
     root_refs = [r for refs in told.values() for r in refs]
     root_refs += [gci_constraint] if gci_constraint is not None else []
-    for t, negated in root_refs + list(assertion_refs):
-        frequency[t] += 1
-        parity[t] |= 2 if negated else 1
-    for refs in definitions.values():
-        frequency[refs[0][0]] += 1
-        parity[refs[0][0]] = 3
+    for r in root_refs + list(assertion_refs):
+        frequency[r >> 1] += 1
+        parity[r >> 1] |= 1 << (r & 1)
+    for r in definitions.values():
+        frequency[r >> 1] += 1
+        parity[r >> 1] = 3
     occurrences = atom_frequencies(onto)
     names = {vid: name for name, vid in b.atom_ids.items()}
     for vid, name in names.items():
@@ -375,12 +368,11 @@ def encode_dag(onto: Ontology) -> Dag:
     vertices: list = [None] * len(ops)
     for vid in range(len(ops) - 1, -1, -1):
         op, children, p = ops[vid], b.edges[vid], parity[vid]
-        for t, negated in children:
-            parity[t] |= ((p & 1) << 1 | p >> 1) if negated else p
-        child_stats = [
-            stats(size[t] + negated, depth[t], frequency[t], negated and ops[t] == ALL)
-            for t, negated in children
-        ]
+        child_stats = []
+        for r in children:
+            t = r >> 1
+            parity[t] |= ((p & 1) << 1 | p >> 1) if r & 1 else p
+            child_stats.append(stats(size[t] + (r & 1), depth[t], frequency[t], r & 1 == 1 and ops[t] == ALL))
         own = stats(size[vid], depth[vid], frequency[vid], op == ALL)
         vertices[vid] = DagVertex(
             op, roles.get(vid), names.get(vid), children, own, tuple(child_stats), op == AND and p & 2 != 0
@@ -389,7 +381,7 @@ def encode_dag(onto: Ontology) -> Dag:
     return Dag(
         vertices=tuple(vertices),
         atom_ids=b.atom_ids,
-        definitions={k: tuple(v) for k, v in definitions.items()},
+        definitions=definitions,
         told={k: tuple(v) for k, v in told.items()},
         gci_refs=tuple(gci_refs),
         gci_constraint=gci_constraint,

@@ -142,7 +142,6 @@ def extract_features(onto: Ontology, d: Dag) -> FeatureVector:
     child_depths_avg: list[float] = []
     child_freqs_avg: list[float] = []
     child_counts: list[int] = []
-    pos_occ = 0
     neg_occ = 0
     max_child_freq = 0.0
     for vid in nondet:
@@ -152,11 +151,11 @@ def extract_features(onto: Ontology, d: Dag) -> FeatureVector:
         child_depths_avg.append(sum(s.depth for s in stats) / len(stats))
         child_freqs_avg.append(sum(s.frequency for s in stats) / len(stats))
         child_counts.append(len(v.children))
-        pos_occ += sum(1 for e in v.children if not e.negated)
-        neg_occ += sum(1 for e in v.children if e.negated)
+        neg_occ += sum([r & 1 for r in v.children])
         max_child_freq = max(max_child_freq, max(s.frequency for s in stats))
 
     n_nondet = len(nondet)
+    pos_occ = sum(child_counts) - neg_occ
     f["numNondetVertices"] = float(n_nondet)
     f["avgOfAvgChildSize"] = sum(child_sizes_avg) / n_nondet if n_nondet else 0.0
     f["avgOfAvgChildDepth"] = sum(child_depths_avg) / n_nondet if n_nondet else 0.0

@@ -22,10 +22,10 @@ checks static per node.
 Implementation (Horrocks, "Implementation and optimisation techniques",
 *The Description Logic Handbook*, 2003):
 
-* Signed references are packed into ints, ``2 * vertex + negated``, so a
-  complement is ``r ^ 1``.  Per-reference rule tables are built at most
-  once per ``OrderedDag`` and shared by every test on it (see "Work shared
-  per DAG" below).
+* Rule tables are lists indexed by the DAG's signed references,
+  ``2 * vertex + negated``, so a complement is ``r ^ 1``.  They are built
+  at most once per ``OrderedDag`` and shared by every test on it (see
+  "Work shared per DAG" below).
 * Each node keeps one label, an ordered ``items`` list plus an ``index``
   set.  A choice point records the label length as its mark; a failed
   branch truncates the label back to the mark (an undo trail) instead of
@@ -130,21 +130,17 @@ class SweepResult:
         return self.consistency.outcome != UNSATISFIABLE
 
 
-def _packed(ref: Ref) -> int:
-    return 2 * ref[0] + ref[1]
-
-
 class _Tables:
-    """Rule rows of one ordering, indexed by packed reference.
+    """Rule rows of one ordering, indexed by signed reference.
 
     ``expand[r]``: references a conjunction (children in the permuted
     order) or an unfoldable atom adds (one step), else None.
     ``disjuncts[r]``: flipped children of a negated ``and`` in the permuted
-    order, else None.  ``exists[r]`` / ``forall[r]``: (role, packed child)
+    order, else None.  ``exists[r]`` / ``forall[r]``: (role, child)
     of an existential / value restriction, else None.  ``inert[r]``:
     whether ``r`` is an inert disjunction (module docstring).  ``bottom``:
-    the packed negated top (-1 when there is no top vertex).  ``gci``: the
-    packed global constraint, or None.
+    the negated top (-1 when there is no top vertex).  ``gci``: the global
+    constraint, or None.
     """
 
     __slots__ = ("expand", "disjuncts", "exists", "forall", "inert", "bottom", "gci")
@@ -153,7 +149,7 @@ class _Tables:
 class _Rules:
     """What the orderings of one ``Dag`` share: ``tables``, those of its
     first ordering; ``ands``, each ``and`` vertex's permutation under that
-    ordering and its packed children, plain and flipped, in encoding order;
+    ordering and its children, plain and flipped, in encoding order;
     ``reads``, per test target, the ``and`` vertices its search can read
     (see ``_reads``); ``results``, every test run on the DAG, keyed as the
     module docstring says.
@@ -168,7 +164,7 @@ class _Rules:
         t.disjuncts = disjuncts = [None] * n
         t.exists, t.forall, t.inert = [None] * n, [None] * n, [False] * n
         t.bottom = -1 if d.top_id is None else 2 * d.top_id + 1
-        t.gci = None if d.gci_constraint is None else _packed(d.gci_constraint)
+        t.gci = d.gci_constraint
         self.ands: dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
         self.reads: dict[int | None, list[int]] = {}
         self.results: dict[tuple, SatResult] = {}
@@ -176,48 +172,48 @@ class _Rules:
             pos, neg = 2 * vid, 2 * vid + 1
             if v.op == ATOM:
                 told = d.told.get(v.name, ())
-                defs = d.definitions.get(v.name)
-                if defs is not None:
-                    defs = tuple([2 * i + negated for i, negated in defs])
-                    expand[pos] = tuple([2 * i + negated for i, negated in told]) + defs
-                    expand[neg] = tuple([r ^ 1 for r in defs])
+                body = d.definitions.get(v.name)
+                if body is not None:
+                    expand[pos] = told + (body,)
+                    expand[neg] = (body ^ 1,)
                 elif told:
-                    expand[pos] = tuple([2 * i + negated for i, negated in told])
+                    expand[pos] = told
             elif v.op == AND:
-                kids = tuple([2 * e.target + e.negated for e in v.children])
+                kids = v.children
                 flipped = tuple([k ^ 1 for k in kids])
                 perm = permutations[vid]
                 self.ands[vid] = (perm, kids, flipped)
                 expand[pos] = tuple([kids[i] for i in perm])
                 disjuncts[neg] = tuple([flipped[i] for i in perm])
             elif v.op == ALL:
-                e = v.children[0]
-                child = 2 * e.target + e.negated
+                (child,) = v.children
                 t.forall[pos] = (v.role, child)
                 t.exists[neg] = (v.role, child ^ 1)
         # references to each vertex: edges plus the roots of definitions,
         # told subsumers, the global constraint and assertions
         uses = [0] * len(d.vertices)
         positive = [False] * len(d.vertices)
-        refs = [(e.target, e.negated) for v in d.vertices for e in v.children]
-        refs += [r for rs in (*d.definitions.values(), *d.told.values()) for r in rs]
+        refs = [r for v in d.vertices for r in v.children]
+        refs += d.definitions.values()
+        refs += [r for rs in d.told.values() for r in rs]
         refs += d.assertion_refs
         if d.gci_constraint is not None:
             refs.append(d.gci_constraint)
-        for vid, negated in refs:
-            uses[vid] += 1
-            positive[vid] = positive[vid] or not negated
+        for r in refs:
+            uses[r >> 1] += 1
+            if not r & 1:
+                positive[r >> 1] = True
         for vid, v in enumerate(d.vertices):
             t.inert[2 * vid + 1] = (
                 v.op == AND
                 and not positive[vid]
                 and all(
-                    e.negated
-                    and uses[e.target] == 1
-                    and d.vertices[e.target].op == ATOM
-                    and d.vertices[e.target].name not in d.told
-                    and d.vertices[e.target].name not in d.definitions
-                    for e in v.children
+                    r & 1
+                    and uses[r >> 1] == 1
+                    and d.vertices[r >> 1].op == ATOM
+                    and d.vertices[r >> 1].name not in d.told
+                    and d.vertices[r >> 1].name not in d.definitions
+                    for r in v.children
                 )
             )
 
@@ -293,7 +289,7 @@ class _Budget(Exception):
 
 
 def _add(items: list[int], index: set[int], r: int, bottom: int) -> bool:
-    """Add a packed reference to a label; False signals a clash."""
+    """Add a reference to a label; False signals a clash."""
     if r in index:
         return True
     if r ^ 1 in index or r == bottom:
@@ -498,19 +494,18 @@ def is_satisfiable(odag: OrderedDag, target: Ref | None, budget: int) -> SatResu
         check_budget(budget)  # raises; no call on the common path
     o = _ORDERINGS.get(odag) or _ordering(odag)
     rules, moved = o.rules, o.moved
-    packed = None if target is None else 2 * target[0] + target[1]
     read: tuple = ()
     if moved:
-        reads = rules.reads.get(packed)
+        reads = rules.reads.get(target)
         if reads is None:
-            reads = rules.reads[packed] = _reads(rules.tables, packed)
+            reads = rules.reads[target] = _reads(rules.tables, target)
         read = tuple([(v, moved[v]) for v in reads if v in moved])
-    key = (packed, budget, read)
+    key = (target, budget, read)
     res = rules.results.get(key)
     if res is None:
         if o.tables is None:
             o.tables = rules.tables_for(moved)
-        res = rules.results[key] = _search(o.tables, packed, budget)
+        res = rules.results[key] = _search(o.tables, target, budget)
     return res
 
 
@@ -543,12 +538,12 @@ def class_ref(d: Dag, name: str) -> Ref:
     vid = d.atom_ids.get(name)
     if vid is None:
         raise KeyError(f"unknown class {name!r}")
-    return (vid, False)
+    return 2 * vid
 
 
 def check_tbox_consistency(odag: OrderedDag, budget: int) -> SatResult:
     top = odag.dag.top_id
-    return is_satisfiable(odag, None if top is None else (top, False), budget)
+    return is_satisfiable(odag, None if top is None else 2 * top, budget)
 
 
 def satisfiability_sweep(odag: OrderedDag, budget_per_test: int) -> SweepResult:
@@ -564,7 +559,7 @@ def satisfiability_sweep(odag: OrderedDag, budget_per_test: int) -> SweepResult:
     timed_out = consistency.outcome == BUDGET_EXCEEDED
     if not timed_out:
         for name, vid in odag.dag.atom_ids.items():
-            res = is_satisfiable(odag, (vid, False), budget_per_test)
+            res = is_satisfiable(odag, 2 * vid, budget_per_test)
             per_class[name] = res
             total += res.steps
             if res.outcome == BUDGET_EXCEEDED:

@@ -35,19 +35,18 @@ from ordsel.tableau import (
     UNSATISFIABLE,
     SatResult,
     UnsupportedAxiom,
-    _packed,
     check_supported,
 )
 
 
 class _Tables:
-    """Rule tables indexed by packed reference.
+    """Rule tables indexed by signed reference.
 
     ``expand[r]``: references a conjunction or an unfoldable atom adds (one
     step), else None.  ``disjuncts[r]``: flipped children of a negated
     ``and`` in the permuted order, else None.  ``exists[r]`` / ``forall[r]``:
-    (role, packed child) of an existential / value restriction, else None.
-    ``bottom``: the packed negated top (-1 when there is no top vertex).
+    (role, child) of an existential / value restriction, else None.
+    ``bottom``: the negated top (-1 when there is no top vertex).
     """
 
     __slots__ = ("expand", "disjuncts", "exists", "forall", "bottom", "gci")
@@ -60,22 +59,22 @@ class _Tables:
         self.exists: list[tuple[str, int] | None] = [None] * n
         self.forall: list[tuple[str, int] | None] = [None] * n
         self.bottom = -1 if d.top_id is None else 2 * d.top_id + 1
-        self.gci = None if d.gci_constraint is None else _packed(d.gci_constraint)
+        self.gci = d.gci_constraint
         for vid, v in enumerate(d.vertices):
             pos, neg = 2 * vid, 2 * vid + 1
             if v.op == AND:
-                kids = [2 * e.target + e.negated for e in children_in_order(odag, vid)]
+                kids = children_in_order(odag, vid)
                 self.expand[pos] = tuple(kids)
                 self.disjuncts[neg] = tuple(k ^ 1 for k in kids)
             elif v.op == ALL:
-                e = v.children[0]
-                child = 2 * e.target + e.negated
+                (child,) = v.children
                 self.forall[pos] = (v.role, child)
                 self.exists[neg] = (v.role, child ^ 1)
             elif v.op == ATOM:
-                defs = [_packed(r) for r in d.definitions.get(v.name, ())]
-                told = [_packed(r) for r in d.told.get(v.name, ())]
-                self.expand[pos] = tuple(told + defs) or None
+                body = d.definitions.get(v.name)
+                defs = () if body is None else (body,)
+                told = d.told.get(v.name, ())
+                self.expand[pos] = told + defs or None
                 self.expand[neg] = tuple(r ^ 1 for r in defs) or None
 
 
@@ -85,7 +84,7 @@ class _Budget(Exception):
 
 
 def _add(items: list[int], index: set[int], r: int, bottom: int) -> bool:
-    """Add a packed reference to a label; False signals a clash."""
+    """Add a reference to a label; False signals a clash."""
     if r in index:
         return True
     if r ^ 1 in index or r == bottom:
@@ -249,9 +248,7 @@ def chronological_sat(odag: OrderedDag) -> Callable[[Ref | None, int], SatResult
     """``is_satisfiable`` on ``odag`` by the chronological search, as a
     function of the target and the budget."""
     t = _Tables(odag)
-    return lambda target, budget: _search(
-        t, None if target is None else _packed(target), budget
-    )
+    return lambda target, budget: _search(t, target, budget)
 
 
 def reference_rows(corpus: list[tuple[str, str]], budget: int) -> list[RuntimeRow]:
@@ -266,7 +263,7 @@ def reference_rows(corpus: list[tuple[str, str]], budget: int) -> list[RuntimeRo
         except (ParseError, UnsupportedAxiom):
             continue
         d = encode_dag(onto)
-        top = None if d.top_id is None else (d.top_id, False)
+        top = None if d.top_id is None else 2 * d.top_id
         cells = {}
         for label in CONFIG_NUMBERS:
             sat = chronological_sat(apply_ordering(d, parse_config(label)))
@@ -274,7 +271,7 @@ def reference_rows(corpus: list[tuple[str, str]], budget: int) -> list[RuntimeRo
             total, outcome = res.steps, res.outcome
             if outcome != BUDGET_EXCEEDED:
                 for vid in d.atom_ids.values():
-                    res = sat((vid, False), budget)
+                    res = sat(2 * vid, budget)
                     total += res.steps
                     if res.outcome == BUDGET_EXCEEDED:
                         break

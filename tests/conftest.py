@@ -63,7 +63,7 @@ def _count_atom(c, name: str) -> int:
 
 
 def children_in_order(odag, vid: int) -> list:
-    """The edges of ``and`` vertex ``vid`` in the order ``odag`` gives them."""
+    """The children of ``and`` vertex ``vid`` in the order ``odag`` gives them."""
     v = odag.dag.vertices[vid]
     perm = odag.permutations.get(vid)
     return list(v.children) if perm is None else [v.children[i] for i in perm]

@@ -1,7 +1,9 @@
 """The DAG encoder as it was before it became one iterative pass, kept as
 an oracle for `ordsel.dag.encode_dag`: a recursive `_Builder.encode`, a
-separate parity walk and parent count, and dataclass vertex types.  The
-test compares every field of its `Dag` with the new encoder's.
+separate parity walk and parent count, dataclass vertex types, and a
+signed reference written as a `(vertex_id, negated)` pair.  The test packs
+each pair into the encoder's `2 * vertex_id + negated` and compares every
+field of its `Dag` with the new encoder's.
 """
 
 from __future__ import annotations
@@ -25,7 +27,13 @@ from ordsel.concepts import (
     Top,
     walk,
 )
-from ordsel.dag import ALL, AND, ATOM, TOP_OP, Ref, _pure_definition_heads, flip
+from ordsel.dag import ALL, AND, ATOM, TOP_OP, _pure_definition_heads
+
+Ref = tuple[int, bool]
+
+
+def flip(ref: Ref) -> Ref:
+    return (ref[0], not ref[1])
 
 
 @dataclass(frozen=True, slots=True)

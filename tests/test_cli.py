@@ -710,6 +710,26 @@ def test_pipeline_rejects_a_budget_below_1_before_generating(
     assert_no_children()
 
 
+@pytest.mark.parametrize("command", ["split", "train", "pipeline"])
+def test_negative_seed_is_rejected_before_any_work(
+    trained, tmp_path, capsys, monkeypatch, pools, command
+):
+    monkeypatch.setattr(cli, "generate_corpus", _no_corpus)
+    set_workers(monkeypatch, 2)
+    out = tmp_path / "out"
+    args = {
+        "split": ["--runtimes", trained["runtimes"], "--train-out", str(out), "--test-out", str(out)],
+        "train": ["--features", trained["features"], "--runtimes", trained["runtimes"],
+                  "--quick", "--out", str(out)],
+        "pipeline": ["--quick", "--out-dir", str(out)],
+    }[command]
+    assert main([command, "--seed", "-1", *args]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+    assert pools == []
+    assert not out.exists()
+    assert_no_children()
+
+
 @pytest.mark.parametrize("fraction", ["1.5", "0", "nan"])
 def test_pipeline_rejects_bad_test_fraction(tmp_path, capsys, monkeypatch, fraction):
     monkeypatch.setattr(cli, "generate_corpus", _no_corpus)

@@ -10,7 +10,6 @@ from ordsel.dag import (
     ATOM,
     TOP_OP,
     encode_dag,
-    flip,
     nondeterministic_vertices,
 )
 from ordsel.krss import parse_ontology
@@ -27,7 +26,7 @@ def dump(d) -> str:
         op = v.op if v.op != ALL else f"all:{v.role}"
         if v.op == ATOM:
             op = f"atom:{v.name}"
-        kids = " ".join(("~" if e.negated else "") + str(e.target) for e in v.children)
+        kids = " ".join(("~" if r & 1 else "") + str(r >> 1) for r in v.children)
         s = v.stats
         lines.append(
             f"{i} {op} [{kids}] {s.size} {s.depth} {s.frequency} {1 if v.nondeterministic else 0}"
@@ -71,23 +70,21 @@ def test_disjunction_is_negated_conjunction():
     # or(C, D) lives as a negated reference to and(~C, ~D)
     d = encode_dag(parse_ontology("(implies A (or C D))"))
     (ref,) = d.told["A"]
-    vid, negated = ref
-    assert negated is True
-    v = d.vertices[vid]
+    assert ref & 1 == 1
+    v = d.vertices[ref >> 1]
     assert v.op == AND
-    assert all(e.negated for e in v.children)
+    assert all(r & 1 for r in v.children)
 
 
 def test_existential_is_negated_value_restriction():
     d = encode_dag(parse_ontology("(implies A (some R C))"))
     (ref,) = d.told["A"]
-    vid, negated = ref
-    assert negated is True
-    v = d.vertices[vid]
+    assert ref & 1 == 1
+    v = d.vertices[ref >> 1]
     assert v.op == ALL
     assert v.role == "R"
     (child,) = v.children
-    assert child.negated is True
+    assert child & 1 == 1
 
 
 def test_hash_consing_shares_repeated_subexpressions():
@@ -105,13 +102,13 @@ def test_complement_shares_one_vertex():
     d = encode_dag(parse_ontology("(implies A (some R Q))\n(implies B (all R (not Q)))"))
     (ra,) = d.told["A"]
     (rb,) = d.told["B"]
-    assert ra == flip(rb)
+    assert ra == rb ^ 1
 
 
 def test_duplicate_children_collapse_and_singletons_elide():
     d = encode_dag(parse_ontology("(implies A (and C C))"))
     (ref,) = d.told["A"]
-    assert d.vertices[ref[0]].op == ATOM
+    assert d.vertices[ref >> 1].op == ATOM
 
 
 def test_axiom_routing():
@@ -157,9 +154,8 @@ def test_equivalence_blocked_by_partner_decomposition():
 
 def _decode(d, ref):
     """Concept a signed reference stands for, negations materialised."""
-    vid, negated = ref
-    v = d.vertices[vid]
-    kids = [_decode(d, (e.target, e.negated)) for e in v.children]
+    v = d.vertices[ref >> 1]
+    kids = [_decode(d, r) for r in v.children]
     if v.op == TOP_OP:
         out = Top()
     elif v.op == ATOM:
@@ -168,7 +164,7 @@ def _decode(d, ref):
         out = All(v.role, kids[0])
     else:
         out = And(tuple(kids))
-    return Not(out) if negated else out
+    return Not(out) if ref & 1 else out
 
 
 def test_decode_round_trips_up_to_equivalence():
@@ -200,11 +196,11 @@ def test_signed_child_stats_flip_with_edge_sign():
         d = encode_dag(parse_ontology(text))
         for v in d.vertices:
             assert len(v.child_stats) == len(v.children)
-            for edge, stats in zip(v.children, v.child_stats):
-                raw = d.vertices[edge.target].stats
-                assert stats.size == raw.size + (1 if edge.negated else 0)
+            for r, stats in zip(v.children, v.child_stats):
+                raw = d.vertices[r >> 1].stats
+                assert stats.size == raw.size + (r & 1)
                 assert (stats.depth, stats.frequency) == (raw.depth, raw.frequency)
                 # a negated edge into a value restriction reads as an existential
                 assert stats.generating == (
-                    edge.negated and d.vertices[edge.target].op == ALL
+                    r & 1 == 1 and d.vertices[r >> 1].op == ALL
                 )

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ordsel import tableau
 from ordsel.bench.corpus import CorpusSpec, generate_corpus
 from ordsel.cli import main
-from ordsel.dag import AND, DagEdge, encode_dag
+from ordsel.dag import AND, encode_dag
 from ordsel.heuristics import CONFIGS, OrderedDag, apply_ordering, parse_config
 from ordsel.krss import parse_ontology
 from ordsel.tableau import (
@@ -106,6 +106,26 @@ def test_inconsistent_tbox():
     text = "(equivalent C1 (not C2))\n(implies C2 (and C2 C2))\n(equivalent C2 C1)\n"
     d, odag = _ordered(text)
     assert check_tbox_consistency(odag, 10_000).outcome == UNSATISFIABLE
+
+
+# Reference 0 is the first declared class, positive: as a test target or as
+# the global constraint it must not read as "no reference".
+@pytest.mark.parametrize(
+    "text, gci, outcomes",
+    [
+        ("(implies A *bottom*)\n", None, {"A": UNSATISFIABLE}),
+        ("(implies (not A) A)\n(implies B (not A))\n", 0, {"A": SATISFIABLE, "B": UNSATISFIABLE}),
+    ],
+)
+def test_reference_0_is_a_reference(text, gci, outcomes):
+    d, odag = _ordered(text)
+    assert class_ref(d, "A") == 0
+    assert d.gci_constraint == gci
+    for name, outcome in outcomes.items():
+        assert is_satisfiable(odag, class_ref(d, name), 10_000).outcome == outcome, name
+    assert is_satisfiable(odag, None, 10_000).outcome == SATISFIABLE
+    assert check_tbox_consistency(odag, 10_000).outcome == SATISFIABLE
+    _assert_chronological(text)
 
 
 def test_consistency_of_told_only_tbox_is_trivial():
@@ -244,7 +264,7 @@ def _assert_chronological(text, budgets=BUDGETS):
     class positive and negated."""
     onto = parse_ontology(text)
     d = encode_dag(onto)
-    targets = [None] + [(d.atom_ids[n], neg) for n in onto.classes for neg in (False, True)]
+    targets = [None] + [2 * d.atom_ids[n] + neg for n in onto.classes for neg in (0, 1)]
     for cfg in (None, *CONFIGS):
         odag = apply_ordering(d, cfg)
         chronological = chronological_sat(odag)
@@ -362,8 +382,8 @@ def _identity(d):
 
 def _disjunction_of(d, name):
     """The ``and`` vertex that holds the negated atom ``name`` as a child."""
-    edge = DagEdge(d.atom_ids[name], True)
-    (vid,) = [v for v, x in enumerate(d.vertices) if x.op == AND and edge in x.children]
+    ref = 2 * d.atom_ids[name] + 1
+    (vid,) = [v for v, x in enumerate(d.vertices) if x.op == AND and ref in x.children]
     return vid
 
 
