@@ -89,7 +89,6 @@ def _check_int(name: str, value, least: int = 0) -> None:
 class CorpusInstance:
     ontology_id: str
     text: str
-    sensitive: bool
     family: int | None  # trap family index, None for plain instances
 
 
@@ -305,13 +304,13 @@ def generate_corpus(spec: CorpusSpec) -> list[CorpusInstance]:
                 if reason is not None:
                     raise GenerationError(f"instance {idx} (family {family}): {reason}")
                 valid.add(text)
-            instances.append(CorpusInstance(f"ont{idx:04d}", text, True, family))
+            instances.append(CorpusInstance(f"ont{idx:04d}", text, family))
         else:
             for attempt in range(50):
                 rng = np.random.default_rng([spec.seed, idx, attempt])
                 text = _plain_text(spec, rng)
                 if _validate(text, check_budget=4000, full_sweep=True) is None:
-                    instances.append(CorpusInstance(f"ont{idx:04d}", text, False, None))
+                    instances.append(CorpusInstance(f"ont{idx:04d}", text, None))
                     break
             else:
                 raise GenerationError(f"no valid plain instance for slot {idx} in 50 attempts")

@@ -154,15 +154,18 @@ def check_test_fraction(fraction: float) -> None:
 def split_train_test(
     ids: list[str], fraction: float = 0.25, seed: int = 0
 ) -> tuple[list[str], list[str]]:
-    """Seeded shuffle split; the test side takes ceil(n * fraction) ids.
-    Both sides come back sorted."""
+    """Seeded shuffle split; the test side takes ceil(n * fraction) ids,
+    and a fraction that would take them all is refused.  Both sides come
+    back sorted."""
     n = len(ids)
     if n < 4:
         raise TooFewExamples(f"need at least 4 examples to split, got {n}")
     check_test_fraction(fraction)
+    n_test = math.ceil(n * fraction)
+    if n_test == n:
+        raise TooFewExamples(f"test fraction {fraction} of {n} ids leaves none for training")
     rng = np.random.default_rng(seed)
     order = list(rng.permutation(sorted(ids)))
-    n_test = math.ceil(n * fraction)
     return sorted(order[n_test:]), sorted(order[:n_test])
 
 
@@ -241,7 +244,6 @@ class PipelineResult:
     bundle: ModelBundle
     selections: dict[str, str]  # test ontology id -> chosen config label
     report: SpeedupReport
-    f_scores: dict[str, float]
     report_text: str
 
 
@@ -269,13 +271,15 @@ def run_pipeline(
     """Full experiment: benchmark -> filter -> split -> train -> select ->
     speedup report.  The threshold and all models are fit on training
     ontologies only; the held-out quarter is scored with the learned
-    selector against the per-ontology default configuration."""
+    selector against the per-ontology default configuration.  The learner
+    reads the twelve configurations' rows and skips the ``default`` rows,
+    which only the report and the standard costs use."""
     bench = run_benchmark(corpus, budget=budget)
     eligible, exclusions = filter_eligible(bench.rows)
     ids = sorted({r.ontology_id for r in eligible})
     train_ids, test_ids = split_train_test(ids, fraction=test_fraction, seed=seed)
     train_set, test_set = set(train_ids), set(test_ids)
-    train_rows = [r for r in eligible if r.ontology_id in train_set and r.config in CONFIG_NUMBERS]
+    train_rows = [r for r in eligible if r.ontology_id in train_set]
     feature_rows = [(oid, bench.features[oid]) for oid in train_ids]
     bundle = train_model_bundle(feature_rows, train_rows, grid=grid, n_folds=n_folds, seed=seed)
 
@@ -286,8 +290,7 @@ def run_pipeline(
     standard = _cost_map(eligible, test_ids, {oid: DEFAULT_LABEL for oid in test_ids})
     report = speedup_report(learned, standard, float(budget))
 
-    test_rows = [r for r in eligible if r.ontology_id in test_set and r.config in CONFIG_NUMBERS]
-    truth = label_examples(test_rows, bundle.threshold)
+    truth = label_examples([r for r in eligible if r.ontology_id in test_set], bundle.threshold)
     f_scores: dict[str, float] = {}
     for label in CONFIG_NUMBERS:
         lab = truth[label]
@@ -308,7 +311,6 @@ def run_pipeline(
         bundle=bundle,
         selections=selections,
         report=report,
-        f_scores=f_scores,
         report_text=text,
     )
 

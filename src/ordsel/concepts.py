@@ -22,7 +22,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, NamedTuple, Union
+from typing import Iterable, Iterator, Union
 
 NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
 
@@ -207,7 +207,6 @@ class Ontology:
     abox: tuple[AboxAxiom, ...] = ()
     classes: tuple[str, ...] = ()
     roles: tuple[str, ...] = ()
-    individuals: tuple[str, ...] = ()
     source_size: int = 0
 
     def concept_expressions(self) -> Iterator[Concept]:
@@ -266,16 +265,3 @@ def atom_frequencies(onto: Ontology) -> Counter[str]:
         elif type(c) is not Top and type(c) is not Bottom:
             stack.append(c.child)
     return freq
-
-
-class ConceptStats(NamedTuple):
-    """Size, quantifier depth, frequency and generating flag of a concept.
-
-    For DAG vertices the generating flag marks vertices that act as an
-    existential restriction when referenced through a negated edge.
-    """
-
-    size: int
-    depth: int
-    frequency: int
-    generating: bool

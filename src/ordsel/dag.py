@@ -53,8 +53,10 @@ names makes no new cycle.
 Encoding walks each expression once, in post-order on an explicit stack,
 and makes each vertex, its edges, size and depth at its first use.  The
 frequencies and polarities need every reference, so one last sweep from
-the last vertex down settles them and builds the `DagVertex`es.  Equal
-`ConceptStats` are one object; both vertex types are named tuples.
+the last vertex down settles them and builds the `DagVertex`es.  Only an
+``and`` vertex records stats, one `ConceptStats` per signed child: the
+orderings sort those children and nothing reads any other.  Equal
+`ConceptStats` are one object; both records are named tuples.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from .concepts import (
     Bottom,
     Concept,
     ConceptAssertion,
-    ConceptStats,
     Disjointness,
     Equivalence,
     Not,
@@ -90,22 +91,32 @@ TOP_OP = "top"
 Ref = int
 
 
+class ConceptStats(NamedTuple):
+    """Size, quantifier depth, frequency and generating flag of the signed
+    child of an ``and`` vertex: the keys the orderings sort by."""
+
+    size: int
+    depth: int
+    frequency: int
+    generating: bool
+
+
 class DagVertex(NamedTuple):
     """One vertex of the DAG.
 
-    ``children`` are signed references.  ``child_stats`` holds the stats
-    of the signed child each denotes, in child order.  A negated reference
-    adds one node for the negation to the size and is generating exactly
-    when its vertex is an ``all`` (a negated value restriction is an
+    ``children`` are signed references.  For an ``and`` vertex,
+    ``child_stats`` holds the stats of the signed child each denotes, in
+    child order; every other vertex has ``()``.  A negated reference adds
+    one node for the negation to the size and is generating exactly when
+    its vertex is an ``all`` (a negated value restriction is an
     existential); a positive one is never generating.  Depth and frequency
-    are the vertex's.
+    are the referenced vertex's.
     """
 
     op: str
     role: str | None
     name: str | None
     children: tuple[Ref, ...]
-    stats: ConceptStats
     child_stats: tuple[ConceptStats, ...]
     nondeterministic: bool
 
@@ -372,10 +383,11 @@ def encode_dag(onto: Ontology) -> Dag:
         for r in children:
             t = r >> 1
             parity[t] |= ((p & 1) << 1 | p >> 1) if r & 1 else p
-            child_stats.append(stats(size[t] + (r & 1), depth[t], frequency[t], r & 1 == 1 and ops[t] == ALL))
-        own = stats(size[vid], depth[vid], frequency[vid], op == ALL)
+            if op == AND:
+                generating = r & 1 == 1 and ops[t] == ALL
+                child_stats.append(stats(size[t] + (r & 1), depth[t], frequency[t], generating))
         vertices[vid] = DagVertex(
-            op, roles.get(vid), names.get(vid), children, own, tuple(child_stats), op == AND and p & 2 != 0
+            op, roles.get(vid), names.get(vid), children, tuple(child_stats), op == AND and p & 2 != 0
         )
 
     return Dag(

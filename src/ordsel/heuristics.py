@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .concepts import ConceptStats
-from .dag import AND, Dag
+from .dag import AND, ConceptStats, Dag
 
 SIZE = "size"
 DEPTH = "depth"

@@ -239,6 +239,5 @@ def parse_ontology(text: str) -> Ontology:
         abox=tuple(boxes[_ABOX]),
         classes=tuple(concepts)[2:],
         roles=tuple(declared[_ROLE]),
-        individuals=tuple(declared[_INDIVIDUAL]),
         source_size=len(text.encode("utf-8")),
     )

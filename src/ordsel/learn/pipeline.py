@@ -79,13 +79,14 @@ def combine_threshold_stats(stats: list[tuple[float, float]]) -> float:
     return sum(m + s for m, s in stats) / len(stats)
 
 
-def compute_threshold(rows: list[RuntimeRow], configs: tuple[str, ...] = CONFIG_NUMBERS) -> float:
+def compute_threshold(rows: list[RuntimeRow]) -> float:
     """Threshold from a runtime table: per configuration take mean plus
     population std of the finished costs, then average over configurations.
-    Configurations with no finished run contribute nothing."""
+    Configurations with no finished run, and rows of other labels such as
+    ``default``, contribute nothing."""
     by_config = rows_by_config(rows)
     stats: list[tuple[float, float]] = []
-    for label in configs:
+    for label in CONFIG_NUMBERS:
         costs = [r.cost for r in by_config.get(label, ()) if r.outcome == FINISHED]
         if costs:
             arr = np.asarray(costs, dtype=float)
@@ -93,12 +94,10 @@ def compute_threshold(rows: list[RuntimeRow], configs: tuple[str, ...] = CONFIG_
     return combine_threshold_stats(stats)
 
 
-def label_examples(
-    rows: list[RuntimeRow], threshold: float, configs: tuple[str, ...] = CONFIG_NUMBERS
-) -> dict[str, dict[str, float]]:
+def label_examples(rows: list[RuntimeRow], threshold: float) -> dict[str, dict[str, float]]:
     """Per configuration, map ontology id to GOOD/BAD: good means the run
-    finished within the cost threshold."""
-    out: dict[str, dict[str, float]] = {label: {} for label in configs}
+    finished within the cost threshold.  Rows of other labels are skipped."""
+    out: dict[str, dict[str, float]] = {label: {} for label in CONFIG_NUMBERS}
     for r in rows:
         if r.config in out:
             good = r.outcome == FINISHED and r.cost <= threshold
@@ -338,10 +337,12 @@ def train_model_bundle(
     grid: list[GridPoint] | None = None,
     n_folds: int = 10,
     seed: int = 0,
-    configs: tuple[str, ...] = CONFIG_NUMBERS,
 ) -> ModelBundle:
-    """Train the full bundle: threshold, per-configuration classifier with
-    grid-searched hyperparameters refit on all data, and priorities.
+    """Train the full bundle: threshold, a classifier for each of the
+    twelve configurations with grid-searched hyperparameters refit on all
+    data, and priorities.  Every configuration needs runtime rows; rows of
+    other labels, such as ``default``, are ignored.  The fold count is
+    checked before any work, even when no grid search would run.
 
     A configuration whose labels are single-class gets a constant predictor
     with accuracy equal to that class's share (1.0), recorded without grid
@@ -354,12 +355,13 @@ def train_model_bundle(
     Either way the models are the same bits, and a failing training raises
     its own exception, the first in configuration order.
     """
-    threshold = compute_threshold(runtime_rows, configs)
-    labels = label_examples(runtime_rows, threshold, configs)
+    check_folds(n_folds)
+    threshold = compute_threshold(runtime_rows)
+    labels = label_examples(runtime_rows, threshold)
     feat_by_id = dict(feature_rows)
     order = [oid for oid, _ in feature_rows]
     # check every configuration before any (slow) grid search
-    ids_by_label = {label: [oid for oid in order if oid in labels[label]] for label in configs}
+    ids_by_label = {label: [oid for oid in order if oid in lab] for label, lab in labels.items()}
     for label, ids in ids_by_label.items():
         if not ids:
             raise ValueError(f"no runtime rows for configuration {label}")

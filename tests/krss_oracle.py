@@ -127,7 +127,6 @@ class _Builder:
     def __init__(self):
         self.classes: dict[str, None] = {}
         self.roles: dict[str, None] = {}
-        self.individuals: dict[str, None] = {}
 
     def name(self, form, kind: str) -> str:
         if not isinstance(form, _Tok):
@@ -144,9 +143,7 @@ class _Builder:
         return r
 
     def individual(self, form) -> str:
-        a = self.name(form, "individual")
-        self.individuals.setdefault(a)
-        return a
+        return self.name(form, "individual")
 
     def concept(self, form) -> Concept:
         if isinstance(form, _Tok):
@@ -242,6 +239,5 @@ def parse_ontology(text: str) -> Ontology:
         abox=tuple(abox),
         classes=tuple(b.classes),
         roles=tuple(b.roles),
-        individuals=tuple(b.individuals),
         source_size=len(text.encode("utf-8")),
     )

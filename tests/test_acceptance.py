@@ -340,7 +340,7 @@ def test_selector_beats_default_on_held_out_corpus(pipeline_runs):
     runs, elapsed = pipeline_runs
     instances, result = runs[0]
     eligible = {r.ontology_id for r in result.eligible_rows}
-    sensitive = {i.ontology_id for i in instances if i.sensitive}
+    sensitive = {i.ontology_id for i in instances if i.family is not None}
     assert len(eligible) >= 120
     assert len(eligible & sensitive) / len(eligible) >= 0.40
     # geometric-mean step-count speedup over the default ordering on the

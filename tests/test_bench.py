@@ -79,11 +79,9 @@ def test_generate_corpus_empty():
 def test_corpus_instances_valid(small_corpus):
     assert len(small_corpus) == 10
     assert [i.ontology_id for i in small_corpus] == [f"ont{i:04d}" for i in range(10)]
-    n_sensitive = sum(1 for i in small_corpus if i.sensitive)
-    assert n_sensitive == 5
-    # exactly one hopeless instance, leading the sensitive block
+    # five trap instances lead the corpus, the one hopeless instance first
+    assert [i.family is not None for i in small_corpus] == [True] * 5 + [False] * 5
     assert small_corpus[0].family == 5
-    assert all(i.family is None for i in small_corpus if not i.sensitive)
     for inst in small_corpus:
         onto = parse_ontology(inst.text)  # must parse
         assert nondeterministic_vertices(encode_dag(onto)), inst.ontology_id
@@ -290,7 +288,7 @@ def test_each_distinct_sensitive_text_is_validated_once(monkeypatch):
 
     monkeypatch.setattr(corpus_mod, "_validate", spy)
     instances = generate_corpus(CorpusSpec(count=30, seed=7))
-    sensitive = [inst.text for inst in instances if inst.sensitive]
+    sensitive = [inst.text for inst in instances if inst.family is not None]
     assert len(set(sensitive)) < len(sensitive)
     assert sorted(t for t in checked if t in set(sensitive)) == sorted(set(sensitive))
 
@@ -483,6 +481,15 @@ def test_split_minimum_and_fraction_validation():
         split_train_test(["a", "b", "c", "d"], fraction=1.0)
 
 
+def test_split_refuses_an_empty_training_side():
+    ids = [f"o{i:03d}" for i in range(150)]
+    # ceil(150 * 0.99) = 149 leaves one id to train on
+    train, test = split_train_test(ids, fraction=0.99)
+    assert len(train) == 1 and len(test) == 149
+    with pytest.raises(TooFewExamples, match="test fraction 0.995 of 150 ids leaves none for training"):
+        split_train_test(ids, fraction=0.995)
+
+
 # ---------------------------------------------------------------- speedup
 
 
@@ -566,8 +573,13 @@ def test_run_pipeline_smoke(small_corpus):
     assert set(res.selections) == set(res.test_ids)
     assert res.report.ids == tuple(sorted(res.test_ids))
     assert set(res.selections.values()) <= set(CONFIG_NUMBERS)
-    assert set(res.f_scores) == set(CONFIG_NUMBERS)
     assert res.bundle.threshold > 0.0
+    # one F-score per configuration
+    lines = res.report_text.splitlines()
+    at = lines.index("Classifier F-scores on the test split (good class positive)")
+    assert lines[at + 1].split() == [f"c{c}" for c in CONFIG_NUMBERS]
+    scores = [float(v) for v in lines[at + 2].split()]
+    assert len(scores) == len(CONFIG_NUMBERS) and all(0.0 <= f <= 1.0 for f in scores)
     for heading in (
         "Per-ontology sweep costs",
         "Classifier F-scores",

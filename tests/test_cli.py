@@ -573,6 +573,19 @@ def test_split_cli(tmp_path):
     assert sorted(train[1:] + test[1:]) == [f"o{i}" for i in range(8)]
 
 
+def test_split_refuses_a_fraction_that_leaves_no_training_ids(tmp_path, capsys):
+    src = str(tmp_path / "r.csv")
+    write_runtime_csv([RuntimeRow(f"o{i}", "1", 1.0, "finished") for i in range(6)], src)
+    train_out, test_out = tmp_path / "train.csv", tmp_path / "test.csv"
+    rc = main(
+        ["split", "--runtimes", src, "--test-fraction", "0.99",
+         "--train-out", str(train_out), "--test-out", str(test_out)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == "error: test fraction 0.99 of 6 ids leaves none for training\n"
+    assert not train_out.exists() and not test_out.exists()
+
+
 def test_split_too_few(tmp_path, capsys):
     src = str(tmp_path / "r.csv")
     write_runtime_csv([RuntimeRow("a", "1", 1.0, "finished")], src)
@@ -621,6 +634,33 @@ def test_train_rejects_fewer_than_two_folds(trained, tmp_path, capsys, folds):
     assert rc == 2
     err = capsys.readouterr().err
     assert err == f"error: need at least 2 folds, got {folds}\n"
+
+
+@pytest.mark.parametrize("folds", ["0", "1"])
+def test_train_checks_folds_when_every_labelling_is_single_class(
+    tmp_path, capsys, monkeypatch, pools, folds
+):
+    # odd configurations finish every ontology at the threshold, even ones
+    # time out on all: two single-class labellings, so no grid search runs
+    feature_rows = [(f"s{i}", FeatureVector((float(i),) * N_FEATURES)) for i in range(6)]
+    runtime_rows = [
+        RuntimeRow(oid, c, 10.0, "finished" if int(c) % 2 else "timeout")
+        for oid, _ in feature_rows
+        for c in CONFIG_NUMBERS
+    ]
+    features, runtimes, model = (tmp_path / n for n in ("f.csv", "r.csv", "m.json"))
+    write_feature_csv(feature_rows, str(features))
+    write_runtime_csv(runtime_rows, str(runtimes))
+    set_workers(monkeypatch, 2)
+    rc = main(
+        ["train", "--features", str(features), "--runtimes", str(runtimes),
+         "--folds", folds, "--quick", "--out", str(model)]
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"error: need at least 2 folds, got {folds}\n"
+    assert not model.exists()
+    assert pools == []
+    assert_no_children()
 
 
 def test_train_with_a_huge_fold_count_equals_one_fold_per_row(trained, tmp_path):
@@ -728,6 +768,18 @@ def test_negative_seed_is_rejected_before_any_work(
     assert pools == []
     assert not out.exists()
     assert_no_children()
+
+
+def test_pipeline_refuses_a_test_fraction_that_leaves_no_training_ids(tmp_path, capsys):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(SPEC))
+    out = tmp_path / "run"
+    argv = ["pipeline", "--spec", str(spec_path), "--test-fraction", "0.99", "--quick",
+            "--out-dir", str(out)]
+    assert main(argv) == 2
+    # the one all-timeout instance of the ten is filtered out
+    assert capsys.readouterr().err == "error: test fraction 0.99 of 9 ids leaves none for training\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("fraction", ["1.5", "0", "nan"])

@@ -18,8 +18,9 @@ from ordsel.krss import parse_ontology
 def dump(d) -> str:
     """Stable one-line-per-vertex table of a DAG for golden tests.
 
-    Format: ``id op [signed-child-ids] size depth freq nondet`` with ``~``
-    marking negated edges.
+    Format: ``id op [signed-child-ids] nondet`` with ``~`` marking negated
+    edges, then, for an ``and`` vertex, ``size/depth/freq`` of each signed
+    child, suffixed ``g`` when the child is generating.
     """
     lines = []
     for i, v in enumerate(d.vertices):
@@ -27,36 +28,60 @@ def dump(d) -> str:
         if v.op == ATOM:
             op = f"atom:{v.name}"
         kids = " ".join(("~" if r & 1 else "") + str(r >> 1) for r in v.children)
-        s = v.stats
-        lines.append(
-            f"{i} {op} [{kids}] {s.size} {s.depth} {s.frequency} {1 if v.nondeterministic else 0}"
+        stats = "".join(
+            f" {s.size}/{s.depth}/{s.frequency}{'g' if s.generating else ''}" for s in v.child_stats
         )
+        lines.append(f"{i} {op} [{kids}] {1 if v.nondeterministic else 0}{stats}")
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 BASIC_DUMP = """\
-0 atom:C [] 1 0 3 0
-1 atom:D [] 1 0 2 0
-2 atom:F [] 1 0 1 0
-3 atom:A [] 1 0 1 0
-4 all:R [~1] 3 1 1 0
-5 and [~0 ~1] 5 0 1 1
+0 atom:C [] 0
+1 atom:D [] 0
+2 atom:F [] 0
+3 atom:A [] 0
+4 all:R [~1] 0
+5 and [~0 ~1] 1 2/0/3 2/0/2
+"""
+
+# or(all R B, C) is ~and(~all(R, B), ~C): the negated value restriction is
+# an existential, so that child is generating; the conjunction's copy of
+# the same value restriction is not.
+SIGNED_TEXT = "(implies A (or (all R (and B E)) C))\n(implies D (and (all R (and B E)) C))\n"
+
+SIGNED_DUMP = """\
+0 atom:A [] 0
+1 atom:B [] 0
+2 atom:E [] 0
+3 atom:C [] 0
+4 atom:D [] 0
+5 and [1 2] 0 1/0/2 1/0/2
+6 all:R [5] 0
+7 and [~6 ~3] 1 5/1/2g 2/0/2
+8 and [6 3] 0 4/1/2 1/0/2
 """
 
 
 def test_worked_example_dump_is_stable():
     d = encode_dag(parse_ontology(BASIC_TEXT))
     assert dump(d) == BASIC_DUMP
+    assert dump(encode_dag(parse_ontology(SIGNED_TEXT))) == SIGNED_DUMP
 
 
 def test_atom_frequencies_match_per_name_oracle():
-    # one counting pass over the ontology equals a full traversal per name
+    # one counting pass over the ontology equals a full traversal per name,
+    # as the conjunctions that reference each atom record it
     for inst in generate_corpus(CorpusSpec(count=12, seed=5)):
         onto = parse_ontology(inst.text + "(instance x (and C0 (or C1 *top*)))\n")
         d = encode_dag(onto)
-        assert d.atom_ids
-        for name, vid in d.atom_ids.items():
-            assert d.vertices[vid].stats.frequency == concept_frequency(name, onto), name
+        names = {vid: name for name, vid in d.atom_ids.items()}
+        seen = set()
+        for v in d.vertices:
+            for r, stats in zip(v.children, v.child_stats):
+                if r >> 1 in names:
+                    assert stats.frequency == concept_frequency(names[r >> 1], onto), names[r >> 1]
+                    seen.add(r >> 1)
+        assert {d.atom_ids["C0"], d.atom_ids["C1"]} <= seen
 
 
 def test_top_id_is_the_top_vertex():
@@ -190,17 +215,26 @@ def test_nondeterministic_vertices_are_disjunctions_only():
 
 
 def test_signed_child_stats_flip_with_edge_sign():
-    texts = ["(implies A (or (some R B) C))"]
+    texts = [SIGNED_TEXT]
     texts += [inst.text for inst in generate_corpus(CorpusSpec(count=12, seed=5))]
+    flipped = 0
     for text in texts:
         d = encode_dag(parse_ontology(text))
+        signs: dict[int, dict[int, tuple]] = {}  # vertex -> sign -> stats
         for v in d.vertices:
+            if v.op != AND:
+                # only the conjunctions' children are ever sorted
+                assert v.child_stats == ()
+                continue
             assert len(v.child_stats) == len(v.children)
             for r, stats in zip(v.children, v.child_stats):
-                raw = d.vertices[r >> 1].stats
-                assert stats.size == raw.size + (r & 1)
-                assert (stats.depth, stats.frequency) == (raw.depth, raw.frequency)
                 # a negated edge into a value restriction reads as an existential
-                assert stats.generating == (
-                    r & 1 == 1 and d.vertices[r >> 1].op == ALL
-                )
+                assert stats.generating == (r & 1 == 1 and d.vertices[r >> 1].op == ALL)
+                signs.setdefault(r >> 1, {})[r & 1] = stats
+        for both in signs.values():
+            if len(both) == 2:
+                # a negation adds one node and changes neither depth nor frequency
+                assert both[1].size == both[0].size + 1
+                assert both[1][1:3] == both[0][1:3]
+                flipped += 1
+    assert flipped

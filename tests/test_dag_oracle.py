@@ -1,6 +1,8 @@
 """Differential tests of the one-pass encoder against `dag_oracle`, the
-recursive encoder it replaced: every field of the two `Dag`s agrees, the
-vertex and stats types keep their field names and keyword construction,
+recursive encoder it replaced: every field of the two `Dag`s agrees (the
+oracle still gives every vertex its own stats and child stats, which the
+encoder keeps only as the child stats of an ``and`` vertex), the vertex
+and stats types keep their field names and keyword construction,
 and an axiom nested far deeper than the recursion limit parses and encodes
 under it."""
 
@@ -13,8 +15,7 @@ from hypothesis import strategies as st
 import dag_oracle
 from conftest import random_ontology_text
 from ordsel.bench.corpus import CorpusSpec, generate_corpus
-from ordsel.concepts import ConceptStats
-from ordsel.dag import DagVertex, encode_dag
+from ordsel.dag import AND, ConceptStats, DagVertex, encode_dag
 from ordsel.krss import parse_ontology
 from test_cli import _nested_text
 from test_tableau import _default_recursion_limit
@@ -45,15 +46,17 @@ def _pack(ref):
 
 def _packed(d: dag_oracle.Dag) -> dict:
     """The oracle's fields with each `(vertex_id, negated)` pair packed into
-    `2 * vertex_id + negated` and each definition's 1-tuple unwrapped to its
-    body, as `ordsel.dag` writes them.  `astuple` turns the dataclass
-    vertices, edges and stats into the plain tuples that the encoder's
-    named tuples equal."""
+    `2 * vertex_id + negated`, each definition's 1-tuple unwrapped to its
+    body, each vertex's own stats dropped and the child stats of a vertex
+    other than an ``and`` emptied, as `ordsel.dag` writes them.  `astuple`
+    turns the dataclass vertices, edges and stats into the plain tuples
+    that the encoder's named tuples equal."""
     vertices = []
     for v in d.vertices:
-        op, role, name, children, stats, child_stats, nondeterministic = dataclasses.astuple(v)
+        op, role, name, children, _, child_stats, nondeterministic = dataclasses.astuple(v)
         children = tuple(_pack(e) for e in children)
-        vertices.append((op, role, name, children, stats, child_stats, nondeterministic))
+        child_stats = child_stats if op == AND else ()
+        vertices.append((op, role, name, children, child_stats, nondeterministic))
     return {
         "vertices": tuple(vertices),
         "atom_ids": d.atom_ids,
@@ -94,12 +97,12 @@ def test_random_tboxes_encode_as_the_oracle_encodes(seed):
 def test_vertex_types_keep_fields_and_keywords():
     stats = ConceptStats(size=3, depth=1, frequency=2, generating=True)
     vertex = DagVertex(
-        op="all", role="R", name=None, children=(9,), stats=stats,
-        child_stats=(stats,), nondeterministic=False,
+        op="and", role=None, name=None, children=(9, 4), child_stats=(stats, stats),
+        nondeterministic=True,
     )
     assert (stats.size, stats.depth, stats.frequency, stats.generating) == (3, 1, 2, True)
-    assert (vertex.op, vertex.role, vertex.name, vertex.children) == ("all", "R", None, (9,))
-    assert (vertex.stats, vertex.child_stats, vertex.nondeterministic) == (stats, (stats,), False)
+    assert (vertex.op, vertex.role, vertex.name, vertex.children) == ("and", None, None, (9, 4))
+    assert (vertex.child_stats, vertex.nondeterministic) == ((stats, stats), True)
 
 
 def test_deep_nesting_encodes_without_recursion():
@@ -107,5 +110,9 @@ def test_deep_nesting_encodes_without_recursion():
         d = encode_dag(parse_ontology(_nested_text(5_000, ("implies A", "equivalent E"))))
     # the definition of E is the deep concept, encoded once for both axioms
     assert (d.definitions["E"],) == d.told["A"]
-    # `some` and `all` open 2,000 of the 4,999 levels below the axiom's own
-    assert d.vertices[d.told["A"][0] >> 1].stats.depth == 2_000
+    # `some` and `all` open 2,000 of the 4,999 levels below the axiom's own;
+    # the first `and`, under `(some R (not ...`, sees 1,999 in its second child
+    root = d.vertices[d.told["A"][0] >> 1]
+    first_and = d.vertices[root.children[0] >> 1]
+    assert first_and.op == AND
+    assert first_and.child_stats[1].depth == 1_999

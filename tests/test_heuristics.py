@@ -60,7 +60,7 @@ def test_parse_config_rejects_unknown(bad):
 
 
 def _stats(size=1, depth=0, frequency=1, generating=False):
-    from ordsel.concepts import ConceptStats
+    from ordsel.dag import ConceptStats
 
     return ConceptStats(size=size, depth=depth, frequency=frequency, generating=generating)
 

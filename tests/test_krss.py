@@ -58,7 +58,6 @@ def test_unparse_parse_identity():
         abox=onto.abox,
         classes=onto.classes,
         roles=onto.roles,
-        individuals=onto.individuals,
         source_size=len(unparse(onto).encode()),
     )
 
@@ -83,7 +82,7 @@ def test_role_and_individual_axioms():
     )
     assert [type(ax) for ax in onto.rbox] == [RoleInclusion, Transitivity]
     assert [type(ax) for ax in onto.abox] == [ConceptAssertion, RoleAssertion]
-    assert onto.individuals == ("bob", "alice")
+    assert onto.abox == (ConceptAssertion("bob", Atomic("C")), RoleAssertion("bob", "alice", "R"))
 
 
 def test_syntax_error_carries_position():

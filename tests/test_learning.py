@@ -398,8 +398,9 @@ def test_compute_threshold_ignores_unfinished():
         RuntimeRow("a", "2", 999.0, TIMEOUT),
         RuntimeRow("b", "2", 999.0, TIMEOUT),
     ]
-    # config 1: mean 15, population std 5 -> 20; config 2 contributes nothing
-    assert compute_threshold(rows, configs=("1", "2")) == 20.0
+    # config 1: mean 15, population std 5 -> 20; config 2 contributes
+    # nothing, nor do the ten configurations without rows
+    assert compute_threshold(rows) == 20.0
 
 
 def test_label_examples_good_iff_finished_within_threshold():
@@ -407,10 +408,10 @@ def test_label_examples_good_iff_finished_within_threshold():
         RuntimeRow("a", "1", 20.0, FINISHED),
         RuntimeRow("b", "1", 20.5, FINISHED),
         RuntimeRow("c", "1", 5.0, TIMEOUT),
-        RuntimeRow("a", "99", 1.0, FINISHED),  # config outside the set
+        RuntimeRow("a", "default", 1.0, FINISHED),  # not a configuration
     ]
-    labels = label_examples(rows, 20.0, configs=("1",))
-    assert labels == {"1": {"a": GOOD, "b": BAD, "c": BAD}}
+    labels = label_examples(rows, 20.0)
+    assert labels == {"1": {"a": GOOD, "b": BAD, "c": BAD}} | {c: {} for c in CONFIG_NUMBERS[1:]}
 
 
 # ---------------------------------------------------- priorities/selection
@@ -508,37 +509,68 @@ def _bundle_training_data():
     return feature_rows, runtime_rows
 
 
+def _all_configs(runtime_rows, copies=lambda c: "1" if int(c) % 2 else "2"):
+    """The rows of every configuration, each a copy of the rows of the
+    configuration `copies` names (by default: odd ones copy 1, even ones
+    2), so training sees as few distinct labellings as the copied ones."""
+    return [
+        RuntimeRow(r.ontology_id, c, r.cost, r.outcome)
+        for c in CONFIG_NUMBERS
+        for r in runtime_rows
+        if r.config == copies(c)
+    ]
+
+
+SMALL_GRID = [GridPoint(k=1, n_components=1, kernel="linear", c=10.0)]
+
+
 def _train_small_bundle():
+    """The two-model bundle of configurations 1 and 2, built from the steps
+    `train_model_bundle` takes for each (which always trains all twelve)."""
     feature_rows, runtime_rows = _bundle_training_data()
-    grid = [GridPoint(k=1, n_components=1, kernel="linear", c=10.0)]
-    return train_model_bundle(
-        feature_rows, runtime_rows, grid=grid, n_folds=4, seed=0, configs=("1", "2")
-    )
+    threshold = compute_threshold(runtime_rows)
+    labels = label_examples(runtime_rows, threshold)
+    x = np.asarray([fv.values for _, fv in feature_rows], dtype=float)
+    models = {}
+    for label in ("1", "2"):
+        y = np.asarray([labels[label][oid] for oid, _ in feature_rows], dtype=float)
+        point, acc = grid_search(x, y, grid=SMALL_GRID, n_folds=4, seed=0)
+        models[label] = ConfigModel(params=point, accuracy=acc, pipeline=fit_config_pipeline(x, y, point))
+    priorities = assign_priorities({label: m.accuracy for label, m in models.items()})
+    return ModelBundle(threshold=threshold, models=models, priorities=priorities)
+
+
+def _train_bundle_data(grid=SMALL_GRID):
+    feature_rows, runtime_rows = _bundle_training_data()
+    return train_model_bundle(feature_rows, _all_configs(runtime_rows), grid=grid, n_folds=4, seed=0)
 
 
 def test_train_model_bundle_small():
-    bundle = _train_small_bundle()
+    bundle = _train_bundle_data()
     # only finished costs (all exactly 10) feed the threshold
     assert bundle.threshold == 10.0
-    assert tuple(bundle.models) == ("1", "2")
+    assert tuple(bundle.models) == CONFIG_NUMBERS
     assert bundle.models["1"].accuracy >= 0.9
     assert bundle.models["2"].accuracy >= 0.9
-    assert sorted(bundle.priorities.values()) == [1, 2]
+    assert sorted(bundle.priorities.values()) == list(range(1, 13))
     feature_rows, _ = _bundle_training_data()
-    # low feature-0 ontologies are cheap under config 1, high ones under 2
+    # low feature-0 ontologies are cheap under the odd configurations, high
+    # ones under the even; ties in accuracy go to the lower number
     assert select_heuristic(bundle, feature_rows[0][1]) == "1"
     assert select_heuristic(bundle, feature_rows[-1][1]) == "2"
+    # configurations 1 and 2 train as the two-model bundle's do
+    small = _train_small_bundle()
+    for label in ("1", "2"):
+        _assert_same_record(bundle.models[label], small.models[label], f"models[{label}]")
 
 
 def test_single_class_config_gets_constant_model():
     feature_rows, runtime_rows = _bundle_training_data()
-    # a third configuration that times out on everything
-    for oid, _ in feature_rows:
-        runtime_rows.append(RuntimeRow(oid, "3", 5000.0, TIMEOUT))
-    grid = [GridPoint(k=1, n_components=1, kernel="linear", c=10.0)]
-    bundle = train_model_bundle(
-        feature_rows, runtime_rows, grid=grid, n_folds=4, seed=0, configs=("1", "2", "3")
-    )
+    runtime_rows = _all_configs(runtime_rows)
+    # configuration 3 times out on everything
+    runtime_rows = [r for r in runtime_rows if r.config != "3"]
+    runtime_rows += [RuntimeRow(oid, "3", 5000.0, TIMEOUT) for oid, _ in feature_rows]
+    bundle = train_model_bundle(feature_rows, runtime_rows, grid=SMALL_GRID, n_folds=4, seed=0)
     m = bundle.models["3"]
     assert m.params is None
     assert m.accuracy == 1.0
@@ -546,17 +578,8 @@ def test_single_class_config_gets_constant_model():
     assert predict_labels(bundle, feature_rows[0][1])["3"] == BAD
 
 
-def _three_configs_two_label_vectors():
-    feature_rows, runtime_rows = _bundle_training_data()
-    # configuration 3 has exactly the labels of configuration 1
-    runtime_rows += [
-        RuntimeRow(r.ontology_id, "3", r.cost, r.outcome) for r in runtime_rows if r.config == "1"
-    ]
-    return feature_rows, runtime_rows
-
-
 def test_configs_with_equal_labels_train_once(monkeypatch, inline):
-    feature_rows, runtime_rows = _three_configs_two_label_vectors()
+    feature_rows, runtime_rows = _bundle_training_data()
     searches = []
 
     def counting(x, y, **kwargs):
@@ -564,21 +587,21 @@ def test_configs_with_equal_labels_train_once(monkeypatch, inline):
         return grid_search(x, y, **kwargs)
 
     monkeypatch.setattr(pipeline, "grid_search", counting)
-    grid = [GridPoint(k=1, n_components=1, kernel="linear", c=10.0)]
     bundle = train_model_bundle(
-        feature_rows, runtime_rows, grid=grid, n_folds=4, seed=0, configs=("1", "2", "3")
+        feature_rows, _all_configs(runtime_rows), grid=SMALL_GRID, n_folds=4, seed=0
     )
     assert len(searches) == 2
     assert bundle.models["3"] is bundle.models["1"]
     # priorities stay per configuration; the accuracy tie goes to config 1
     assert bundle.priorities["1"] < bundle.priorities["3"]
-    assert sorted(bundle.priorities.values()) == [1, 2, 3]
+    assert sorted(bundle.priorities.values()) == list(range(1, 13))
 
 
 def test_train_model_bundle_requires_rows():
+    # rows of configurations 1 and 2 only
     feature_rows, runtime_rows = _bundle_training_data()
-    with pytest.raises(ValueError):
-        train_model_bundle(feature_rows, runtime_rows, configs=("1", "7"))
+    with pytest.raises(ValueError, match="no runtime rows for configuration 3"):
+        train_model_bundle(feature_rows, runtime_rows)
 
 
 # ---------------------------------------------------- worker processes
@@ -598,13 +621,6 @@ def _small_corpus_training_data():
     return features, rows
 
 
-def _train_bundle_data(grid):
-    feature_rows, runtime_rows = _bundle_training_data()
-    return train_model_bundle(
-        feature_rows, runtime_rows, grid=grid, n_folds=4, seed=0, configs=("1", "2")
-    )
-
-
 def _train_small_corpus(grid):
     features, rows = _small_corpus_training_data()
     return train_model_bundle(features, rows, grid=grid, n_folds=4, seed=1)
@@ -613,7 +629,7 @@ def _train_small_corpus(grid):
 @pytest.mark.parametrize(
     "train, grid",
     [
-        (_train_bundle_data, [GridPoint(k=1, n_components=1, kernel="linear", c=10.0)]),
+        (_train_bundle_data, SMALL_GRID),
         (_train_bundle_data, QUICK_GRID),
         (_train_small_corpus, QUICK_GRID),
     ],
@@ -632,12 +648,8 @@ def test_pooled_bundle_bytes_equal_inline(monkeypatch, tmp_path, pools, train, g
 
 
 def test_pooled_path_submits_one_task_per_label_vector(monkeypatch, pools):
-    feature_rows, runtime_rows = _three_configs_two_label_vectors()
     set_workers(monkeypatch, 2)
-    grid = [GridPoint(k=1, n_components=1, kernel="linear", c=10.0)]
-    bundle = train_model_bundle(
-        feature_rows, runtime_rows, grid=grid, n_folds=4, seed=0, configs=("1", "2", "3")
-    )
+    bundle = _train_bundle_data()
     assert len(pools) == 1
     label_vectors = [tuple(y) for _, y, *_ in pools[0].tasks]
     assert len(label_vectors) == 2 and label_vectors[0] != label_vectors[1]
@@ -647,19 +659,20 @@ def test_pooled_path_submits_one_task_per_label_vector(monkeypatch, pools):
 
 def _overflowing_data():
     """`_bundle_training_data` with +-1e300 in the informative column, which
-    overflow its standard deviation under both configurations."""
+    overflow its standard deviation under both labellings, and its rows
+    copied to all twelve configurations."""
     feature_rows, runtime_rows = _bundle_training_data()
     overflowing = []
     for i, (oid, fv) in enumerate(feature_rows):
         values = [float(v) for v in fv.values]
         values[0] = {1: 1e300, 2: -1e300}.get(i, values[0])
         overflowing.append((oid, FeatureVector(tuple(values))))
-    return overflowing, runtime_rows
+    return overflowing, _all_configs(runtime_rows)
 
 
 def _training_error(data):
     with pytest.raises(DegenerateData) as info:
-        train_model_bundle(*data, grid=QUICK_GRID, n_folds=4, seed=0, configs=("1", "2"))
+        train_model_bundle(*data, grid=QUICK_GRID, n_folds=4, seed=0)
     return info.value
 
 
@@ -676,13 +689,6 @@ def test_worker_exception_reaches_caller(monkeypatch, pools):
 
 def test_train_cli_exits_2_when_a_worker_raises(monkeypatch, tmp_path, capsys, pools):
     feature_rows, runtime_rows = _overflowing_data()
-    # `train` learns all twelve configurations: odd ones copy 1, even ones 2
-    runtime_rows = [
-        RuntimeRow(r.ontology_id, c, r.cost, r.outcome)
-        for r in runtime_rows
-        for c in CONFIG_NUMBERS
-        if int(c) % 2 == int(r.config) % 2
-    ]
     features, runtimes, model = (str(tmp_path / n) for n in ("f.csv", "r.csv", "m.json"))
     write_feature_csv(feature_rows, features)
     write_runtime_csv(runtime_rows, runtimes)
@@ -711,21 +717,21 @@ def _no_fork(monkeypatch):
 
 @pytest.mark.parametrize("condition", [_one_cpu, _no_fork])
 def test_trains_inline_without_a_usable_pool(monkeypatch, tmp_path, pools, condition):
-    want = _saved_bytes(_train_small_bundle(), tmp_path / "want.json")
+    want = _saved_bytes(_train_bundle_data(), tmp_path / "want.json")
     pools.clear()
     condition(monkeypatch)
     assert workers._worker_count(2) == 1
-    assert _saved_bytes(_train_small_bundle(), tmp_path / "got.json") == want
+    assert _saved_bytes(_train_bundle_data(), tmp_path / "got.json") == want
     assert pools == []
 
 
 def test_one_problem_trains_inline(pools):
     feature_rows, runtime_rows = _bundle_training_data()
-    grid = [GridPoint(k=1, n_components=1, kernel="linear", c=10.0)]
-    bundle = train_model_bundle(
-        feature_rows, runtime_rows, grid=grid, n_folds=4, seed=0, configs=("1",)
-    )
+    # every configuration copies the labels of configuration 1
+    runtime_rows = _all_configs(runtime_rows, copies=lambda c: "1")
+    bundle = train_model_bundle(feature_rows, runtime_rows, grid=SMALL_GRID, n_folds=4, seed=0)
     assert pools == []
+    assert bundle.models["12"] is bundle.models["1"]
     assert bundle.models["1"].accuracy >= 0.9
 
 
@@ -772,11 +778,11 @@ def test_daemonic_process_trains_the_same_bundle(tmp_path):
     have children of its own, still trains the bundle this process does."""
     ctx = multiprocessing.get_context("fork")
     path = tmp_path / "model.json"
-    child = ctx.Process(target=lambda: save_bundle(_train_small_bundle(), str(path)), daemon=True)
+    child = ctx.Process(target=lambda: save_bundle(_train_bundle_data(), str(path)), daemon=True)
     child.start()
     child.join(60)
     assert child.exitcode == 0
-    assert path.read_bytes() == _saved_bytes(_train_small_bundle(), tmp_path / "here.json")
+    assert path.read_bytes() == _saved_bytes(_train_bundle_data(), tmp_path / "here.json")
 
 
 # ------------------------------------------------------------ persistence

@@ -1,0 +1,128 @@
+"""Every name the package defines is read somewhere in the package.
+
+An AST scan over `src/ordsel` lists each top-level function, class and
+constant, and each field of a dataclass or NamedTuple, and fails on any
+that no code under `src/ordsel` reads: something only the tests read or
+set is surface the program computes, or carries, for nothing.
+
+A top-level name is read when it is loaded, as a bare name or as an
+attribute, outside its own definition.  A field is read when an attribute
+of its name is loaded anywhere, whatever the object; the orderings read
+the `ConceptStats` fields through `getattr` with the metric names, so a
+string constant equal to a field's name counts as a read too.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "ordsel"
+
+# Names kept though the package never reads them, each with its reason.
+ALLOWED = {
+    "cross_validate": "the benchmark's span tracer wraps it (see test_tracer_names)",
+    "CorpusInstance.family": "the benchmark's trap-order check reads it",
+    "FAMILY_FAST": "the benchmark's trap-order check reads it",
+    "__version__": "the package's version, for whoever imports it",
+}
+
+
+def _modules() -> list[ast.Module]:
+    return [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.rglob("*.py"))]
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A dataclass (bare or called decorator) or a NamedTuple subclass."""
+    decorators = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    names = [getattr(n, "id", getattr(n, "attr", None)) for n in decorators + cls.bases]
+    return "dataclass" in names or "NamedTuple" in names
+
+
+def _definitions(stmt: ast.stmt) -> list[str]:
+    """The top-level names one module statement binds."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    targets = stmt.targets if isinstance(stmt, ast.Assign) else [getattr(stmt, "target", None)]
+    out = []
+    for t in targets:
+        for node in [t] if isinstance(t, ast.Name) else getattr(t, "elts", []):
+            if isinstance(node, ast.Name):
+                out.append(node.id)
+    return out
+
+
+def _fields(cls: ast.ClassDef) -> list[str]:
+    return [
+        s.target.id
+        for s in cls.body
+        if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+        and "ClassVar" not in ast.unparse(s.annotation)
+    ]
+
+
+def _docstrings(tree: ast.Module) -> set[int]:
+    """ids of the constant nodes that are docstrings."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = node.body
+            if body and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+                out.add(id(body[0].value))
+    return out
+
+
+def unread_names(modules: list[ast.Module]) -> list[str]:
+    """Every top-level name and record field that no package code reads,
+    as ``name`` or ``Class.field``."""
+    defined: list[tuple[str, ast.stmt]] = []  # (name, the statement binding it)
+    fields: list[tuple[str, str]] = []  # (class, field)
+    loads: list[tuple[str, ast.stmt]] = []  # (name, enclosing top-level statement)
+    attrs: set[str] = set()  # attribute names loaded, and string constants
+    for tree in modules:
+        docs = _docstrings(tree)
+        for stmt in tree.body:
+            for name in _definitions(stmt):
+                defined.append((name, stmt))
+            if isinstance(stmt, ast.ClassDef) and _is_record(stmt):
+                fields += [(stmt.name, f) for f in _fields(stmt)]
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                    loads.append((node.id, stmt))
+                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                    loads.append((node.attr, stmt))
+                    attrs.add(node.attr)
+                elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
+                    attrs.add(node.value)
+    unread = [
+        name for name, stmt in defined
+        if not any(n == name and s is not stmt for n, s in loads)
+    ]
+    unread += [f"{cls}.{f}" for cls, f in fields if f not in attrs]
+    return sorted(unread)
+
+
+def test_every_name_and_field_is_read_by_the_package():
+    assert unread_names(_modules()) == sorted(ALLOWED)
+
+
+def test_the_scan_finds_an_unread_field_and_function():
+    source = '''
+from dataclasses import dataclass
+
+@dataclass
+class Row:
+    used: int
+    spare: int
+
+def helper(r):
+    return helper(r) if r.used else r.used
+
+def main():
+    return Row(1, 2).used
+
+if __name__ == "__main__":
+    main()
+'''
+    got = unread_names([ast.parse(source)])
+    assert got == ["Row.spare", "helper"]
