@@ -54,12 +54,13 @@ def run_benchmark(
 ) -> BenchResult:
     """One satisfiability sweep per (ontology, configuration).
 
-    `corpus` is a list of (ontology id, source text) pairs.  The pseudo
-    configuration "default" reruns the label picked by the rule-based
-    default for that ontology's features (reusing the sweep when that label
-    was already benchmarked).  Every other configuration is swept; a class
-    test that an earlier ordering of the ontology already ran on the same
-    rows is answered from its result (see the tableau module docstring).
+    `corpus` is a list of (ontology id, source text) pairs, and rows follow
+    the order of `configs`.  The pseudo configuration "default" sweeps the
+    ordering the rule-based default picks for that ontology's features.  A
+    class test that an earlier ordering of the ontology already ran with
+    every ``and`` vertex permuted alike is answered from its result, so
+    the default's sweep repeats no search (see the tableau module
+    docstring).
     Sources that fail to parse, or hold an RBox axiom or ABox assertion
     (see ``check_supported``), are recorded and skipped, not fatal.
 
@@ -100,23 +101,16 @@ def _benchmark_text(
         return str(exc)
     d = encode_dag(onto)
     fv = extract_features(onto, d)
-    default_label = str(default_config(fv).number)
-    real = tuple(c for c in configs if c != DEFAULT_LABEL)
-    want_default = DEFAULT_LABEL in configs
-    per_label: dict[str, tuple[float, str]] = {}
-    for label in real + ((default_label,) if want_default else ()):
-        if label in per_label:
-            continue
-        sweep = satisfiability_sweep(apply_ordering(d, parse_config(label)), budget)
+    cells: list[tuple[str, float, str]] = []
+    for label in configs:
+        cfg = default_config(fv) if label == DEFAULT_LABEL else parse_config(label)
+        sweep = satisfiability_sweep(apply_ordering(d, cfg), budget)
         if sweep.timed_out:
-            per_label[label] = (float(budget), TIMEOUT)
+            cells.append((label, float(budget), TIMEOUT))
         elif not sweep.consistent:
-            per_label[label] = (float(sweep.total_steps), INCONSISTENT)
+            cells.append((label, float(sweep.total_steps), INCONSISTENT))
         else:
-            per_label[label] = (float(sweep.total_steps), FINISHED)
-    cells = [(label, *per_label[label]) for label in real]
-    if want_default:
-        cells.append((DEFAULT_LABEL, *per_label[default_label]))
+            cells.append((label, float(sweep.total_steps), FINISHED))
     return fv, cells
 
 
@@ -151,19 +145,25 @@ def check_test_fraction(fraction: float) -> None:
         raise ValueError("fraction must be strictly between 0 and 1")
 
 
-def split_train_test(
-    ids: list[str], fraction: float = 0.25, seed: int = 0
-) -> tuple[list[str], list[str]]:
-    """Seeded shuffle split; the test side takes ceil(n * fraction) ids,
-    and a fraction that would take them all is refused.  Both sides come
-    back sorted."""
-    n = len(ids)
+def check_split(n: int, fraction: float) -> int:
+    """The test side's size, ceil(n * fraction), of a split of n ids;
+    refuses fewer than 4 ids and a fraction that would take them all.
+    Refused for n, a split is refused for every smaller n too."""
     if n < 4:
         raise TooFewExamples(f"need at least 4 examples to split, got {n}")
     check_test_fraction(fraction)
     n_test = math.ceil(n * fraction)
     if n_test == n:
         raise TooFewExamples(f"test fraction {fraction} of {n} ids leaves none for training")
+    return n_test
+
+
+def split_train_test(
+    ids: list[str], fraction: float = 0.25, seed: int = 0
+) -> tuple[list[str], list[str]]:
+    """Seeded shuffle split; the test side takes ceil(n * fraction) ids
+    (see ``check_split``).  Both sides come back sorted."""
+    n_test = check_split(len(ids), fraction)
     rng = np.random.default_rng(seed)
     order = list(rng.permutation(sorted(ids)))
     return sorted(order[n_test:]), sorted(order[:n_test])

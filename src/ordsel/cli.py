@@ -30,6 +30,7 @@ import sys
 from .bench.corpus import CorpusSpec, GenerationError, generate_corpus
 from .bench.harness import (
     DEFAULT_LABEL,
+    check_split,
     check_test_fraction,
     filter_eligible,
     run_benchmark,
@@ -332,6 +333,7 @@ def _cmd_pipeline(args) -> int:
     check_test_fraction(args.test_fraction)
     check_budget(args.budget)
     spec = _load_spec(args.spec)
+    check_split(spec.count, args.test_fraction)  # no more ids are eligible
     corpus = generate_corpus(spec)
     grid = QUICK_GRID if args.quick else None
     result = run_pipeline(

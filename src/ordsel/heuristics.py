@@ -73,7 +73,7 @@ def parse_config(text: str) -> HeuristicConfig | None:
         return None
     if t in LABELS:
         return CONFIGS[LABELS.index(t)]
-    if t.isdigit() and 1 <= int(t) <= 12:
+    if t in CONFIG_NUMBERS:
         return CONFIGS[int(t) - 1]
     raise ConfigError(f"unknown ordering config {text!r}")
 

@@ -24,7 +24,7 @@ Implementation (Horrocks, "Implementation and optimisation techniques",
 
 * Rule tables are lists indexed by the DAG's signed references,
   ``2 * vertex + negated``, so a complement is ``r ^ 1``.  They are built
-  at most once per ``OrderedDag`` and shared by every test on it (see
+  once per variant of an ordering and shared by every test on it (see
   "Work shared per DAG" below).
 * Each node keeps one label, an ordered ``items`` list plus an ``index``
   set.  A choice point records the label length as its mark; a failed
@@ -73,27 +73,20 @@ work of the chronological reasoner.
 
 Work shared per DAG.  The benchmark tests one DAG under up to twelve
 orderings, and an ordering changes nothing but the child order of
-``and`` vertices.  So a DAG's tables are built in full once, for its
-first ordering, and a later ordering copies them and rewrites only the
-rows of the ``and`` vertices it *moves*, that is, permutes differently
-from the first ordering.  The DAG keeps one dict of results.  Its key is
-the target, the budget, and the (vertex, permutation) pairs of the moved
-vertices that the search can read: the ``and`` vertices reached, in
-either sign, from the target and the global constraint through
-conjunction and disjunction children, restrictions, told subsumers and
-definitions.  The search is a deterministic function of those rows: a
-label only ever holds references reached that way, every rule reads only
-the rows of references in a label, and the other rows, ``inert``
-included, are the same for every ordering.  So two orderings that give a
-test one key run the same search step for step, and the later one reuses
-the result, with outcome, steps and branch points unchanged; this is not
-a satisfiability cache, which would change the count.  The vertices a
-target reads are worked out only under an ordering that moved something,
-so a DAG tested under one ordering (corpus validation, ``sat``,
-``sweep``) pays for none of it, and an ordering that moves nothing
-answers a test already run with one lookup.  This state is kept weakly
-per ``Dag`` and per ``OrderedDag`` (both compared by identity) and dies
-with them: nothing is kept from one benchmark run to the next.
+``and`` vertices.  An ordering's *variant* is the set of ``and``
+vertices it *moves*, that is, permutes differently from the DAG's first
+ordering, each with its permutation.  Orderings of one variant build the
+same tables, and the search is a deterministic function of its tables,
+target and budget, so they run the same search step for step.  So the
+DAG keeps one entry per variant: its tables, the first ordering's with
+only the moved rows rewritten, and the results of the tests run on them,
+keyed on target and budget.  A test already run under an ordering of the
+same variant is one lookup, with outcome, steps and branch points
+unchanged; this is not a satisfiability cache, which would change the
+count.  A DAG tested under one ordering (corpus validation, ``sat``,
+``sweep``) builds one variant and copies no table.  This state is kept
+weakly per ``Dag`` and per ``OrderedDag`` (both compared by identity)
+and dies with them: nothing is kept from one benchmark run to the next.
 """
 
 from __future__ import annotations
@@ -146,16 +139,27 @@ class _Tables:
     __slots__ = ("expand", "disjuncts", "exists", "forall", "inert", "bottom", "gci")
 
 
+class _Variant:
+    """The ``tables`` of the orderings that move the same ``and`` vertices
+    alike, and the ``results`` of the tests run on them, keyed on
+    (target, budget)."""
+
+    __slots__ = ("tables", "results")
+
+    def __init__(self, tables: _Tables):
+        self.tables = tables
+        self.results: dict[tuple[int | None, int], SatResult] = {}
+
+
 class _Rules:
     """What the orderings of one ``Dag`` share: ``tables``, those of its
     first ordering; ``ands``, each ``and`` vertex's permutation under that
     ordering and its children, plain and flipped, in encoding order;
-    ``reads``, per test target, the ``and`` vertices its search can read
-    (see ``_reads``); ``results``, every test run on the DAG, keyed as the
-    module docstring says.
+    ``variants``, keyed on the (vertex, permutation) pairs an ordering
+    moves (module docstring).
     """
 
-    __slots__ = ("tables", "ands", "reads", "results")
+    __slots__ = ("tables", "ands", "variants")
 
     def __init__(self, d: Dag, permutations: dict[int, tuple[int, ...]]):
         n = 2 * len(d.vertices)
@@ -166,8 +170,7 @@ class _Rules:
         t.bottom = -1 if d.top_id is None else 2 * d.top_id + 1
         t.gci = d.gci_constraint
         self.ands: dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
-        self.reads: dict[int | None, list[int]] = {}
-        self.results: dict[tuple, SatResult] = {}
+        self.variants: dict[tuple, _Variant] = {}
         for vid, v in enumerate(d.vertices):
             pos, neg = 2 * vid, 2 * vid + 1
             if v.op == ATOM:
@@ -217,71 +220,43 @@ class _Rules:
                 )
             )
 
-    def tables_for(self, moved: dict[int, tuple[int, ...]]) -> _Tables:
+    def tables_for(self, moved: tuple[tuple[int, tuple[int, ...]], ...]) -> _Tables:
         """The tables of an ordering that moves the vertices of ``moved``
-        (vertex → permutation): the first ordering's, with the ``and``
-        rows of those vertices rewritten and the other rows shared."""
+        ((vertex, permutation) pairs): the first ordering's, with the
+        ``and`` rows of those vertices rewritten and the other rows
+        shared."""
         if not moved:
             return self.tables
         t = copy.copy(self.tables)
         t.expand = expand = t.expand.copy()
         t.disjuncts = disjuncts = t.disjuncts.copy()
-        for vid, perm in moved.items():
+        for vid, perm in moved:
             _, kids, flipped = self.ands[vid]
             expand[2 * vid] = tuple([kids[i] for i in perm])
             disjuncts[2 * vid + 1] = tuple([flipped[i] for i in perm])
         return t
 
 
-class _Ordering:
-    """What one ``OrderedDag`` keeps: the DAG's ``rules``; ``moved``, each
-    ``and`` vertex it permutes differently from the DAG's first ordering,
-    with its permutation; and ``tables``, built at its first search."""
-
-    __slots__ = ("rules", "moved", "tables")
-
-    def __init__(self, rules: _Rules, moved: dict[int, tuple[int, ...]]):
-        self.rules, self.moved = rules, moved
-        self.tables: _Tables | None = None
-
-
 # Both caches key on identity (``Dag`` and ``OrderedDag`` compare by
 # identity) and die with their key: nothing outlives the DAG it was built
 # for.  No value refers back to a ``Dag`` or ``OrderedDag``.
 _RULES: weakref.WeakKeyDictionary[Dag, _Rules] = weakref.WeakKeyDictionary()
-_ORDERINGS: weakref.WeakKeyDictionary[OrderedDag, _Ordering] = weakref.WeakKeyDictionary()
+_ORDERINGS: weakref.WeakKeyDictionary[OrderedDag, _Variant] = weakref.WeakKeyDictionary()
 
 
-def _ordering(odag: OrderedDag) -> _Ordering:
-    """The state of an ordering not tested yet, and the DAG's on its first
-    ordering."""
+def _variant(odag: OrderedDag) -> _Variant:
+    """The variant of an ordering not tested yet, made if no ordering of
+    the DAG had it; the DAG's rules are made on its first ordering."""
     perms = odag.permutations
     rules = _RULES.get(odag.dag)
     if rules is None:
         rules = _RULES[odag.dag] = _Rules(odag.dag, perms)
-    moved = {v: perms[v] for v, (first, _, _) in rules.ands.items() if perms[v] != first}
-    o = _ORDERINGS[odag] = _Ordering(rules, moved)
-    return o
-
-
-def _reads(t: _Tables, target: int | None) -> list[int]:
-    """The ``and`` vertices whose rows a search for ``target`` can read:
-    every reference a label can hold is reached from the target and the
-    global constraint through ``expand``, ``disjuncts``, ``exists`` and
-    ``forall``, whichever the ordering."""
-    seen: set[int] = set()
-    stack = [r for r in (target, t.gci) if r is not None]
-    while stack:
-        r = stack.pop()
-        if r in seen:
-            continue
-        seen.add(r)
-        stack.extend(t.expand[r] or ())
-        stack.extend(t.disjuncts[r] or ())
-        for edge in (t.exists[r], t.forall[r]):
-            if edge is not None:
-                stack.append(edge[1])
-    return list({r >> 1 for r in seen if t.disjuncts[r | 1] is not None})
+    moved = tuple([(v, perms[v]) for v, (first, _, _) in rules.ands.items() if perms[v] != first])
+    variant = rules.variants.get(moved)
+    if variant is None:
+        variant = rules.variants[moved] = _Variant(rules.tables_for(moved))
+    _ORDERINGS[odag] = variant
+    return variant
 
 
 class _Budget(Exception):
@@ -487,25 +462,17 @@ def is_satisfiable(odag: OrderedDag, target: Ref | None, budget: int) -> SatResu
     """Satisfiability of a signed reference w.r.t. the encoded TBox.
 
     ``target=None`` tests the TBox alone (same as a *top* target).
-    ``budget`` must be >= 1.  A test already run on the DAG is searched
-    again only if a row its search reads differs (module docstring).
+    ``budget`` must be >= 1.  A test already run under an ordering that
+    permutes every ``and`` vertex alike is not searched again (module
+    docstring).
     """
     if budget < 1:
         check_budget(budget)  # raises; no call on the common path
-    o = _ORDERINGS.get(odag) or _ordering(odag)
-    rules, moved = o.rules, o.moved
-    read: tuple = ()
-    if moved:
-        reads = rules.reads.get(target)
-        if reads is None:
-            reads = rules.reads[target] = _reads(rules.tables, target)
-        read = tuple([(v, moved[v]) for v in reads if v in moved])
-    key = (target, budget, read)
-    res = rules.results.get(key)
+    variant = _ORDERINGS.get(odag) or _variant(odag)
+    key = (target, budget)
+    res = variant.results.get(key)
     if res is None:
-        if o.tables is None:
-            o.tables = rules.tables_for(moved)
-        res = rules.results[key] = _search(o.tables, target, budget)
+        res = variant.results[key] = _search(variant.tables, target, budget)
     return res
 
 

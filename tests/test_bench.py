@@ -24,6 +24,7 @@ from ordsel.bench.corpus import (
 from ordsel.bench.harness import (
     DEFAULT_LABEL,
     MismatchedIds,
+    check_split,
     filter_eligible,
     run_benchmark,
     run_pipeline,
@@ -32,7 +33,13 @@ from ordsel.bench.harness import (
 )
 from ordsel.cli import main
 from ordsel.dag import encode_dag, nondeterministic_vertices
-from ordsel.heuristics import CONFIG_NUMBERS, apply_ordering, default_config, parse_config
+from ordsel.heuristics import (
+    CONFIG_NUMBERS,
+    DEFAULT_MIN_GCIS,
+    apply_ordering,
+    default_config,
+    parse_config,
+)
 from ordsel.krss import parse_ontology
 from ordsel.learn.pipeline import GridPoint
 from ordsel.learn.svm import TooFewExamples
@@ -245,6 +252,29 @@ def test_second_benchmark_runs_every_search_again(corpus8, searches, monkeypatch
     assert 0 < once[0] < once[1]  # results are reused across orderings
     assert run_benchmark(corpus8, budget=400).rows == first
     assert (len(searches), tests) == (2 * once[0], 2 * once[1])
+
+
+def test_default_rows_search_nothing_more(corpus8, searches, inline):
+    # The default ordering equals one of the twelve, so each of its tests
+    # finds that ordering's variant; one text here makes the default Fdn.
+    gcis = "".join(f"(implies (and G{i} H{i}) J{i})\n" for i in range(DEFAULT_MIN_GCIS))
+    corpus = corpus8 + [("gci", corpus8[0][1] + gcis)]
+    real = run_benchmark(corpus, configs=CONFIG_NUMBERS, budget=400)
+    n = len(searches)
+    both = run_benchmark(corpus, configs=CONFIG_NUMBERS + (DEFAULT_LABEL,), budget=400)
+    assert len(searches) == 2 * n
+    assert [r for r in both.rows if r.config != DEFAULT_LABEL] == real.rows
+    by_key = {(r.ontology_id, r.config): r for r in both.rows}
+    picks = {oid: str(default_config(fv).number) for oid, fv in both.features.items()}
+    assert set(picks.values()) == {"1", "10"}
+    for oid, label in picks.items():
+        default, picked = by_key[(oid, DEFAULT_LABEL)], by_key[(oid, label)]
+        assert (default.cost, default.outcome) == (picked.cost, picked.outcome)
+
+
+def test_rows_follow_the_order_of_configs():
+    res = run_benchmark([("a", BASIC_TEXT)], configs=(DEFAULT_LABEL, "2", "1"), budget=400)
+    assert [r.config for r in res.rows] == [DEFAULT_LABEL, "2", "1"]
 
 
 @pytest.fixture(scope="module")
@@ -488,6 +518,19 @@ def test_split_refuses_an_empty_training_side():
     assert len(train) == 1 and len(test) == 149
     with pytest.raises(TooFewExamples, match="test fraction 0.995 of 150 ids leaves none for training"):
         split_train_test(ids, fraction=0.995)
+
+
+def test_a_split_refused_for_n_ids_is_refused_for_fewer():
+    # what lets `pipeline` refuse a spec by its count before generating it
+    for fraction in (0.1, 0.25, 0.5, 0.75, 0.9, 0.97, 0.99):
+        refused = False
+        for n in range(60, 0, -1):
+            try:
+                check_split(n, fraction)
+            except TooFewExamples:
+                refused = True
+            else:
+                assert not refused, (n, fraction)
 
 
 # ---------------------------------------------------------------- speedup

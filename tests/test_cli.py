@@ -770,16 +770,54 @@ def test_negative_seed_is_rejected_before_any_work(
     assert_no_children()
 
 
-def test_pipeline_refuses_a_test_fraction_that_leaves_no_training_ids(tmp_path, capsys):
+def test_pipeline_refuses_a_test_fraction_that_leaves_no_training_ids(
+    tmp_path, capsys, monkeypatch
+):
+    # refused against the spec's count, before the corpus is generated
+    monkeypatch.setattr(cli, "generate_corpus", _no_corpus)
     spec_path = tmp_path / "spec.json"
     spec_path.write_text(json.dumps(SPEC))
     out = tmp_path / "run"
     argv = ["pipeline", "--spec", str(spec_path), "--test-fraction", "0.99", "--quick",
             "--out-dir", str(out)]
     assert main(argv) == 2
-    # the one all-timeout instance of the ten is filtered out
-    assert capsys.readouterr().err == "error: test fraction 0.99 of 9 ids leaves none for training\n"
+    assert capsys.readouterr().err == "error: test fraction 0.99 of 10 ids leaves none for training\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, fraction, message",
+    [
+        ({"count": 20, "seed": 3}, "0.97", "test fraction 0.97 of 20 ids leaves none for training"),
+        ({"count": 3}, "0.25", "need at least 4 examples to split, got 3"),
+    ],
+    ids=["fraction", "count"],
+)
+def test_pipeline_refuses_a_spec_too_small_to_split_before_generating(
+    tmp_path, capsys, monkeypatch, spec, fraction, message
+):
+    monkeypatch.setattr(cli, "generate_corpus", _no_corpus)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec))
+    out = tmp_path / "run"
+    argv = ["pipeline", "--spec", str(spec_path), "--test-fraction", fraction, "--quick",
+            "--out-dir", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+def test_pipeline_generates_a_spec_whose_split_can_leave_training_ids(
+    tmp_path, monkeypatch
+):
+    # 18 of 20 ids go to the test side: the run goes on to generate
+    monkeypatch.setattr(cli, "generate_corpus", _no_corpus)
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"count": 20, "seed": 3}))
+    argv = ["pipeline", "--spec", str(spec_path), "--test-fraction", "0.9", "--quick",
+            "--out-dir", str(tmp_path / "run")]
+    with pytest.raises(AssertionError, match="generated"):
+        main(argv)
 
 
 @pytest.mark.parametrize("fraction", ["1.5", "0", "nan"])

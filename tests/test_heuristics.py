@@ -53,7 +53,7 @@ def test_parse_config_accepts_labels_numbers_and_none():
     assert config_label(CONFIGS[0]) == "Sap"
 
 
-@pytest.mark.parametrize("bad", ["13", "-1", "Zap", "", "sap "])
+@pytest.mark.parametrize("bad", ["13", "-1", "Zap", "", "sap ", "012", "١", "²"])
 def test_parse_config_rejects_unknown(bad):
     with pytest.raises(ConfigError):
         parse_config(bad)

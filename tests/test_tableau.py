@@ -353,8 +353,8 @@ def test_replay_near_miss_disjunction_at_ancestor_and_descendant():
 
 # ------------------------------------------------- work shared per DAG
 # The rows no ordering changes are built once per DAG, and a test is
-# searched again under a new ordering only when a row its search can read
-# changed (see the tableau module docstring).
+# searched again under a new ordering unless an earlier ordering permuted
+# every ``and`` vertex alike (see the tableau module docstring).
 
 
 def test_shared_tables_equal_fresh_tables_for_every_ordering(searches):
@@ -419,23 +419,6 @@ def test_result_is_not_reused_when_a_readable_row_differs(searches, text, target
     assert len(searches) == 2
 
 
-def test_result_is_reused_when_only_unreadable_rows_differ(searches):
-    # A reaches only its own disjunction; moving B's leaves A's key as it
-    # was, while B reads the moved row and is searched again.
-    d = encode_dag(parse_ontology("(implies A (or (and P (not P)) Q))\n(implies B (or X Y))\n"))
-    first = _identity(d)
-    x = _disjunction_of(d, "X")
-    moved = OrderedDag(dag=d, config=None, permutations={**first, x: first[x][::-1]})
-    a, b = class_ref(d, "A"), class_ref(d, "B")
-    for ref in (a, b):
-        is_satisfiable(OrderedDag(dag=d, config=None, permutations=first), ref, 100)
-    assert len(searches) == 2
-    assert is_satisfiable(moved, a, 100) == chronological_sat(moved)(a, 100)
-    assert len(searches) == 2
-    assert is_satisfiable(moved, b, 100) == chronological_sat(moved)(b, 100)
-    assert len(searches) == 3
-
-
 def test_ordering_equal_to_the_first_searches_nothing(searches):
     text = generate_corpus(CorpusSpec(count=1, seed=11))[0].text
     d = encode_dag(parse_ontology(text))
@@ -446,16 +429,18 @@ def test_ordering_equal_to_the_first_searches_nothing(searches):
     again = OrderedDag(dag=d, config=None, permutations=dict(first.permutations))
     assert satisfiability_sweep(again, 12000) == want
     assert len(searches) == n
-    assert not tableau._RULES[d].reads  # each test was one lookup
+    assert len(tableau._RULES[d].variants) == 1  # each test was one lookup
 
 
-def test_dag_swept_under_one_ordering_computes_no_read_set(monkeypatch):
-    def no_reads(*args):
-        raise AssertionError("read set computed")
-
-    monkeypatch.setattr(tableau, "_reads", no_reads)
-    for inst in generate_corpus(CorpusSpec(count=6, seed=2)):
-        odag = apply_ordering(encode_dag(parse_ontology(inst.text)), parse_config("Ddn"))
-        for budget in (50, 12000):
-            satisfiability_sweep(odag, budget)
-            satisfiability_sweep(odag, budget)
+def test_orderings_with_equal_permutations_share_one_variant(searches):
+    d = encode_dag(parse_ontology(BRANCHY_TEXT))
+    first = _identity(d)
+    vid = next(v for v, perm in first.items() if len(perm) > 1)
+    moved = {**first, vid: first[vid][::-1]}
+    a, b = (OrderedDag(dag=d, config=None, permutations=dict(moved)) for _ in range(2))
+    is_satisfiable(OrderedDag(dag=d, config=None, permutations=first), None, 100)
+    assert is_satisfiable(a, None, 100) == is_satisfiable(b, None, 100)
+    assert len(searches) == 2
+    assert tableau._ORDERINGS[a] is tableau._ORDERINGS[b]
+    assert tableau._ORDERINGS[a].tables is not tableau._RULES[d].tables
+    assert len(tableau._RULES[d].variants) == 2
