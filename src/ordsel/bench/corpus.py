@@ -41,8 +41,20 @@ class GenerationError(RuntimeError):
     """Raised when a valid instance cannot be produced in bounded attempts."""
 
 
+# The largest value each size field accepts, for a pair or list each of
+# its values.  Plain texts grow geometrically with quantifier depth, and
+# the default hot width, 13, already exhausts the reference step budget.
+SIZE_LIMITS = {"count": 10_000, "all_timeout_count": 10_000, "classes": 1_000, "axioms": 1_000,
+               "roles": 100, "quantifier_depth": 10, "warm_widths": 64, "hot_width": 64}
+
+
 @dataclass(frozen=True)
 class CorpusSpec:
+    """Corpus parameters.  A size past its `SIZE_LIMITS` entry (``count``
+    and ``all_timeout_count`` 10,000, ``classes`` and ``axioms`` 1,000,
+    ``roles`` 100, ``quantifier_depth`` 10, each width 64), like a value of
+    the wrong type or out of range, raises ``ValueError``."""
+
     count: int = 150
     seed: int = 0
     classes: tuple[int, int] = (4, 9)
@@ -83,6 +95,8 @@ class CorpusSpec:
 def _check_int(name: str, value, least: int = 0) -> None:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < least:
         raise ValueError(f"corpus spec {name} must be an integer >= {least}, got {value!r}")
+    if value > SIZE_LIMITS.get(name, value):
+        raise ValueError(f"corpus spec {name} must be at most {SIZE_LIMITS[name]}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -328,12 +328,14 @@ def _cmd_report(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     # fail before the corpus is generated and swept, not at training time
+    # or when the artifacts are written
     _check_seed(args.seed)
     check_folds(args.folds)
     check_test_fraction(args.test_fraction)
     check_budget(args.budget)
     spec = _load_spec(args.spec)
     check_split(spec.count, args.test_fraction)  # no more ids are eligible
+    os.makedirs(args.out_dir, exist_ok=True)
     corpus = generate_corpus(spec)
     grid = QUICK_GRID if args.quick else None
     result = run_pipeline(
@@ -344,7 +346,6 @@ def _cmd_pipeline(args) -> int:
         n_folds=args.folds,
         test_fraction=args.test_fraction,
     )
-    os.makedirs(args.out_dir, exist_ok=True)
     join = lambda name: os.path.join(args.out_dir, name)  # noqa: E731
     write_runtime_csv(result.bench.rows, join("runtimes.csv"))
     write_feature_csv(sorted(result.bench.features.items()), join("features.csv"))

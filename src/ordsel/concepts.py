@@ -8,9 +8,13 @@ Concept grammar:
            | (or  C1 ... Cn)                  n >= 2, stored flattened
            | (some r C) | (all r C)           r a role name
 
-All concept nodes are immutable and hashable so they can be shared and
-used as dictionary keys.  Equality and hashing walk the tree on an
-explicit stack, so they work at any depth; only ``repr`` recurses.
+All concept nodes are immutable, so one node can be shared by many
+expressions.  Concepts, axioms and ontologies compare and hash by
+identity: two separately built trees are different objects whatever they
+spell.  Nothing in the reasoner compares trees (the DAG encoder
+hash-conses on vertex keys instead), and the tests compare them with a
+structural helper of their own.  ``walk`` visits a tree on an explicit
+stack, so it works at any depth; only ``repr`` recurses.
 ``conj``/``disj`` are the preferred constructors for programmatic
 building: they flatten nested operators of the same kind and collapse
 trivial arities instead of violating the n >= 2 invariant.
@@ -21,7 +25,6 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable, Iterator, Union
 
 NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
@@ -35,23 +38,6 @@ class Concept:
     """Base class for concept expression nodes."""
 
     __slots__ = ()
-
-    def _shapes(self) -> Iterator[tuple]:
-        """``(type, name or role, and/or width)`` of every node in pre-order:
-        the sequence determines the tree."""
-        for node, _, _ in walk(self):
-            label = getattr(node, "name", getattr(node, "role", None))
-            yield type(node), label, len(getattr(node, "children", ()))
-
-    def __eq__(self, other):
-        if not isinstance(other, Concept):
-            return NotImplemented
-        # no tree's sequence is a proper prefix of another's
-        return self is other or all(a == b for a, b in zip(self._shapes(), other._shapes()))
-
-    def __hash__(self):
-        # a bounded prefix of the sequence, so equal trees hash equal
-        return hash(tuple(islice(self._shapes(), 64)))
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -140,19 +126,19 @@ def disj(children: Iterable[Concept]) -> Concept:
 # axioms
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Subsumption:
     lhs: Concept
     rhs: Concept
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Equivalence:
     lhs: Concept
     rhs: Concept
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Disjointness:
     lhs: Concept
     rhs: Concept
@@ -161,13 +147,13 @@ class Disjointness:
 TboxAxiom = Union[Subsumption, Equivalence, Disjointness]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class RoleInclusion:
     sub: str
     sup: str
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class Transitivity:
     role: str
 
@@ -175,13 +161,13 @@ class Transitivity:
 RboxAxiom = Union[RoleInclusion, Transitivity]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class ConceptAssertion:
     individual: str
     concept: Concept
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class RoleAssertion:
     subject: str
     object: str
@@ -191,7 +177,7 @@ class RoleAssertion:
 AboxAxiom = Union[ConceptAssertion, RoleAssertion]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Ontology:
     """A parsed ontology: axiom lists in source order plus declarations.
 

@@ -50,13 +50,16 @@ name, or a self-use) are demoted too.  That demotes nothing further: an
 atomic right-hand side of such a name lies on its cycle, and removing
 names makes no new cycle.
 
-Encoding walks each expression once, in post-order on an explicit stack,
-and makes each vertex, its edges, size and depth at its first use.  The
-frequencies and polarities need every reference, so one last sweep from
-the last vertex down settles them and builds the `DagVertex`es.  Only an
-``and`` vertex records stats, one `ConceptStats` per signed child: the
-orderings sort those children and nothing reads any other.  Equal
-`ConceptStats` are one object; both records are named tuples.
+Encoding walks each expression as a tree, in post-order on an explicit
+stack, and makes each vertex, its edges, size and depth at its first use.
+Parsed concepts compare by identity and are never looked up: a subtree
+shared by several expressions, or spelled twice in the source, is walked
+each time and hash-consed to the same vertex.  The frequencies and
+polarities need every reference, so one last sweep from the last vertex
+down settles them and builds the `DagVertex`es.  Only an ``and`` vertex
+records stats, one `ConceptStats` per signed child: the orderings sort
+those children and nothing reads any other.  Equal `ConceptStats` are one
+object; both records are named tuples.
 """
 
 from __future__ import annotations
@@ -156,10 +159,6 @@ class _Builder:
         self.atom_ids: dict[str, int] = {}
         self.ands: dict[tuple[Ref, ...], int] = {}
         self.alls: dict[tuple[str, Ref], int] = {}
-        # by id(c), which hashes in constant time where a concept hashes its
-        # whole tree; `keep` holds every c, so its id is not reused
-        self.memo: dict[int, Ref] = {}
-        self.keep: list[Concept] = []
         self.top: int | None = None
 
     def _new(self, op: str, edges: tuple[Ref, ...], size: int, depth: int) -> int:
@@ -228,9 +227,6 @@ class _Builder:
                     ref = self.all_ref(c.role, refs.pop() ^ 1) ^ 1
                 else:
                     ref = self.all_ref(c.role, refs.pop())
-            elif (ref := self.memo.get(id(c))) is not None:
-                refs.append(ref)
-                continue
             elif kind is Atomic:
                 ref = 2 * self.atom(c.name)
             elif kind is Top or kind is Bottom:
@@ -244,8 +240,6 @@ class _Builder:
                 continue
             else:
                 raise TypeError(f"not a concept: {c!r}")
-            self.memo[id(c)] = ref
-            self.keep.append(c)
             refs.append(ref)
         return refs[0]
 

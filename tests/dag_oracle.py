@@ -95,9 +95,6 @@ class _Builder:
     def __init__(self):
         self.ops: list[tuple] = []  # (op, role, name, children)
         self.index: dict[tuple, int] = {}
-        # by id(c), which hashes in constant time where a concept hashes its
-        # whole tree; the value keeps c alive, so its id is not reused
-        self.memo: dict[int, tuple[Concept, Ref]] = {}
         self.top: int | None = None
 
     def _vertex(self, op: str, role: str | None, name: str | None, children: tuple[DagEdge, ...]) -> int:
@@ -132,9 +129,6 @@ class _Builder:
         return (self._vertex(AND, None, None, tuple(edges)), False)
 
     def encode(self, c: Concept) -> Ref:
-        hit = self.memo.get(id(c))
-        if hit is not None:
-            return hit[1]
         if isinstance(c, Top):
             ref = self.top_ref()
         elif isinstance(c, Bottom):
@@ -155,7 +149,6 @@ class _Builder:
             ref = (self._vertex(ALL, c.role, None, (DagEdge(child[0], child[1]),)), False)
         else:
             raise TypeError(f"not a concept: {c!r}")
-        self.memo[id(c)] = (c, ref)
         return ref
 
 

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from ordsel import cli
-from ordsel.bench.corpus import FAMILY_FAST, CorpusSpec, generate_corpus
+from ordsel.bench.corpus import FAMILY_FAST, SIZE_LIMITS, CorpusSpec, generate_corpus
 from ordsel.cli import main
+from ordsel.concepts import walk
 from ordsel.dag import encode_dag
 from ordsel.features import (
     FEATURE_NAMES,
@@ -29,6 +30,7 @@ from ordsel.runtimes import RuntimeRow, read_runtime_csv, write_runtime_csv
 
 from conftest import BASIC_TEXT, assert_no_children, set_workers
 from test_tableau import _default_recursion_limit
+from trees import assert_same, first_difference
 
 SPEC = {"count": 10, "seed": 3, "all_timeout_count": 1, "hot_fraction": 0.0}
 
@@ -278,6 +280,27 @@ def test_bad_spec_exits_2_with_one_error_line(tmp_path, capsys, command, spec):
     assert not out.exists()
 
 
+def _size(name: str, value: int):
+    """A spec value for size field `name` whose largest value is `value`."""
+    if name in ("classes", "roles", "axioms", "quantifier_depth"):
+        return [3, value]
+    return [10, value] if name == "warm_widths" else value
+
+
+@pytest.mark.parametrize("name", sorted(SIZE_LIMITS))
+def test_a_size_past_its_limit_exits_2_before_generating(tmp_path, capsys, monkeypatch, name):
+    CorpusSpec(**{name: _size(name, SIZE_LIMITS[name])})  # the limit itself is a valid size
+    monkeypatch.setattr(cli, "generate_corpus", _no_corpus)
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({name: _size(name, SIZE_LIMITS[name] + 1)}))
+    out = tmp_path / "out"
+    assert main(["gen-corpus", "--spec", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: corpus spec {name} must be at most {SIZE_LIMITS[name]}, got {SIZE_LIMITS[name] + 1}\n"
+    )
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ bench
 
 
@@ -387,7 +410,7 @@ DEEP = 100_000  # levels in one axiom: a hundred times the default recursion lim
 
 def _nested_text(depth, heads=TBOX_HEADS + ("instance a",), ops=QUANTIFIED):
     """Axioms whose parentheses nest exactly `depth` levels deep, all over
-    one concept, so encoding compares equal deep concepts too."""
+    one concept, so encoding hash-conses equal deep concepts too."""
     inner = "".join(ops[i % len(ops)] for i in range(depth - 1)) + "B" + ")" * (depth - 1)
     return "".join(f"({head} {inner})\n" for head in heads)
 
@@ -421,9 +444,12 @@ def test_deepest_nesting_needs_no_recursion(tmp_path, capsys):
         onto = parse_ontology(text)
         features = extract_features(onto, encode_dag(onto))
         deep, again = onto.tbox[0].rhs, parse_ontology(text).tbox[0].rhs
-        assert deep is not again and deep == again and hash(deep) == hash(again)
+        assert deep is not again and deep != again  # by identity
+        assert_same(deep, again)
         # the one leaf is the last node either walk reaches
-        assert deep != parse_ontology(text.replace("B)", "E)", 1)).tbox[0].rhs
+        last = sum(1 for _ in walk(deep)) - 1
+        other = parse_ontology(text.replace("B)", "E)", 1)).tbox[0].rhs
+        assert first_difference(deep, other) == f"concept node {last}: ('Atomic', 'B', 0) against ('Atomic', 'E', 0)"
         assert main(["sat", "--ontology", str(path), "--class", "A"]) == 0
         assert main(["sweep", "--ontology", str(path)]) == 0
     # `some` and `all` open 40,000 of the 99,999 levels below the axiom's own
@@ -818,6 +844,15 @@ def test_pipeline_generates_a_spec_whose_split_can_leave_training_ids(
             "--out-dir", str(tmp_path / "run")]
     with pytest.raises(AssertionError, match="generated"):
         main(argv)
+
+
+def test_pipeline_refuses_an_out_dir_that_is_a_file_before_generating(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "generate_corpus", _no_corpus)
+    out = tmp_path / "run"
+    out.write_text("")
+    assert main(["pipeline", "--quick", "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0], err
 
 
 @pytest.mark.parametrize("fraction", ["1.5", "0", "nan"])

@@ -1,5 +1,5 @@
-"""Concept algebra: constructors, structural equality and hashing, and the
-iterative walk over expressions."""
+"""Concept algebra: constructors, identity comparison, the structural
+comparison the tests use, and the iterative walk over expressions."""
 
 import pickle
 from collections import Counter
@@ -16,8 +16,10 @@ from ordsel.concepts import (
     And,
     Atomic,
     Not,
+    Ontology,
     Or,
     Some,
+    Subsumption,
     Top,
     atom_frequencies,
     conj,
@@ -26,6 +28,7 @@ from ordsel.concepts import (
 )
 from ordsel.krss import parse_ontology
 from test_tableau import _default_recursion_limit
+from trees import assert_same, first_difference
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
 
@@ -35,8 +38,8 @@ def test_constructor_helpers_collapse_trivia():
     assert disj([A]) == A
     assert conj([]) == TOP
     assert disj([]) == BOTTOM
-    assert conj([A, And((B, C))]) == And((A, B, C))
-    assert disj([A, Or((B, C))]) == Or((A, B, C))
+    assert_same(conj([A, And((B, C))]), And((A, B, C)))
+    assert_same(disj([A, Or((B, C))]), Or((A, B, C)))
 
 
 def _parities(c):
@@ -52,8 +55,10 @@ def test_walk_flips_negation_at_each_not():
     for op in (Some, All):
         c = Not(op("R", A))
         assert _parities(c) == [(c, False), (c.child, True), (A, True)]
-    assert _parities(Not(Not(A))) == [(Not(Not(A)), False), (Not(A), True), (A, False)]
-    assert _parities(Not(Top())) == [(Not(Top()), False), (Top(), True)]
+    c = Not(Not(A))
+    assert _parities(c) == [(c, False), (c.child, True), (A, False)]
+    c = Not(TOP)
+    assert _parities(c) == [(c, False), (TOP, True)]
 
 
 def test_walk_is_preorder_through_nested_operators():
@@ -120,15 +125,30 @@ CONCEPTS = st.recursive(
 @settings(derandomize=True, database=None, deadline=None, max_examples=100)
 @given(CONCEPTS, CONCEPTS)
 @example(Or((And((A, B)), C)), Or((And((A, B, C)), C)))  # equal but for one width
-def test_equality_is_structural(a, b):
+def test_helper_equality_is_structural(a, b):
     # the recursive dataclass repr spells out the whole tree
-    assert (a == b) is (repr(a) == repr(b))
-    assert (a != b) is not (a == b)
+    same = repr(a) == repr(b)
+    assert (first_difference(a, b) is None) is same
+    axioms = Subsumption(A, a), Subsumption(A, b)
+    assert (first_difference(*axioms) is None) is same
+    assert (first_difference(*(Ontology(tbox=(ax,), classes=("A",)) for ax in axioms)) is None) is same
     copy = pickle.loads(pickle.dumps(a))
-    assert copy is not a and copy == a and hash(copy) == hash(a)
-    if a == b:
-        assert hash(a) == hash(b)
-    assert a != repr(a) and a != None  # noqa: E711
+    assert copy is not a and first_difference(copy, a) is None
+    assert copy != a and hash(copy) == object.__hash__(copy)  # by identity
+    assert axioms[0] != Subsumption(A, a)
+
+
+def test_a_difference_is_one_short_line():
+    deep = A
+    for _ in range(100_000):
+        deep = Some("R", deep)
+    other = Some("R", Some("R", And((B, C))))
+    with _default_recursion_limit():
+        assert first_difference(Subsumption(A, deep), Subsumption(A, deep)) is None
+        msg = first_difference(Ontology(tbox=(Subsumption(A, deep),)), Ontology(tbox=(Subsumption(A, other),)))
+    assert msg == ".tbox[0].rhs node 2: ('Some', 'R', 0) against ('And', None, 2)"
+    with pytest.raises(AssertionError, match="^.classes: 1 items against 0$"):
+        assert_same(Ontology(classes=("A",)), Ontology())
 
 
 def test_walk_rejects_non_concepts():

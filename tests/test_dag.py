@@ -3,7 +3,20 @@
 from conftest import BASIC_TEXT, concept_frequency, unparse_concept
 from modelsearch import concepts_equivalent
 from ordsel.bench.corpus import CorpusSpec, generate_corpus
-from ordsel.concepts import All, And, Atomic, Not, Or, Some, Top
+from ordsel.concepts import (
+    All,
+    And,
+    Atomic,
+    ConceptAssertion,
+    Disjointness,
+    Equivalence,
+    Not,
+    Ontology,
+    Or,
+    Some,
+    Subsumption,
+    Top,
+)
 from ordsel.dag import (
     AND,
     ALL,
@@ -120,6 +133,34 @@ def test_hash_consing_shares_repeated_subexpressions():
     (ra,) = two_uses.told["A"]
     (rb,) = two_uses.told["B"]
     assert ra == rb
+
+
+def test_shared_objects_encode_as_fresh_copies_do():
+    # One subtree object used at every place, against a fresh copy at each:
+    # the encoder looks nothing up by object, so hash-consing alone gives
+    # both the same vertices.
+    def fresh():
+        return Or((Atomic("A"), Some("R", And((Atomic("B"), Not(Atomic("C")))))))
+
+    def ontology(part):
+        return Ontology(
+            tbox=(
+                Subsumption(Atomic("X"), part()),
+                Equivalence(Atomic("Y"), And((part(), Atomic("D")))),
+                Subsumption(Some("R", part()), All("S", part())),
+                Disjointness(Atomic("Z"), part()),
+            ),
+            abox=(ConceptAssertion("a", part()),),
+            classes=("X", "A", "B", "C", "Y", "D", "Z"),
+            roles=("R", "S"),
+        )
+
+    one = fresh()
+    shared, copied = encode_dag(ontology(lambda: one)), encode_dag(ontology(fresh))
+    for field in ("vertices", "told", "definitions", "gci_constraint", "assertion_refs"):
+        assert getattr(shared, field) == getattr(copied, field), field
+    (ref,) = shared.told["X"]
+    assert shared.assertion_refs == (ref,) and shared.told["Z"] == (ref ^ 1,)
 
 
 def test_complement_shares_one_vertex():

@@ -1,7 +1,8 @@
 """Differential tests of the one-pass reader against `krss_oracle`, the
 recursive reader it replaced: on valid and on broken text both return an
-equal `Ontology`, declarations in the same order, or raise the same
-exception class with the same message, line and column."""
+`Ontology` of the same structure (`trees.assert_same`), declarations in
+the same order, or raise the same exception class with the same message,
+line and column."""
 
 import re
 
@@ -11,6 +12,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import krss_oracle
+import trees
 from conftest import random_ontology_text
 from ordsel.bench.corpus import CorpusSpec, generate_corpus
 from ordsel.krss import ParseError, parse_ontology
@@ -51,7 +53,7 @@ def outcome(parse, text):
 
 def assert_same(text):
     got = outcome(parse_ontology, text)
-    assert got == outcome(krss_oracle.parse_ontology, text), text
+    trees.assert_same(got, outcome(krss_oracle.parse_ontology, text))
     return got
 
 

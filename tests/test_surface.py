@@ -1,15 +1,17 @@
 """Every name the package defines is read somewhere in the package.
 
 An AST scan over `src/ordsel` lists each top-level function, class and
-constant, and each field of a dataclass or NamedTuple, and fails on any
-that no code under `src/ordsel` reads: something only the tests read or
-set is surface the program computes, or carries, for nothing.
+constant, each field of a dataclass or NamedTuple, and each method or
+property of a top-level class whose name is not a dunder, and fails on
+any that no code under `src/ordsel` reads: something only the tests read
+or set is surface the program computes, or carries, for nothing.
 
 A top-level name is read when it is loaded, as a bare name or as an
 attribute, outside its own definition.  A field is read when an attribute
 of its name is loaded anywhere, whatever the object; the orderings read
 the `ConceptStats` fields through `getattr` with the metric names, so a
-string constant equal to a field's name counts as a read too.
+string constant equal to a field's name counts as a read too.  A method
+or property is read as a field is, but not by a load inside its own body.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ ALLOWED = {
     "CorpusInstance.family": "the benchmark's trap-order check reads it",
     "FAMILY_FAST": "the benchmark's trap-order check reads it",
     "__version__": "the package's version, for whoever imports it",
+    "HeuristicConfig.number": "the benchmark's span tracer reads it (perfbench/spans.py)",
 }
 
 
@@ -61,6 +64,15 @@ def _fields(cls: ast.ClassDef) -> list[str]:
     ]
 
 
+def _methods(cls: ast.ClassDef) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
+    """The methods and properties of a class, dunders left out."""
+    return [
+        s for s in cls.body
+        if isinstance(s, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not (s.name.startswith("__") and s.name.endswith("__"))
+    ]
+
+
 def _docstrings(tree: ast.Module) -> set[int]:
     """ids of the constant nodes that are docstrings."""
     out = set()
@@ -73,32 +85,41 @@ def _docstrings(tree: ast.Module) -> set[int]:
 
 
 def unread_names(modules: list[ast.Module]) -> list[str]:
-    """Every top-level name and record field that no package code reads,
-    as ``name`` or ``Class.field``."""
+    """Every top-level name, record field and method that no package code
+    reads, as ``name`` or ``Class.member``."""
     defined: list[tuple[str, ast.stmt]] = []  # (name, the statement binding it)
     fields: list[tuple[str, str]] = []  # (class, field)
+    methods: list[tuple[str, ast.AST]] = []  # (class, method)
     loads: list[tuple[str, ast.stmt]] = []  # (name, enclosing top-level statement)
-    attrs: set[str] = set()  # attribute names loaded, and string constants
+    attr_loads: list[tuple[str, ast.Attribute]] = []
+    strings: set[str] = set()  # string constants other than docstrings
     for tree in modules:
         docs = _docstrings(tree)
         for stmt in tree.body:
             for name in _definitions(stmt):
                 defined.append((name, stmt))
-            if isinstance(stmt, ast.ClassDef) and _is_record(stmt):
-                fields += [(stmt.name, f) for f in _fields(stmt)]
+            if isinstance(stmt, ast.ClassDef):
+                methods += [(stmt.name, m) for m in _methods(stmt)]
+                if _is_record(stmt):
+                    fields += [(stmt.name, f) for f in _fields(stmt)]
             for node in ast.walk(stmt):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                     loads.append((node.id, stmt))
                 elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
                     loads.append((node.attr, stmt))
-                    attrs.add(node.attr)
+                    attr_loads.append((node.attr, node))
                 elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in docs:
-                    attrs.add(node.value)
+                    strings.add(node.value)
+    attrs = {a for a, _ in attr_loads} | strings
     unread = [
         name for name, stmt in defined
         if not any(n == name and s is not stmt for n, s in loads)
     ]
     unread += [f"{cls}.{f}" for cls, f in fields if f not in attrs]
+    for cls, m in methods:
+        inside = set(map(id, ast.walk(m)))
+        if m.name not in strings and not any(a == m.name and id(n) not in inside for a, n in attr_loads):
+            unread.append(f"{cls}.{m.name}")
     return sorted(unread)
 
 
@@ -115,6 +136,17 @@ class Row:
     used: int
     spare: int
 
+    @property
+    def shown(self):
+        return self.used
+
+    @property
+    def hidden(self):
+        return self.spare
+
+    def again(self):
+        return self.again() if self.shown else self.__class__
+
 def helper(r):
     return helper(r) if r.used else r.used
 
@@ -125,4 +157,4 @@ if __name__ == "__main__":
     main()
 '''
     got = unread_names([ast.parse(source)])
-    assert got == ["Row.spare", "helper"]
+    assert got == ["Row.again", "Row.hidden", "helper"]
