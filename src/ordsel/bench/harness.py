@@ -3,9 +3,9 @@ filter eligible ontologies, split train/test, and report speedups of the
 learned selector against the rule-based default ordering.
 
 Costs are deterministic rule-step counts, so a single run of each
-(ontology, configuration) pair fully determines the table; timeout rows are
-valued at the per-test budget everywhere aggregates are formed, and ratio
-denominators are floored at one step.
+(ontology, configuration) pair fully determines the table.  A timeout row
+costs the per-test budget, and nothing re-values it; ratio denominators
+are floored at one step.
 """
 
 from __future__ import annotations
@@ -105,12 +105,11 @@ def _benchmark_text(
     for label in configs:
         cfg = default_config(fv) if label == DEFAULT_LABEL else parse_config(label)
         sweep = satisfiability_sweep(apply_ordering(d, cfg), budget)
-        if sweep.timed_out:
+        if sweep.timed_out:  # the budget is the row's cost; nothing re-values it
             cells.append((label, float(budget), TIMEOUT))
-        elif not sweep.consistent:
-            cells.append((label, float(sweep.total_steps), INCONSISTENT))
         else:
-            cells.append((label, float(sweep.total_steps), FINISHED))
+            outcome = FINISHED if sweep.consistent else INCONSISTENT
+            cells.append((label, float(sweep.total_steps), outcome))
     return fv, cells
 
 
@@ -189,13 +188,10 @@ class SpeedupReport:
 def speedup_report(
     learned: dict[str, tuple[float, str]],
     standard: dict[str, tuple[float, str]],
-    budget: float,
 ) -> SpeedupReport:
     """Per-ontology speedup of the learned selector over the standard
-    configuration.  Timeouts are valued at the budget; costs are floored at
-    one step so every ratio is positive and finite."""
-    if not (math.isfinite(budget) and budget > 0):
-        raise ValueError(f"budget {budget!r} is not a finite positive number")
+    configuration.  A timeout counts at its recorded cost; costs are floored
+    at one step so every ratio is positive and finite."""
     if set(learned) != set(standard):
         raise MismatchedIds(
             f"learned/standard id mismatch: {sorted(set(learned) ^ set(standard))}"
@@ -206,8 +202,6 @@ def speedup_report(
     for oid in ids:
         lc, lout = learned[oid]
         sc, sout = standard[oid]
-        lc = budget if lout == TIMEOUT else lc
-        sc = budget if sout == TIMEOUT else sc
         lc, sc = max(lc, 1.0), max(sc, 1.0)
         lto += lout == TIMEOUT
         sto += sout == TIMEOUT
@@ -248,16 +242,10 @@ class PipelineResult:
 
 
 def _cost_map(
-    rows: list[RuntimeRow], ids: list[str], pick: dict[str, str]
+    indexed: dict[tuple[str, str], RuntimeRow], ids: list[str], pick: dict[str, str]
 ) -> dict[str, tuple[float, str]]:
-    indexed = {(r.ontology_id, r.config): r for r in rows}
-    out = {}
-    for oid in ids:
-        row = indexed.get((oid, pick[oid]))
-        if row is None:
-            raise MismatchedIds(f"no runtime row for {oid} under config {pick[oid]}")
-        out[oid] = (row.cost, row.outcome)
-    return out
+    """Each id's (cost, outcome) under its config in `pick`; all are swept."""
+    return {oid: (r.cost, r.outcome) for oid in ids for r in [indexed[oid, pick[oid]]]}
 
 
 def run_pipeline(
@@ -286,9 +274,10 @@ def run_pipeline(
     # each classifier predicts each test ontology once, for both uses
     preds = {oid: predict_labels(bundle, bench.features[oid]) for oid in test_ids}
     selections = {oid: choose_heuristic(bundle, preds[oid]) for oid in test_ids}
-    learned = _cost_map(eligible, test_ids, selections)
-    standard = _cost_map(eligible, test_ids, {oid: DEFAULT_LABEL for oid in test_ids})
-    report = speedup_report(learned, standard, float(budget))
+    indexed = {(r.ontology_id, r.config): r for r in eligible}
+    learned = _cost_map(indexed, test_ids, selections)
+    standard = _cost_map(indexed, test_ids, {oid: DEFAULT_LABEL for oid in test_ids})
+    report = speedup_report(learned, standard)
 
     truth = label_examples([r for r in eligible if r.ontology_id in test_set], bundle.threshold)
     f_scores: dict[str, float] = {}
@@ -301,7 +290,7 @@ def run_pipeline(
         y_true = np.asarray([lab[oid] for oid in oids])
         f_scores[label] = f_score(y_true, np.asarray([preds[oid][label] for oid in oids]))
 
-    text = render_report(bench, eligible, test_ids, selections, report, f_scores, budget)
+    text = render_report(indexed, test_ids, selections, report, f_scores, budget)
     return PipelineResult(
         bench=bench,
         eligible_rows=eligible,
@@ -319,8 +308,7 @@ def run_pipeline(
 
 
 def render_report(
-    bench: BenchResult,
-    rows: list[RuntimeRow],
+    indexed: dict[tuple[str, str], RuntimeRow],
     test_ids: list[str],
     selections: dict[str, str],
     report: SpeedupReport,
@@ -330,7 +318,6 @@ def render_report(
     """Plain-text report: per-test-ontology cost grid over all orderings
     (chosen one starred, timeouts as TO), per-ordering F-scores, and the
     aggregate speedup and cost-sum statistics."""
-    indexed = {(r.ontology_id, r.config): r for r in rows}
 
     def cell(oid: str, label: str) -> str:
         row = indexed.get((oid, label))

@@ -21,8 +21,6 @@ unparsable input, malformed CSV, model version mismatch).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import os
 import sys
@@ -63,7 +61,7 @@ from .learn.pipeline import (
     select_heuristic,
     train_model_bundle,
 )
-from .runtimes import read_runtime_csv, write_runtime_csv
+from .runtimes import read_runtime_csv, write_csv, write_runtime_csv
 from .tableau import (
     check_budget,
     check_supported,
@@ -76,6 +74,12 @@ from .tableau import (
 
 class CliError(ValueError):
     """Validation failure mapped to exit status 2."""
+
+
+SWEEP_HEADER = ["class", "outcome", "steps"]
+EXCLUSION_HEADER = ["id", "reason"]
+ID_HEADER = ["id"]
+SELECTION_HEADER = ["id", "config", "label"]
 
 
 # The reduced hyperparameter grid used by --quick: one point per kernel
@@ -156,21 +160,13 @@ def _load_spec(path: str | None) -> CorpusSpec:
         raise CliError(f"{path}: {exc}") from exc
 
 
-def _csv_text(header: tuple[str, ...], rows) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    w.writerows(rows)
-    return buf.getvalue()
-
-
 def _write_ids(ids: list[str], path: str) -> None:
-    _write_or_print(_csv_text(("id",), ([oid] for oid in ids)), path)
+    write_csv(path, ID_HEADER, ([oid] for oid in ids))
 
 
-def _selections_csv(choices: list[tuple[str, str]]) -> str:
+def _write_selections(choices: list[tuple[str, str]], path: str | None) -> None:
     rows = ((oid, c, config_label(CONFIGS[int(c) - 1])) for oid, c in choices)
-    return _csv_text(("id", "config", "label"), rows)
+    write_csv(path, SELECTION_HEADER, rows)
 
 
 def _read_corpus_dir(path: str) -> list[tuple[str, str]]:
@@ -207,7 +203,7 @@ def _cmd_sweep(args) -> int:
     res = satisfiability_sweep(odag, args.budget)
     rows = [(name, sat.outcome, sat.steps) for name, sat in res.per_class.items()]
     rows.append(("#total", "timeout" if res.timed_out else "finished", res.total_steps))
-    _write_or_print(_csv_text(("class", "outcome", "steps"), rows), args.out)
+    write_csv(args.out, SWEEP_HEADER, rows)
     return 0
 
 
@@ -225,8 +221,8 @@ def _cmd_features(args) -> int:
 
 def _cmd_gen_corpus(args) -> int:
     spec = _load_spec(args.spec)
+    os.makedirs(args.out, exist_ok=True)  # fail before the corpus is generated
     corpus = generate_corpus(spec)
-    os.makedirs(args.out, exist_ok=True)
     for inst in corpus:
         with open(os.path.join(args.out, inst.ontology_id + ".krss"), "w", newline="") as fh:
             fh.write(inst.text)
@@ -267,7 +263,7 @@ def _cmd_filter(args) -> int:
     rows = read_runtime_csv(args.runtimes)
     kept, log = filter_eligible(rows)
     write_runtime_csv(kept, args.out)
-    _write_or_print(_csv_text(("id", "reason"), log), args.log)
+    write_csv(args.log, EXCLUSION_HEADER, log)
     print(f"kept {len({r.ontology_id for r in kept})} ontologies, excluded {len(log)}")
     return 0
 
@@ -303,14 +299,14 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     bundle = load_bundle(args.model)
     choices = [(oid, select_heuristic(bundle, fv)) for oid, fv in read_feature_csv(args.features)]
-    _write_or_print(_selections_csv(choices), args.out)
+    _write_selections(choices, args.out)
     return 0
 
 
 def _cmd_report(args) -> int:
     learned = _cost_table(args.learned)
     standard = _cost_table(args.standard)
-    rep = speedup_report(learned, standard, budget=args.budget)
+    rep = speedup_report(learned, standard)
     lines = [
         "speedup of learned selection over standard configuration",
         f"  ontologies            {len(rep.ids)}",
@@ -349,13 +345,12 @@ def _cmd_pipeline(args) -> int:
     join = lambda name: os.path.join(args.out_dir, name)  # noqa: E731
     write_runtime_csv(result.bench.rows, join("runtimes.csv"))
     write_feature_csv(sorted(result.bench.features.items()), join("features.csv"))
-    _write_or_print(_csv_text(("id", "reason"), result.exclusions), join("exclusions.csv"))
+    write_csv(join("exclusions.csv"), EXCLUSION_HEADER, result.exclusions)
     _write_ids(result.train_ids, join("train.csv"))
     _write_ids(result.test_ids, join("test.csv"))
     save_bundle(result.bundle, join("model.json"))
-    _write_or_print(_selections_csv(sorted(result.selections.items())), join("selections.csv"))
-    with open(join("report.txt"), "w", newline="") as fh:
-        fh.write(result.report_text)
+    _write_selections(sorted(result.selections.items()), join("selections.csv"))
+    _write_or_print(result.report_text, join("report.txt"))
     print(
         f"eligible {len({r.ontology_id for r in result.eligible_rows})}"
         f" train {len(result.train_ids)} test {len(result.test_ids)}"
@@ -447,7 +442,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="speedup aggregates from two cost tables")
     p.add_argument("--learned", required=True, help="runtime CSV, one row per ontology")
     p.add_argument("--standard", required=True, help="runtime CSV, one row per ontology")
-    p.add_argument("--budget", type=float, required=True)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_report)
 

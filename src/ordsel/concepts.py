@@ -22,6 +22,8 @@ trivial arities instead of violating the n >= 2 invariant.
 
 from __future__ import annotations
 
+import functools
+import gc
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -251,3 +253,21 @@ def atom_frequencies(onto: Ontology) -> Counter[str]:
         elif type(c) is not Top and type(c) is not Bottom:
             stack.append(c.child)
     return freq
+
+
+def gc_paused(fn):
+    """``fn`` run with the cyclic garbage collector paused, for builders of
+    acyclic objects (the parser, the DAG encoder), which reference counting
+    frees alone.  The collector's prior state is restored on return or error."""
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if enabled:
+                gc.enable()
+
+    return paused

@@ -83,6 +83,7 @@ from .concepts import (
     Subsumption,
     Top,
     atom_frequencies,
+    gc_paused,
     walk,
 )
 
@@ -304,6 +305,7 @@ def _pure_definition_heads(onto: Ontology) -> dict[str, Concept]:
     return {n: bs[0] for n, bs in bodies.items() if n not in demoted}
 
 
+@gc_paused
 def encode_dag(onto: Ontology) -> Dag:
     b = _Builder()
     for name in onto.classes:

@@ -13,7 +13,6 @@ ontology maps to the all-zero vector.
 
 from __future__ import annotations
 
-import csv
 import math
 from collections import Counter
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from .concepts import (
     walk,
 )
 from .dag import Dag, nondeterministic_vertices
-from .runtimes import read_csv
+from .runtimes import read_csv, write_csv
 
 FEATURE_NAMES: tuple[str, ...] = (
     "numNominals",
@@ -78,6 +77,8 @@ FEATURE_NAMES: tuple[str, ...] = (
 
 N_FEATURES = len(FEATURE_NAMES)
 assert N_FEATURES == 39
+
+FEATURE_HEADER = ["id", *FEATURE_NAMES]
 
 
 @dataclass(frozen=True)
@@ -189,11 +190,7 @@ def extract_features(onto: Ontology, d: Dag) -> FeatureVector:
 
 def write_feature_csv(rows: list[tuple[str, FeatureVector]], path: str) -> None:
     """Feature table as CSV; float repr keeps the round trip bit-exact."""
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(("id",) + FEATURE_NAMES)
-        for oid, fv in rows:
-            w.writerow([oid] + [repr(v) for v in fv.values])
+    write_csv(path, FEATURE_HEADER, ([oid, *map(repr, fv.values)] for oid, fv in rows))
 
 
 def read_feature_csv(path: str) -> list[tuple[str, FeatureVector]]:
@@ -210,4 +207,4 @@ def read_feature_csv(path: str) -> list[tuple[str, FeatureVector]]:
             raise ValueError("feature values must be finite")
         return row[0], FeatureVector(values)
 
-    return read_csv(path, ["id", *FEATURE_NAMES], parse)
+    return read_csv(path, FEATURE_HEADER, parse)

@@ -48,6 +48,7 @@ from .concepts import (
     Transitivity,
     conj,
     disj,
+    gc_paused,
 )
 
 
@@ -146,6 +147,7 @@ def _error(text: str, index: int, cls: type[ParseError], message: str) -> ParseE
     return cls(text.count("\n", 0, pos) + 1, pos - text.rfind("\n", 0, pos), message)
 
 
+@gc_paused
 def parse_ontology(text: str) -> Ontology:
     # what each name read so far stands for; *top* and *bottom* come first
     concepts = {"*top*": TOP, "*bottom*": BOTTOM}

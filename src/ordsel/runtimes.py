@@ -1,15 +1,17 @@
 """Benchmark runtime records.
 
 One row per (ontology, expansion-ordering) pair: the reasoning cost in rule
-steps and how the run ended.  Timeout rows carry the per-test budget as
-their cost so aggregate statistics stay finite.  These tables are the input
-to both threshold computation and classifier training.
+steps and how the run ended.  A timeout row carries the per-test budget as
+its cost, and nothing downstream values a timeout again.  These tables are
+the input to threshold computation, classifier training and the report.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import math
+import sys
 from dataclasses import dataclass
 
 FINISHED = "finished"
@@ -17,6 +19,8 @@ TIMEOUT = "timeout"
 INCONSISTENT = "inconsistent"
 
 OUTCOMES = (FINISHED, TIMEOUT, INCONSISTENT)
+
+RUNTIME_HEADER = ["id", "config", "cost", "outcome"]
 
 
 @dataclass(frozen=True)
@@ -34,11 +38,15 @@ class RuntimeRow:
 
 
 def write_runtime_csv(rows: list[RuntimeRow], path: str) -> None:
-    with open(path, "w", newline="") as fh:
+    write_csv(path, RUNTIME_HEADER, ([r.ontology_id, r.config, repr(r.cost), r.outcome] for r in rows))
+
+
+def write_csv(path: str | None, header: list[str], rows) -> None:
+    """`header`, then `rows`, as CSV lines to `path`, or to stdout if None."""
+    with open(path, "w", newline="") if path is not None else contextlib.nullcontext(sys.stdout) as fh:
         w = csv.writer(fh, lineterminator="\n")
-        w.writerow(("id", "config", "cost", "outcome"))
-        for r in rows:
-            w.writerow((r.ontology_id, r.config, repr(r.cost), r.outcome))
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def read_csv(path: str, header: list[str], parse) -> list:
@@ -67,7 +75,7 @@ def read_runtime_csv(path: str) -> list[RuntimeRow]:
         seen.add((row[0], row[1]))
         return RuntimeRow(row[0], row[1], float(row[2]), row[3])
 
-    return read_csv(path, ["id", "config", "cost", "outcome"], parse)
+    return read_csv(path, RUNTIME_HEADER, parse)
 
 
 def rows_by_ontology(rows: list[RuntimeRow]) -> dict[str, list[RuntimeRow]]:

@@ -78,10 +78,10 @@ vertices it *moves*, that is, permutes differently from the DAG's first
 ordering, each with its permutation.  Orderings of one variant build the
 same tables, and the search is a deterministic function of its tables,
 target and budget, so they run the same search step for step.  So the
-DAG keeps one entry per variant: its tables, the first ordering's with
-only the moved rows rewritten, and the results of the tests run on them,
-keyed on target and budget.  A test already run under an ordering of the
-same variant is one lookup, with outcome, steps and branch points
+DAG keeps one set of tables per variant, the first ordering's with only
+the moved rows rewritten, and they hold the results of the tests run on
+them, keyed on target and budget.  A test already run under an ordering
+of the same variant is one lookup, with outcome, steps and branch points
 unchanged; this is not a satisfiability cache, which would change the
 count.  A DAG tested under one ordering (corpus validation, ``sat``,
 ``sweep``) builds one variant and copies no table.  This state is kept
@@ -133,30 +133,19 @@ class _Tables:
     of an existential / value restriction, else None.  ``inert[r]``:
     whether ``r`` is an inert disjunction (module docstring).  ``bottom``:
     the negated top (-1 when there is no top vertex).  ``gci``: the global
-    constraint, or None.
+    constraint, or None.  ``results``: the results of the tests run on
+    these tables, keyed on (target, budget).
     """
 
-    __slots__ = ("expand", "disjuncts", "exists", "forall", "inert", "bottom", "gci")
-
-
-class _Variant:
-    """The ``tables`` of the orderings that move the same ``and`` vertices
-    alike, and the ``results`` of the tests run on them, keyed on
-    (target, budget)."""
-
-    __slots__ = ("tables", "results")
-
-    def __init__(self, tables: _Tables):
-        self.tables = tables
-        self.results: dict[tuple[int | None, int], SatResult] = {}
+    __slots__ = ("expand", "disjuncts", "exists", "forall", "inert", "bottom", "gci", "results")
 
 
 class _Rules:
     """What the orderings of one ``Dag`` share: ``tables``, those of its
     first ordering; ``ands``, each ``and`` vertex's permutation under that
     ordering and its children, plain and flipped, in encoding order;
-    ``variants``, keyed on the (vertex, permutation) pairs an ordering
-    moves (module docstring).
+    ``variants``, the tables of each variant keyed on the (vertex,
+    permutation) pairs its orderings move, so ``tables`` under ``()``.
     """
 
     __slots__ = ("tables", "ands", "variants")
@@ -169,8 +158,9 @@ class _Rules:
         t.exists, t.forall, t.inert = [None] * n, [None] * n, [False] * n
         t.bottom = -1 if d.top_id is None else 2 * d.top_id + 1
         t.gci = d.gci_constraint
+        t.results = {}
         self.ands: dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
-        self.variants: dict[tuple, _Variant] = {}
+        self.variants: dict[tuple, _Tables] = {(): t}
         for vid, v in enumerate(d.vertices):
             pos, neg = 2 * vid, 2 * vid + 1
             if v.op == ATOM:
@@ -223,11 +213,10 @@ class _Rules:
     def tables_for(self, moved: tuple[tuple[int, tuple[int, ...]], ...]) -> _Tables:
         """The tables of an ordering that moves the vertices of ``moved``
         ((vertex, permutation) pairs): the first ordering's, with the
-        ``and`` rows of those vertices rewritten and the other rows
-        shared."""
-        if not moved:
-            return self.tables
+        ``and`` rows of those vertices rewritten, the other rows shared and
+        no results yet."""
         t = copy.copy(self.tables)
+        t.results = {}
         t.expand = expand = t.expand.copy()
         t.disjuncts = disjuncts = t.disjuncts.copy()
         for vid, perm in moved:
@@ -241,22 +230,22 @@ class _Rules:
 # identity) and die with their key: nothing outlives the DAG it was built
 # for.  No value refers back to a ``Dag`` or ``OrderedDag``.
 _RULES: weakref.WeakKeyDictionary[Dag, _Rules] = weakref.WeakKeyDictionary()
-_ORDERINGS: weakref.WeakKeyDictionary[OrderedDag, _Variant] = weakref.WeakKeyDictionary()
+_ORDERINGS: weakref.WeakKeyDictionary[OrderedDag, _Tables] = weakref.WeakKeyDictionary()
 
 
-def _variant(odag: OrderedDag) -> _Variant:
-    """The variant of an ordering not tested yet, made if no ordering of
-    the DAG had it; the DAG's rules are made on its first ordering."""
+def _variant(odag: OrderedDag) -> _Tables:
+    """The tables of an ordering not tested yet, those of its variant, made
+    if no ordering of the DAG had it; the DAG's rules are made on its first
+    ordering."""
     perms = odag.permutations
     rules = _RULES.get(odag.dag)
     if rules is None:
         rules = _RULES[odag.dag] = _Rules(odag.dag, perms)
     moved = tuple([(v, perms[v]) for v, (first, _, _) in rules.ands.items() if perms[v] != first])
-    variant = rules.variants.get(moved)
-    if variant is None:
-        variant = rules.variants[moved] = _Variant(rules.tables_for(moved))
-    _ORDERINGS[odag] = variant
-    return variant
+    if moved not in rules.variants:
+        rules.variants[moved] = rules.tables_for(moved)
+    t = _ORDERINGS[odag] = rules.variants[moved]
+    return t
 
 
 class _Budget(Exception):
@@ -468,11 +457,11 @@ def is_satisfiable(odag: OrderedDag, target: Ref | None, budget: int) -> SatResu
     """
     if budget < 1:
         check_budget(budget)  # raises; no call on the common path
-    variant = _ORDERINGS.get(odag) or _variant(odag)
+    t = _ORDERINGS.get(odag) or _variant(odag)
     key = (target, budget)
-    res = variant.results.get(key)
+    res = t.results.get(key)
     if res is None:
-        res = variant.results[key] = _search(variant.tables, target, budget)
+        res = t.results[key] = _search(t, target, budget)
     return res
 
 

@@ -124,7 +124,7 @@ def test_trap_family_orderings_gap(small_corpus):
 
 def test_run_benchmark_rows_and_defaults():
     corpus = [("a", BASIC_TEXT), ("bad", "((("), ("b", BASIC_TEXT)]
-    res = run_benchmark(corpus, configs=("1", "2", DEFAULT_LABEL), budget=1000)
+    res = run_benchmark(corpus, configs=("1", "2", DEFAULT_LABEL))
     assert [oid for oid, _ in res.parse_failures] == ["bad"]
     assert set(res.features) == {"a", "b"}
     defaults = {oid: default_config(fv).number for oid, fv in res.features.items()}
@@ -229,7 +229,7 @@ def test_per_dag_state_dies_with_its_dags(corpus8, monkeypatch, inline):
     monkeypatch.setattr(harness, "encode_dag", encode)
     gc.collect()
     before = (len(tableau._RULES), len(tableau._ORDERINGS))
-    run_benchmark(corpus8, budget=400)
+    run_benchmark(corpus8)
     gc.collect()
     assert len(dags) == len({text for _, text in corpus8}) < len(corpus8)
     assert all(ref() is None for ref in dags)
@@ -247,10 +247,10 @@ def test_second_benchmark_runs_every_search_again(corpus8, searches, monkeypatch
 
     # the sweep calls `is_satisfiable` through the module, as the tracer needs
     monkeypatch.setattr(tableau, "is_satisfiable", counting_test)
-    first = run_benchmark(corpus8, budget=400).rows
+    first = run_benchmark(corpus8).rows
     once = (len(searches), tests)
     assert 0 < once[0] < once[1]  # results are reused across orderings
-    assert run_benchmark(corpus8, budget=400).rows == first
+    assert run_benchmark(corpus8).rows == first
     assert (len(searches), tests) == (2 * once[0], 2 * once[1])
 
 
@@ -259,9 +259,9 @@ def test_default_rows_search_nothing_more(corpus8, searches, inline):
     # finds that ordering's variant; one text here makes the default Fdn.
     gcis = "".join(f"(implies (and G{i} H{i}) J{i})\n" for i in range(DEFAULT_MIN_GCIS))
     corpus = corpus8 + [("gci", corpus8[0][1] + gcis)]
-    real = run_benchmark(corpus, configs=CONFIG_NUMBERS, budget=400)
+    real = run_benchmark(corpus, configs=CONFIG_NUMBERS)
     n = len(searches)
-    both = run_benchmark(corpus, configs=CONFIG_NUMBERS + (DEFAULT_LABEL,), budget=400)
+    both = run_benchmark(corpus, configs=CONFIG_NUMBERS + (DEFAULT_LABEL,))
     assert len(searches) == 2 * n
     assert [r for r in both.rows if r.config != DEFAULT_LABEL] == real.rows
     by_key = {(r.ontology_id, r.config): r for r in both.rows}
@@ -273,7 +273,7 @@ def test_default_rows_search_nothing_more(corpus8, searches, inline):
 
 
 def test_rows_follow_the_order_of_configs():
-    res = run_benchmark([("a", BASIC_TEXT)], configs=(DEFAULT_LABEL, "2", "1"), budget=400)
+    res = run_benchmark([("a", BASIC_TEXT)], configs=(DEFAULT_LABEL, "2", "1"))
     assert [r.config for r in res.rows] == [DEFAULT_LABEL, "2", "1"]
 
 
@@ -288,8 +288,8 @@ def repeating_corpus(corpus8):
 
 
 def test_repeated_texts_get_the_rows_of_texts_run_alone(repeating_corpus):
-    alone = [run_benchmark([entry], budget=400) for entry in repeating_corpus]
-    got = run_benchmark(repeating_corpus, budget=400)
+    alone = [run_benchmark([entry]) for entry in repeating_corpus]
+    got = run_benchmark(repeating_corpus)
     assert got.rows == [row for r in alone for row in r.rows]
     assert got.features == {oid: fv for r in alone for oid, fv in r.features.items()}
     assert got.parse_failures == [f for r in alone for f in r.parse_failures]
@@ -304,7 +304,7 @@ def test_each_distinct_text_is_parsed_once(repeating_corpus, monkeypatch, inline
         return parse_ontology(text)
 
     monkeypatch.setattr(harness, "parse_ontology", parse)
-    run_benchmark(repeating_corpus, budget=400)
+    run_benchmark(repeating_corpus)
     assert sorted(parsed) == sorted({text for _, text in repeating_corpus})
 
 
@@ -327,7 +327,7 @@ def test_runtime_table_is_pinned(tmp_path):
     instances = generate_corpus(CorpusSpec(count=30, seed=7))
     corpus = [(inst.ontology_id, inst.text) for inst in instances]
     path = tmp_path / "runtimes.csv"
-    write_runtime_csv(run_benchmark(corpus, budget=12000).rows, str(path))
+    write_runtime_csv(run_benchmark(corpus).rows, str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == (
         "393318a2385f39a3d027ee786334802be859abc29df95d7d5ea6e9696279bdaf"
     )
@@ -367,7 +367,7 @@ def _eight_cpus(monkeypatch):
 
 def test_one_distinct_text_benchmarks_inline(monkeypatch, pools):
     _eight_cpus(monkeypatch)
-    res = run_benchmark([("a", BASIC_TEXT), ("b", BASIC_TEXT)], budget=400)
+    res = run_benchmark([("a", BASIC_TEXT), ("b", BASIC_TEXT)])
     assert pools == []
     assert [r.config for r in res.rows if r.ontology_id == "b"] == [
         *CONFIG_NUMBERS, DEFAULT_LABEL
@@ -375,11 +375,11 @@ def test_one_distinct_text_benchmarks_inline(monkeypatch, pools):
 
 
 def test_no_fork_benchmarks_inline(corpus8, monkeypatch, pools):
-    want = run_benchmark(corpus8, budget=400)
+    want = run_benchmark(corpus8)
     pools.clear()
     _eight_cpus(monkeypatch)
     monkeypatch.delattr(os, "fork")
-    assert run_benchmark(corpus8, budget=400) == want
+    assert run_benchmark(corpus8) == want
     assert pools == []
 
 
@@ -395,7 +395,7 @@ def test_worker_exception_reaches_caller(corpus8, monkeypatch, pools):
     for count in (1, 2):
         set_workers(monkeypatch, count)
         with pytest.raises(ValueError) as info:
-            run_benchmark(corpus8, budget=400)
+            run_benchmark(corpus8)
         errors.append(info.value)
     inline, pooled = errors
     assert len(pools) == 1
@@ -537,7 +537,7 @@ def test_a_split_refused_for_n_ids_is_refused_for_fewer():
 
 
 def test_speedup_simple_ratio():
-    rep = speedup_report({"a": (100.0, FINISHED)}, {"a": (1000.0, FINISHED)}, budget=5000.0)
+    rep = speedup_report({"a": (100.0, FINISHED)}, {"a": (1000.0, FINISHED)})
     assert rep.ids == ("a",)
     assert rep.max_ratio == rep.mean_ratio == 10.0
     assert math.isclose(rep.geomean_ratio, 10.0, rel_tol=1e-12)
@@ -546,34 +546,34 @@ def test_speedup_simple_ratio():
 
 
 def test_speedup_equal_costs():
-    rep = speedup_report({"a": (7.0, FINISHED)}, {"a": (7.0, FINISHED)}, budget=10.0)
+    rep = speedup_report({"a": (7.0, FINISHED)}, {"a": (7.0, FINISHED)})
     assert rep.geomean_ratio == 1.0
 
 
-def test_speedup_timeouts_valued_at_budget():
-    rep = speedup_report({"a": (50.0, FINISHED)}, {"a": (123.0, TIMEOUT)}, budget=500.0)
-    assert rep.max_ratio == 10.0
+def test_speedup_counts_a_timeout_at_its_row_cost():
+    # the harness writes a timeout row at the budget, and the report takes
+    # whatever cost the row records
+    rep = speedup_report({"a": (50.0, FINISHED)}, {"a": (123.0, TIMEOUT)})
+    assert rep.max_ratio == 123.0 / 50.0
     assert rep.standard_timeouts == 1
-    assert rep.standard_sum == 500.0
+    assert rep.standard_sum == 123.0
 
 
 def test_speedup_floors_costs_at_one_step():
-    rep = speedup_report({"a": (0.0, FINISHED)}, {"a": (3.0, FINISHED)}, budget=10.0)
+    rep = speedup_report({"a": (0.0, FINISHED)}, {"a": (3.0, FINISHED)})
     assert rep.max_ratio == 3.0
 
 
 def test_speedup_against_reference_timeout():
     # one solved case against an exhausted reference-scale budget
-    rep = speedup_report(
-        {"x": (9103.0, FINISHED)}, {"x": (500000.0, TIMEOUT)}, budget=500000.0
-    )
+    rep = speedup_report({"x": (9103.0, FINISHED)}, {"x": (500000.0, TIMEOUT)})
     assert math.isclose(rep.max_ratio, 54.928, abs_tol=0.01)
 
 
 def test_speedup_aggregate_consistency():
     learned = {"a": (10.0, FINISHED), "b": (400.0, TIMEOUT), "c": (90.0, FINISHED)}
     standard = {"a": (100.0, FINISHED), "b": (400.0, TIMEOUT), "c": (9.0, FINISHED)}
-    rep = speedup_report(learned, standard, budget=400.0)
+    rep = speedup_report(learned, standard)
     n = len(rep.ids)
     assert rep.ids == ("a", "b", "c")
     assert math.isclose(rep.learned_mean, rep.learned_sum / n)
@@ -584,12 +584,12 @@ def test_speedup_aggregate_consistency():
 
 def test_speedup_mismatched_ids():
     with pytest.raises(MismatchedIds):
-        speedup_report({"a": (1.0, FINISHED)}, {"b": (1.0, FINISHED)}, budget=10.0)
+        speedup_report({"a": (1.0, FINISHED)}, {"b": (1.0, FINISHED)})
 
 
 def test_speedup_empty():
     with pytest.raises(ValueError):
-        speedup_report({}, {}, budget=10.0)
+        speedup_report({}, {})
 
 
 # ------------------------------------------------------------- end to end

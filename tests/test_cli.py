@@ -489,7 +489,7 @@ def test_bad_runtime_csv_exits_2(tmp_path, capsys, command, body, message):
         out, log = str(tmp_path / "kept.csv"), str(tmp_path / "log.csv")
         argv = ["filter", "--runtimes", str(src), "--out", out, "--log", log]
     else:
-        argv = ["report", "--learned", str(src), "--standard", str(src), "--budget", "10"]
+        argv = ["report", "--learned", str(src), "--standard", str(src)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
@@ -510,7 +510,7 @@ def test_oversized_csv_field_exits_2(trained, tmp_path, capsys, command):
     argv = {
         "filter": ["--runtimes", str(bad), "--out", out, "--log", str(tmp_path / "log.csv")],
         "split": ["--runtimes", str(bad), "--train-out", out, "--test-out", out],
-        "report": ["--learned", str(bad), "--standard", str(bad), "--budget", "10"],
+        "report": ["--learned", str(bad), "--standard", str(bad)],
         "train": ["--features", str(bad), "--runtimes", trained["runtimes"], "--out", out],
         "predict": ["--features", str(bad), "--model", trained["model"], "--out", out],
     }[command]
@@ -855,6 +855,15 @@ def test_pipeline_refuses_an_out_dir_that_is_a_file_before_generating(tmp_path, 
     assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0], err
 
 
+def test_gen_corpus_refuses_an_out_that_is_a_file_before_generating(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "generate_corpus", _no_corpus)
+    out = tmp_path / "corpus"
+    out.write_text("")
+    assert main(["gen-corpus", "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0], err
+
+
 @pytest.mark.parametrize("fraction", ["1.5", "0", "nan"])
 def test_pipeline_rejects_bad_test_fraction(tmp_path, capsys, monkeypatch, fraction):
     monkeypatch.setattr(cli, "generate_corpus", _no_corpus)
@@ -987,7 +996,7 @@ def test_report_text(tmp_path, capsys):
     standard = str(tmp_path / "standard.csv")
     _write_cost_csv(learned, [RuntimeRow("a", "5", 100.0, "finished")])
     _write_cost_csv(standard, [RuntimeRow("a", "default", 1000.0, "finished")])
-    assert main(["report", "--learned", learned, "--standard", standard, "--budget", "5000"]) == 0
+    assert main(["report", "--learned", learned, "--standard", standard]) == 0
     out = capsys.readouterr().out
     assert "geometric mean ratio  10.00" in out
     assert "ontologies            1" in out
@@ -1001,23 +1010,10 @@ def test_report_rejects_duplicate_and_mismatched_ids(tmp_path, capsys):
         [RuntimeRow("a", "5", 1.0, "finished"), RuntimeRow("a", "6", 2.0, "finished")],
     )
     _write_cost_csv(standard, [RuntimeRow("a", "default", 1.0, "finished")])
-    assert main(["report", "--learned", learned, "--standard", standard, "--budget", "10"]) == 2
+    assert main(["report", "--learned", learned, "--standard", standard]) == 2
     assert "duplicate" in capsys.readouterr().err
     _write_cost_csv(learned, [RuntimeRow("b", "5", 1.0, "finished")])
-    assert main(["report", "--learned", learned, "--standard", standard, "--budget", "10"]) == 2
-
-
-@pytest.mark.parametrize("budget", ["nan", "inf", "0", "-5"])
-def test_report_rejects_bad_budget(tmp_path, capsys, budget):
-    learned = str(tmp_path / "learned.csv")
-    standard = str(tmp_path / "standard.csv")
-    _write_cost_csv(learned, [RuntimeRow("a", "5", 100.0, "timeout")])
-    _write_cost_csv(standard, [RuntimeRow("a", "default", 1000.0, "finished")])
-    argv = ["report", "--learned", learned, "--standard", standard, "--budget", budget]
-    assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: budget ") and err.count("\n") == 1
-    assert "not a finite positive number" in err
+    assert main(["report", "--learned", learned, "--standard", standard]) == 2
 
 
 # --------------------------------------------------------------- pipeline

@@ -217,7 +217,7 @@ COMMANDS = {
     "predict": {"--features": (True, _paths("FEATURES")), "--model": (True, _paths("MODEL")),
                 "--out": (False, FILE_OUT)},
     "report": {"--learned": (True, _paths("COSTS")), "--standard": (True, _paths("COSTS")),
-               "--budget": (True, _values("2000", "1", "0.5", HUGE)), "--out": (False, FILE_OUT)},
+               "--out": (False, FILE_OUT)},
     "pipeline": {"--spec": (ALWAYS, _paths("SPEC")), "--budget": (False, BUDGET), "--seed": (False, SEED),
                  "--folds": (False, FOLDS), "--test-fraction": (False, FRACTION),
                  "--quick": (True, FLAG), "--out-dir": (True, DIR_OUT)},

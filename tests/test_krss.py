@@ -1,6 +1,7 @@
 """Parser and serializer for the s-expression ontology format."""
 
 import contextlib
+import gc
 import io
 import os
 import pickle
@@ -26,7 +27,7 @@ from ordsel.concepts import (
     Top,
     Transitivity,
 )
-from ordsel import krss
+from ordsel import dag, krss
 from ordsel.cli import main
 from ordsel.dag import encode_dag
 from ordsel.features import extract_features
@@ -94,6 +95,37 @@ def test_syntax_error_carries_position():
         parse_ontology("(implies A B)\n(implies C")
     assert err.value.line == 2
     assert err.value.column >= 1
+
+
+def test_parse_and_encode_pause_the_cyclic_collector(monkeypatch):
+    seen = []
+
+    def spying(fn):
+        return lambda *args: seen.append(gc.isenabled()) or fn(*args)
+
+    monkeypatch.setattr(krss, "conj", spying(krss.conj))
+    monkeypatch.setattr(dag, "atom_frequencies", spying(dag.atom_frequencies))
+    assert gc.isenabled()
+    encode_dag(parse_ontology("(implies A (and B C))"))
+    assert seen == [False, False] and gc.isenabled()
+
+
+def test_a_parse_error_leaves_the_collector_enabled():
+    assert gc.isenabled()
+    with pytest.raises(ParseError):
+        parse_ontology("(implies A (and B C)")
+    assert gc.isenabled()
+
+
+def test_a_collector_paused_by_the_caller_stays_paused():
+    gc.disable()
+    try:
+        encode_dag(parse_ontology("(implies A (and B C))"))
+        with pytest.raises(ParseError):
+            parse_ontology("(implies A")
+        assert not gc.isenabled()
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("cls", [ParseError, UnsupportedConstruct])

@@ -12,6 +12,10 @@ of its name is loaded anywhere, whatever the object; the orderings read
 the `ConceptStats` fields through `getattr` with the metric names, so a
 string constant equal to a field's name counts as a read too.  A method
 or property is read as a field is, but not by a load inside its own body.
+
+A parameter of a function, method or lambda, at any depth, is read when
+its name is loaded inside the body of that function; a parameter no body
+reads is an argument every caller passes for nothing.
 """
 
 from __future__ import annotations
@@ -123,6 +127,27 @@ def unread_names(modules: list[ast.Module]) -> list[str]:
     return sorted(unread)
 
 
+def unread_parameters(modules: list[ast.Module]) -> list[str]:
+    """Every parameter that its function's body never loads, as
+    ``function.parameter`` (``<lambda>`` for a lambda's)."""
+    out = []
+    for tree in modules:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            params = [p.arg for p in a.posonlyargs + a.args + a.kwonlyargs]
+            params += [p.arg for p in (a.vararg, a.kwarg) if p is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id for stmt in body for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            out += [f"{name}.{p}" for p in params if p not in read]
+    return sorted(out)
+
+
 def test_every_name_and_field_is_read_by_the_package():
     assert unread_names(_modules()) == sorted(ALLOWED)
 
@@ -158,3 +183,23 @@ if __name__ == "__main__":
 '''
     got = unread_names([ast.parse(source)])
     assert got == ["Row.again", "Row.hidden", "helper"]
+
+
+def test_every_parameter_is_read_by_its_function():
+    assert unread_parameters(_modules()) == []
+
+
+def test_the_scan_finds_an_unread_parameter():
+    source = '''
+class Table:
+    def show(self, rows, width=8, *extra, **options):
+        width = 0
+        return [r for r in rows if options]
+
+def outer(a, b):
+    def inner(c):
+        return a
+    return inner, lambda d, e: e
+'''
+    got = unread_parameters([ast.parse(source)])
+    assert got == ["<lambda>.d", "inner.c", "outer.b", "show.extra", "show.self", "show.width"]

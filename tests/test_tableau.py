@@ -442,5 +442,6 @@ def test_orderings_with_equal_permutations_share_one_variant(searches):
     assert is_satisfiable(a, None, 100) == is_satisfiable(b, None, 100)
     assert len(searches) == 2
     assert tableau._ORDERINGS[a] is tableau._ORDERINGS[b]
-    assert tableau._ORDERINGS[a].tables is not tableau._RULES[d].tables
+    assert tableau._ORDERINGS[a] is not tableau._RULES[d].tables
+    assert tableau._ORDERINGS[a].results is not tableau._RULES[d].tables.results
     assert len(tableau._RULES[d].variants) == 2
