@@ -96,7 +96,7 @@ def _read_text(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CliError(f"cannot read {path}: {exc}") from exc
 
 
@@ -189,8 +189,6 @@ def _cmd_sat(args) -> int:
     if args.class_name is None:
         res = check_tbox_consistency(odag, args.budget)
     else:
-        if args.class_name not in dag.atom_ids:
-            raise CliError(f"unknown class {args.class_name!r}")
         res = is_satisfiable(odag, class_ref(dag, args.class_name), args.budget)
     print(f"{res.outcome} {res.steps} {res.branch_points}")
     return 0
@@ -298,7 +296,12 @@ def _cmd_train(args) -> int:
 
 def _cmd_predict(args) -> int:
     bundle = load_bundle(args.model)
-    choices = [(oid, select_heuristic(bundle, fv)) for oid, fv in read_feature_csv(args.features)]
+    choices = []
+    for oid, fv in read_feature_csv(args.features):
+        try:
+            choices.append((oid, select_heuristic(bundle, fv)))
+        except ValueError as exc:
+            raise CliError(f"{args.features}: id {oid!r}: {exc}") from exc
     _write_selections(choices, args.out)
     return 0
 

@@ -247,16 +247,15 @@ def cross_validate(
 # ------------------------------------------------------------ grid search
 
 
-def default_grid(n_features: int = len(FEATURE_NAMES)) -> list[GridPoint]:
-    """Ordered hyperparameter grid: selection size x component count x
-    kernel settings.  Duplicate points after clamping keep their first
-    position only."""
+def default_grid() -> list[GridPoint]:
+    """Ordered hyperparameter grid over the 39 feature columns: selection
+    size x component count x kernel settings.  Duplicate points after
+    clamping the component count keep their first position only."""
     points: list[GridPoint] = []
     seen: set[tuple] = set()
     for k in (5, 10, 20, 39):
-        k_eff = min(k, n_features)
         for nc in (2, 5, 10, "all"):
-            nc_eff = k_eff if nc == "all" else min(nc, k_eff)
+            nc_eff = k if nc == "all" else min(nc, k)
             kernel_settings: list[tuple[str, float, float | None]] = []
             for c in (0.1, 1.0, 10.0, 100.0):
                 kernel_settings.append(("linear", c, None))
@@ -264,11 +263,11 @@ def default_grid(n_features: int = len(FEATURE_NAMES)) -> list[GridPoint]:
                 for gamma in (1.0 / nc_eff, 0.1, 1.0):
                     kernel_settings.append(("rbf", c, gamma))
             for kernel, c, gamma in kernel_settings:
-                key = (k_eff, nc_eff, kernel, c, gamma)
+                key = (k, nc_eff, kernel, c, gamma)
                 if key in seen:
                     continue
                 seen.add(key)
-                points.append(GridPoint(k=k_eff, n_components=nc_eff, kernel=kernel, c=c, gamma=gamma))
+                points.append(GridPoint(k=k, n_components=nc_eff, kernel=kernel, c=c, gamma=gamma))
     return points
 
 
@@ -281,7 +280,7 @@ def grid_search(
 ) -> tuple[GridPoint, float]:
     """Best grid point by cross-validated accuracy; earlier point wins ties."""
     if grid is None:
-        grid = default_grid(np.asarray(x).shape[1])
+        grid = default_grid()
     if not grid:
         raise ValueError("empty hyperparameter grid")
     accs = cv_accuracies(x, y, grid, n_folds, seed)
@@ -383,8 +382,12 @@ def train_model_bundle(
 
 
 def predict_labels(bundle: ModelBundle, fv: FeatureVector) -> dict[str, float]:
+    """Each configuration's label for one feature vector.  Values far
+    outside the training data overflow silently; ValueError when one makes
+    a decision value not finite (`svm_predict`)."""
     x = np.asarray(fv.values, dtype=float)[None, :]
-    return {label: float(m.pipeline.predict(x)[0]) for label, m in bundle.models.items()}
+    with np.errstate(all="ignore"):
+        return {label: float(m.pipeline.predict(x)[0]) for label, m in bundle.models.items()}
 
 
 def select_heuristic(bundle: ModelBundle, fv: FeatureVector) -> str:
@@ -512,10 +515,10 @@ def save_bundle(bundle: ModelBundle, path: str) -> None:
 
 def load_bundle(path: str) -> ModelBundle:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        raise CorruptModel(f"cannot read model bundle: {exc}") from exc
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+        raise CorruptModel(f"cannot read model bundle {path}: {exc}") from exc
     if not isinstance(doc, dict) or "version" not in doc:
         raise CorruptModel("model bundle lacks a version field")
     if doc["version"] != MODEL_FORMAT_VERSION:

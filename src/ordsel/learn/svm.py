@@ -208,5 +208,9 @@ def svm_decision(model: SvmModel, x: np.ndarray, k: np.ndarray | None = None) ->
 
 def svm_predict(model: SvmModel, x: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
     """Class labels in {-1, +1}; the decision boundary itself maps to +1.
-    `k` is as for `svm_decision`."""
-    return np.where(svm_decision(model, x, k) >= 0.0, 1.0, -1.0)
+    `k` is as for `svm_decision`.  A decision value that is not finite, as
+    a row far outside the training data gives, has no label: ValueError."""
+    dec = svm_decision(model, x, k)
+    if not np.isfinite(dec).all():
+        raise ValueError("a decision value is not finite")
+    return np.where(dec >= 0.0, 1.0, -1.0)

@@ -73,20 +73,19 @@ work of the chronological reasoner.
 
 Work shared per DAG.  The benchmark tests one DAG under up to twelve
 orderings, and an ordering changes nothing but the child order of
-``and`` vertices.  An ordering's *variant* is the set of ``and``
-vertices it *moves*, that is, permutes differently from the DAG's first
-ordering, each with its permutation.  Orderings of one variant build the
-same tables, and the search is a deterministic function of its tables,
-target and budget, so they run the same search step for step.  So the
-DAG keeps one set of tables per variant, the first ordering's with only
-the moved rows rewritten, and they hold the results of the tests run on
-them, keyed on target and budget.  A test already run under an ordering
-of the same variant is one lookup, with outcome, steps and branch points
-unchanged; this is not a satisfiability cache, which would change the
-count.  A DAG tested under one ordering (corpus validation, ``sat``,
-``sweep``) builds one variant and copies no table.  This state is kept
-weakly per ``Dag`` and per ``OrderedDag`` (both compared by identity)
-and dies with them: nothing is kept from one benchmark run to the next.
+``and`` vertices.  An ordering's *variant* is its permutation of each
+``and`` vertex, in vertex order.  Orderings of one variant build the same
+tables, and the search is a deterministic function of its tables, target
+and budget, so they run the same search step for step.  So the DAG keeps
+the rows no ordering changes, built from the DAG alone, and one set of
+tables per variant: a copy of those rows with every ``and`` row written
+from the variant's permutations.  A variant's tables hold the results of
+the tests run on them, keyed on target and budget.  A test already run
+under an ordering of the same variant is one lookup, with outcome, steps
+and branch points unchanged; this is not a satisfiability cache, which
+would change the count.  This state is kept weakly per ``Dag`` and per
+``OrderedDag`` (both compared by identity) and dies with them: nothing is
+kept from one benchmark run to the next.
 """
 
 from __future__ import annotations
@@ -124,7 +123,8 @@ class SweepResult:
 
 
 class _Tables:
-    """Rule rows of one ordering, indexed by signed reference.
+    """Rule rows of one variant (module docstring), indexed by signed
+    reference.
 
     ``expand[r]``: references a conjunction (children in the permuted
     order) or an unfoldable atom adds (one step), else None.
@@ -134,117 +134,95 @@ class _Tables:
     whether ``r`` is an inert disjunction (module docstring).  ``bottom``:
     the negated top (-1 when there is no top vertex).  ``gci``: the global
     constraint, or None.  ``results``: the results of the tests run on
-    these tables, keyed on (target, budget).
+    these tables, keyed on (target, budget).  The DAG's unordered rows are
+    a ``_Tables`` too, with every ``and`` row None and no ``results``.
     """
 
     __slots__ = ("expand", "disjuncts", "exists", "forall", "inert", "bottom", "gci", "results")
 
 
-class _Rules:
-    """What the orderings of one ``Dag`` share: ``tables``, those of its
-    first ordering; ``ands``, each ``and`` vertex's permutation under that
-    ordering and its children, plain and flipped, in encoding order;
-    ``variants``, the tables of each variant keyed on the (vertex,
-    permutation) pairs its orderings move, so ``tables`` under ``()``.
-    """
-
-    __slots__ = ("tables", "ands", "variants")
-
-    def __init__(self, d: Dag, permutations: dict[int, tuple[int, ...]]):
-        n = 2 * len(d.vertices)
-        self.tables = t = _Tables()
-        t.expand = expand = [None] * n
-        t.disjuncts = disjuncts = [None] * n
-        t.exists, t.forall, t.inert = [None] * n, [None] * n, [False] * n
-        t.bottom = -1 if d.top_id is None else 2 * d.top_id + 1
-        t.gci = d.gci_constraint
-        t.results = {}
-        self.ands: dict[int, tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = {}
-        self.variants: dict[tuple, _Tables] = {(): t}
-        for vid, v in enumerate(d.vertices):
-            pos, neg = 2 * vid, 2 * vid + 1
-            if v.op == ATOM:
-                told = d.told.get(v.name, ())
-                body = d.definitions.get(v.name)
-                if body is not None:
-                    expand[pos] = told + (body,)
-                    expand[neg] = (body ^ 1,)
-                elif told:
-                    expand[pos] = told
-            elif v.op == AND:
-                kids = v.children
-                flipped = tuple([k ^ 1 for k in kids])
-                perm = permutations[vid]
-                self.ands[vid] = (perm, kids, flipped)
-                expand[pos] = tuple([kids[i] for i in perm])
-                disjuncts[neg] = tuple([flipped[i] for i in perm])
-            elif v.op == ALL:
-                (child,) = v.children
-                t.forall[pos] = (v.role, child)
-                t.exists[neg] = (v.role, child ^ 1)
-        # references to each vertex: edges plus the roots of definitions,
-        # told subsumers, the global constraint and assertions
-        uses = [0] * len(d.vertices)
-        positive = [False] * len(d.vertices)
-        refs = [r for v in d.vertices for r in v.children]
-        refs += d.definitions.values()
-        refs += [r for rs in d.told.values() for r in rs]
-        refs += d.assertion_refs
-        if d.gci_constraint is not None:
-            refs.append(d.gci_constraint)
-        for r in refs:
-            uses[r >> 1] += 1
-            if not r & 1:
-                positive[r >> 1] = True
-        for vid, v in enumerate(d.vertices):
-            t.inert[2 * vid + 1] = (
-                v.op == AND
-                and not positive[vid]
-                and all(
-                    r & 1
-                    and uses[r >> 1] == 1
-                    and d.vertices[r >> 1].op == ATOM
-                    and d.vertices[r >> 1].name not in d.told
-                    and d.vertices[r >> 1].name not in d.definitions
-                    for r in v.children
-                )
+def _unordered(d: Dag) -> _Tables:
+    """The rows of ``d`` that no ordering changes."""
+    n = 2 * len(d.vertices)
+    t = _Tables()
+    t.expand = expand = [None] * n
+    t.disjuncts = [None] * n
+    t.exists, t.forall, t.inert = [None] * n, [None] * n, [False] * n
+    t.bottom = -1 if d.top_id is None else 2 * d.top_id + 1
+    t.gci = d.gci_constraint
+    for vid, v in enumerate(d.vertices):
+        pos, neg = 2 * vid, 2 * vid + 1
+        if v.op == ATOM:
+            told = d.told.get(v.name, ())
+            body = d.definitions.get(v.name)
+            if body is not None:
+                expand[pos] = told + (body,)
+                expand[neg] = (body ^ 1,)
+            elif told:
+                expand[pos] = told
+        elif v.op == ALL:
+            (child,) = v.children
+            t.forall[pos] = (v.role, child)
+            t.exists[neg] = (v.role, child ^ 1)
+    # references to each vertex: edges plus the roots of definitions,
+    # told subsumers, the global constraint and assertions
+    uses = [0] * len(d.vertices)
+    positive = [False] * len(d.vertices)
+    refs = [r for v in d.vertices for r in v.children]
+    refs += d.definitions.values()
+    refs += [r for rs in d.told.values() for r in rs]
+    refs += d.assertion_refs
+    if d.gci_constraint is not None:
+        refs.append(d.gci_constraint)
+    for r in refs:
+        uses[r >> 1] += 1
+        if not r & 1:
+            positive[r >> 1] = True
+    for vid, v in enumerate(d.vertices):
+        t.inert[2 * vid + 1] = (
+            v.op == AND
+            and not positive[vid]
+            and all(
+                r & 1
+                and uses[r >> 1] == 1
+                and d.vertices[r >> 1].op == ATOM
+                and d.vertices[r >> 1].name not in d.told
+                and d.vertices[r >> 1].name not in d.definitions
+                for r in v.children
             )
-
-    def tables_for(self, moved: tuple[tuple[int, tuple[int, ...]], ...]) -> _Tables:
-        """The tables of an ordering that moves the vertices of ``moved``
-        ((vertex, permutation) pairs): the first ordering's, with the
-        ``and`` rows of those vertices rewritten, the other rows shared and
-        no results yet."""
-        t = copy.copy(self.tables)
-        t.results = {}
-        t.expand = expand = t.expand.copy()
-        t.disjuncts = disjuncts = t.disjuncts.copy()
-        for vid, perm in moved:
-            _, kids, flipped = self.ands[vid]
-            expand[2 * vid] = tuple([kids[i] for i in perm])
-            disjuncts[2 * vid + 1] = tuple([flipped[i] for i in perm])
-        return t
+        )
+    return t
 
 
 # Both caches key on identity (``Dag`` and ``OrderedDag`` compare by
 # identity) and die with their key: nothing outlives the DAG it was built
-# for.  No value refers back to a ``Dag`` or ``OrderedDag``.
-_RULES: weakref.WeakKeyDictionary[Dag, _Rules] = weakref.WeakKeyDictionary()
+# for.  No value refers back to a ``Dag`` or ``OrderedDag``.  A DAG's entry
+# is its unordered rows and its variants' tables keyed on the variant.
+_RULES: weakref.WeakKeyDictionary[Dag, tuple[_Tables, dict]] = weakref.WeakKeyDictionary()
 _ORDERINGS: weakref.WeakKeyDictionary[OrderedDag, _Tables] = weakref.WeakKeyDictionary()
 
 
 def _variant(odag: OrderedDag) -> _Tables:
     """The tables of an ordering not tested yet, those of its variant, made
-    if no ordering of the DAG had it; the DAG's rules are made on its first
-    ordering."""
-    perms = odag.permutations
-    rules = _RULES.get(odag.dag)
+    if no ordering of the DAG had it: the unordered rows with every ``and``
+    row written from its permutation."""
+    d, perms = odag.dag, odag.permutations
+    rules = _RULES.get(d)
     if rules is None:
-        rules = _RULES[odag.dag] = _Rules(odag.dag, perms)
-    moved = tuple([(v, perms[v]) for v, (first, _, _) in rules.ands.items() if perms[v] != first])
-    if moved not in rules.variants:
-        rules.variants[moved] = rules.tables_for(moved)
-    t = _ORDERINGS[odag] = rules.variants[moved]
+        rules = _RULES[d] = (_unordered(d), {})
+    unordered, variants = rules
+    key = tuple([perms[v] for v in sorted(perms)])
+    t = variants.get(key)
+    if t is None:
+        t = variants[key] = copy.copy(unordered)
+        t.results = {}
+        t.expand = expand = unordered.expand.copy()
+        t.disjuncts = disjuncts = unordered.disjuncts.copy()
+        for vid, perm in perms.items():
+            kids = d.vertices[vid].children
+            expand[2 * vid] = tuple([kids[i] for i in perm])
+            disjuncts[2 * vid + 1] = tuple([kids[i] ^ 1 for i in perm])
+    _ORDERINGS[odag] = t
     return t
 
 
@@ -493,7 +471,7 @@ def check_supported(onto: Ontology) -> None:
 def class_ref(d: Dag, name: str) -> Ref:
     vid = d.atom_ids.get(name)
     if vid is None:
-        raise KeyError(f"unknown class {name!r}")
+        raise ValueError(f"unknown class {name!r}")
     return 2 * vid
 
 

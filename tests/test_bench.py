@@ -236,6 +236,21 @@ def test_per_dag_state_dies_with_its_dags(corpus8, monkeypatch, inline):
     assert (len(tableau._RULES), len(tableau._ORDERINGS)) == before
 
 
+def test_benchmark_search_and_variant_counts(corpus8, searches, monkeypatch, inline):
+    # pins how much work the orderings of one DAG share
+    dags = []
+
+    def encode(onto):
+        d = encode_dag(onto)
+        dags.append(d)
+        return d
+
+    monkeypatch.setattr(harness, "encode_dag", encode)
+    run_benchmark(corpus8, budget=12000)
+    assert len(searches) == 1031
+    assert sum(len(tableau._RULES[d][1]) for d in dags) == 32
+
+
 def test_second_benchmark_runs_every_search_again(corpus8, searches, monkeypatch, inline):
     tests = 0
     is_satisfiable = tableau.is_satisfiable

@@ -7,6 +7,7 @@ exit 2 with a diagnostic on stderr rather than raising."""
 import csv
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -108,6 +109,33 @@ def test_sat_error_paths(basic_path, capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["sat", "--ontology", "/nonexistent.krss"]) == 2
     assert "cannot read" in capsys.readouterr().err
+
+
+# A file that is not UTF-8 used to fail with the codec's message alone,
+# which names no file: over a directory of many, the user could not tell
+# which one was bad.
+@pytest.mark.parametrize(
+    "command", ["sat", "sweep", "features", "bench", "gen-corpus", "pipeline", "predict"]
+)
+def test_undecodable_file_is_named(trained, tmp_path, capsys, command):
+    bad = tmp_path / "corpus" / "bad.krss"
+    bad.parent.mkdir()
+    bad.write_bytes(b"(implies A B)\n\xff\n")
+    out = str(tmp_path / "out")
+    argv = {
+        "sat": ["--ontology", str(bad)],
+        "sweep": ["--ontology", str(bad)],
+        "features": ["--ontology", str(bad)],
+        "bench": ["--corpus", str(bad.parent), "--out", out],
+        "gen-corpus": ["--spec", str(bad), "--out", out],
+        "pipeline": ["--spec", str(bad), "--quick", "--out-dir", out],
+        "predict": ["--features", trained["features"], "--model", str(bad)],
+    }[command]
+    assert main([command, *argv]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: cannot read "), err
+    assert f"{bad}: 'utf-8' codec can't decode byte 0xff" in err[0]
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("command", ["sat", "sweep"])
@@ -982,6 +1010,31 @@ def test_predict_rejects_non_finite_features(trained, tmp_path, capsys, value):
     assert main(["predict", "--features", str(features), "--model", trained["model"]]) == 2
     err = capsys.readouterr().err
     assert err == f"error: {features}, line 4: feature values must be finite\n"
+
+
+# A row far outside the training data.  At 1e308 standardizing overflows
+# and every decision value is NaN; predict used to print the fallback
+# ordering after four RuntimeWarnings.  At 1e200 only the rbf kernel
+# overflows, its decision values stay finite, and the pick is the one made
+# before that warning was silenced.
+def test_predict_refuses_a_row_no_model_can_score(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"count": 20, "seed": 3}))
+    out = tmp_path / "out"
+    argv = ["pipeline", "--quick", "--seed", "1", "--spec", str(spec), "--out-dir", str(out)]
+    assert main(argv) == 0
+    capsys.readouterr()
+    for value, rc, want_out, want_err in [
+        ("1e308", 2, "", f"error: {tmp_path}/f.csv: id 'far': a decision value is not finite\n"),
+        ("1e200", 0, "id,config,label\nfar,1,Sap\n", ""),
+    ]:
+        features = tmp_path / "f.csv"
+        write_feature_csv([("far", FeatureVector((float(value),) * N_FEATURES))], str(features))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["predict", "--features", str(features), "--model", str(out / "model.json")]) == rc
+        assert caught == []
+        assert capsys.readouterr() == (want_out, want_err)
 
 
 # ----------------------------------------------------------------- report

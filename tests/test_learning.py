@@ -282,10 +282,11 @@ def test_cross_validate_no_leakage_on_noise():
 
 
 def test_default_grid_dedupes_and_clamps():
-    grid = default_grid(6)
-    assert len(grid) == len(set(grid))
+    # 256 points less 60 repeats: at k=5 ten and "all" components clamp to
+    # five, at k=10 "all" is ten, and with ten components gamma 1/10 is 0.1
+    grid = default_grid()
+    assert len(grid) == len(set(grid)) == 196
     for p in grid:
-        assert p.k <= 6
         assert p.n_components <= p.k
 
 

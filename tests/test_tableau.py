@@ -352,9 +352,10 @@ def test_replay_near_miss_disjunction_at_ancestor_and_descendant():
 
 
 # ------------------------------------------------- work shared per DAG
-# The rows no ordering changes are built once per DAG, and a test is
-# searched again under a new ordering unless an earlier ordering permuted
-# every ``and`` vertex alike (see the tableau module docstring).
+# A DAG keeps the rows no ordering changes and one set of tables per
+# variant, keyed on its permutation of each ``and`` vertex.  A test is
+# searched again under a new ordering unless an earlier ordering had the
+# same variant (see the tableau module docstring).
 
 
 def test_shared_tables_equal_fresh_tables_for_every_ordering(searches):
@@ -419,17 +420,23 @@ def test_result_is_not_reused_when_a_readable_row_differs(searches, text, target
     assert len(searches) == 2
 
 
-def test_ordering_equal_to_the_first_searches_nothing(searches):
+def test_ordering_of_a_tested_variant_searches_nothing(searches):
     text = generate_corpus(CorpusSpec(count=1, seed=11))[0].text
     d = encode_dag(parse_ontology(text))
     first = apply_ordering(d, parse_config("Fdn"))
     want = satisfiability_sweep(first, 12000)
     n = len(searches)
     assert n > 0
-    again = OrderedDag(dag=d, config=None, permutations=dict(first.permutations))
-    assert satisfiability_sweep(again, 12000) == want
+    # equal permutations, inserted in vertex order and in reverse
+    perms = first.permutations
+    assert len(perms) > 1
+    for again in (dict(perms), dict(reversed(perms.items()))):
+        odag = OrderedDag(dag=d, config=None, permutations=again)
+        assert satisfiability_sweep(odag, 12000) == want
+        assert tableau._ORDERINGS[odag] is tableau._ORDERINGS[first]
     assert len(searches) == n
-    assert len(tableau._RULES[d].variants) == 1  # each test was one lookup
+    _, variants = tableau._RULES[d]
+    assert len(variants) == 1  # each test was one lookup
 
 
 def test_orderings_with_equal_permutations_share_one_variant(searches):
@@ -438,10 +445,21 @@ def test_orderings_with_equal_permutations_share_one_variant(searches):
     vid = next(v for v, perm in first.items() if len(perm) > 1)
     moved = {**first, vid: first[vid][::-1]}
     a, b = (OrderedDag(dag=d, config=None, permutations=dict(moved)) for _ in range(2))
-    is_satisfiable(OrderedDag(dag=d, config=None, permutations=first), None, 100)
+    identity = OrderedDag(dag=d, config=None, permutations=first)
+    is_satisfiable(identity, None, 100)
     assert is_satisfiable(a, None, 100) == is_satisfiable(b, None, 100)
     assert len(searches) == 2
     assert tableau._ORDERINGS[a] is tableau._ORDERINGS[b]
-    assert tableau._ORDERINGS[a] is not tableau._RULES[d].tables
-    assert tableau._ORDERINGS[a].results is not tableau._RULES[d].tables.results
-    assert len(tableau._RULES[d].variants) == 2
+    assert tableau._ORDERINGS[a] is not tableau._ORDERINGS[identity]
+    assert tableau._ORDERINGS[a].results is not tableau._ORDERINGS[identity].results
+    unordered, variants = tableau._RULES[d]
+    assert len(variants) == 2
+    # the unordered rows leave every ``and`` row to the variants
+    assert all(unordered.expand[2 * v] is None for v in first)
+    assert all(unordered.disjuncts[2 * v + 1] is None for v in first)
+
+
+def test_unknown_class_is_a_value_error():
+    d = encode_dag(parse_ontology(BASIC_TEXT))
+    with pytest.raises(ValueError, match="unknown class 'Nope'"):
+        class_ref(d, "Nope")
