@@ -29,7 +29,7 @@ from ..learn.pipeline import (
     train_model_bundle,
 )
 from ..learn.svm import TooFewExamples
-from ..runtimes import FINISHED, INCONSISTENT, TIMEOUT, RuntimeRow, rows_by_ontology
+from ..runtimes import FINISHED, INCONSISTENT, TIMEOUT, RuntimeRow
 from ..tableau import UnsupportedAxiom, check_budget, check_supported, satisfiability_sweep
 from ..workers import ordered_map
 
@@ -128,12 +128,15 @@ def filter_eligible(rows: list[RuntimeRow]) -> tuple[list[RuntimeRow], list[tupl
     if not rows:
         raise ValueError("no runtime rows")
     real = set(CONFIG_NUMBERS)
-    by_ont = rows_by_ontology([r for r in rows if r.config in real])
+    outcomes: dict[str, set[str]] = {}  # per ontology, its real configs' outcomes
+    for r in rows:
+        if r.config in real:
+            outcomes.setdefault(r.ontology_id, set()).add(r.outcome)
     excluded: dict[str, str] = {}
-    for oid, ont_rows in sorted(by_ont.items()):
-        if any(r.outcome == INCONSISTENT for r in ont_rows):
+    for oid, seen in outcomes.items():
+        if INCONSISTENT in seen:
             excluded[oid] = "inconsistent"
-        elif all(r.outcome == TIMEOUT for r in ont_rows):
+        elif seen == {TIMEOUT}:
             excluded[oid] = "all-timeout"
     kept = [r for r in rows if r.ontology_id not in excluded]
     return kept, sorted(excluded.items())
@@ -280,15 +283,10 @@ def run_pipeline(
     report = speedup_report(learned, standard)
 
     truth = label_examples([r for r in eligible if r.ontology_id in test_set], bundle.threshold)
-    f_scores: dict[str, float] = {}
-    for label in CONFIG_NUMBERS:
-        lab = truth[label]
-        oids = [oid for oid in test_ids if oid in lab]
-        if not oids:
-            f_scores[label] = 0.0
-            continue
-        y_true = np.asarray([lab[oid] for oid in oids])
-        f_scores[label] = f_score(y_true, np.asarray([preds[oid][label] for oid in oids]))
+    f_scores = {
+        label: f_score([truth[label][oid] for oid in test_ids], [preds[oid][label] for oid in test_ids])
+        for label in CONFIG_NUMBERS
+    }
 
     text = render_report(indexed, test_ids, selections, report, f_scores, budget)
     return PipelineResult(
@@ -320,11 +318,9 @@ def render_report(
     aggregate speedup and cost-sum statistics."""
 
     def cell(oid: str, label: str) -> str:
-        row = indexed.get((oid, label))
-        if row is None:
-            return "-"
+        row = indexed[oid, label]
         body = "TO" if row.outcome == TIMEOUT else f"{row.cost:.0f}"
-        return f"*{body}" if selections.get(oid) == label else body
+        return f"*{body}" if selections[oid] == label else body
 
     lines = []
     lines.append("Per-ontology sweep costs on the test split (steps; TO = budget "
@@ -334,12 +330,12 @@ def render_report(
     for oid in test_ids:
         cells = [cell(oid, label) for label in CONFIG_NUMBERS]
         cells.append(cell(oid, DEFAULT_LABEL))
-        cells.append(selections.get(oid, "-"))
+        cells.append(selections[oid])
         lines.append("  ".join(f"{c:>8}" for c in [oid] + cells))
     lines.append("")
     lines.append("Classifier F-scores on the test split (good class positive)")
     lines.append("  ".join(f"{('c' + label):>8}" for label in CONFIG_NUMBERS))
-    lines.append("  ".join(f"{f_scores.get(label, 0.0):>8.3f}" for label in CONFIG_NUMBERS))
+    lines.append("  ".join(f"{f_scores[label]:>8.3f}" for label in CONFIG_NUMBERS))
     lines.append("")
     lines.append("Speedup of learned selection over the default ordering")
     lines.append(f"  maximum ratio:        {report.max_ratio:.2f}")

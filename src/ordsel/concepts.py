@@ -15,9 +15,6 @@ spell.  Nothing in the reasoner compares trees (the DAG encoder
 hash-conses on vertex keys instead), and the tests compare them with a
 structural helper of their own.  ``walk`` visits a tree on an explicit
 stack, so it works at any depth; only ``repr`` recurses.
-``conj``/``disj`` are the preferred constructors for programmatic
-building: they flatten nested operators of the same kind and collapse
-trivial arities instead of violating the n >= 2 invariant.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import gc
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Union
+from typing import Iterator, Union
 
 NAME_RE = re.compile(r"[A-Za-z0-9_-]+\Z")
 
@@ -94,34 +91,6 @@ class All(Concept):
 
 TOP = Top()
 BOTTOM = Bottom()
-
-
-def _flattened(kind: type, unit: Concept, children: Iterable[Concept]) -> Concept:
-    """``kind`` (And or Or) over ``children``, nested ``kind`` nodes spliced
-    in order; ``unit`` for no children, the child itself for one."""
-    flat: list[Concept] = []
-    for c in children:
-        if isinstance(c, kind):
-            flat.extend(c.children)
-        else:
-            flat.append(c)
-    if len(flat) > 1:
-        return kind(tuple(flat))
-    return flat[0] if flat else unit
-
-
-def conj(children: Iterable[Concept]) -> Concept:
-    """Conjunction constructor: flattens nested ands, preserves order.
-
-    Zero children yield *top*, a single child is returned as-is.
-    """
-    return _flattened(And, TOP, children)
-
-
-def disj(children: Iterable[Concept]) -> Concept:
-    """Disjunction constructor: flattens nested ors, preserves order; zero
-    children yield *bottom*."""
-    return _flattened(Or, BOTTOM, children)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from typing import Callable, NamedTuple
 
 from .concepts import (
     All,
+    And,
     Atomic,
     ConceptAssertion,
     Disjointness,
@@ -39,6 +40,7 @@ from .concepts import (
     NAME_RE,
     Not,
     Ontology,
+    Or,
     RoleAssertion,
     RoleInclusion,
     Some,
@@ -46,8 +48,6 @@ from .concepts import (
     TOP,
     BOTTOM,
     Transitivity,
-    conj,
-    disj,
     gc_paused,
 )
 
@@ -118,8 +118,8 @@ _TBOX, _RBOX, _ABOX = range(3)
 # A nested and/or form directly inside one of its own kind hands its argument
 # list up, and the chain's outermost form flattens it once: building every
 # level would copy the flattened inner children at each (quadratic time).
-_AND = _Form((_CLASS, _CLASS), _CLASS, "at least two concepts", lambda *a: conj(_leaves(a)))
-_OR = _Form((_CLASS, _CLASS), _CLASS, "at least two concepts", lambda *a: disj(_leaves(a)))
+_AND = _Form((_CLASS, _CLASS), _CLASS, "at least two concepts", lambda *a: And(tuple(_leaves(a))))
+_OR = _Form((_CLASS, _CLASS), _CLASS, "at least two concepts", lambda *a: Or(tuple(_leaves(a))))
 _CONCEPT_FORMS = {
     "not": _Form((_CLASS,), None, "one concept", Not),
     "and": _AND,

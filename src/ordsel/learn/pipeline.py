@@ -29,7 +29,6 @@ as nested lists.
 from __future__ import annotations
 
 import json
-import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
@@ -37,7 +36,7 @@ import numpy as np
 
 from ..features import FEATURE_NAMES, FeatureVector
 from ..heuristics import CONFIG_NUMBERS
-from ..runtimes import FINISHED, RuntimeRow, rows_by_config
+from ..runtimes import FINISHED, RuntimeRow
 from ..workers import ordered_map
 from .svm import LINEAR, RBF, SingleClass, SvmModel, kernel_matrix, svm_predict, svm_train
 from .transforms import (
@@ -84,10 +83,13 @@ def compute_threshold(rows: list[RuntimeRow]) -> float:
     population std of the finished costs, then average over configurations.
     Configurations with no finished run, and rows of other labels such as
     ``default``, contribute nothing."""
-    by_config = rows_by_config(rows)
+    finished: dict[str, list[float]] = {}
+    for r in rows:
+        if r.outcome == FINISHED:
+            finished.setdefault(r.config, []).append(r.cost)
     stats: list[tuple[float, float]] = []
     for label in CONFIG_NUMBERS:
-        costs = [r.cost for r in by_config.get(label, ()) if r.outcome == FINISHED]
+        costs = finished.get(label)
         if costs:
             arr = np.asarray(costs, dtype=float)
             stats.append((float(arr.mean()), float(arr.std())))
@@ -537,11 +539,11 @@ def load_bundle(path: str) -> ModelBundle:
             for label, m in doc["models"].items()
         }
         priorities = dict(doc["priorities"].items())
-        bundle = ModelBundle(float(doc["threshold"]), models, priorities)
+        threshold = doc["threshold"]
     except (KeyError, TypeError, ValueError, AttributeError, OverflowError) as exc:
         raise CorruptModel(f"malformed model bundle: {exc}") from exc
-    if not math.isfinite(bundle.threshold):
-        raise CorruptModel("model bundle threshold is not finite")
+    if not _finite_number(threshold):
+        raise CorruptModel("model bundle threshold is not a finite number")
     if set(priorities) != set(models):
         raise CorruptModel("model bundle priorities and models name different configurations")
     if sorted(v for v in priorities.values() if type(v) is int) != list(range(1, len(models) + 1)):
@@ -550,5 +552,7 @@ def load_bundle(path: str) -> ModelBundle:
     if unknown:
         raise CorruptModel(f"model bundle has unknown configurations {unknown}")
     for label, m in models.items():
+        if not _finite_number(m.accuracy):
+            raise CorruptModel(f"model {label}: accuracy is not a finite number")
         _check_pipeline(label, m.pipeline)
-    return bundle
+    return ModelBundle(float(threshold), models, priorities)

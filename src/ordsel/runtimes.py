@@ -76,17 +76,3 @@ def read_runtime_csv(path: str) -> list[RuntimeRow]:
         return RuntimeRow(row[0], row[1], float(row[2]), row[3])
 
     return read_csv(path, RUNTIME_HEADER, parse)
-
-
-def rows_by_ontology(rows: list[RuntimeRow]) -> dict[str, list[RuntimeRow]]:
-    out: dict[str, list[RuntimeRow]] = {}
-    for r in rows:
-        out.setdefault(r.ontology_id, []).append(r)
-    return out
-
-
-def rows_by_config(rows: list[RuntimeRow]) -> dict[str, list[RuntimeRow]]:
-    out: dict[str, list[RuntimeRow]] = {}
-    for r in rows:
-        out.setdefault(r.config, []).append(r)
-    return out

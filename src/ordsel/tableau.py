@@ -428,10 +428,13 @@ def check_budget(budget: int) -> None:
 def is_satisfiable(odag: OrderedDag, target: Ref | None, budget: int) -> SatResult:
     """Satisfiability of a signed reference w.r.t. the encoded TBox.
 
-    ``target=None`` tests the TBox alone (same as a *top* target).
-    ``budget`` must be >= 1.  A test already run under an ordering that
-    permutes every ``and`` vertex alike is not searched again (module
-    docstring).
+    ``target=None`` tests the TBox alone.  Its outcome is that of a *top*
+    target, but its steps and branch points need not be: a *top* item in
+    the root's label changes which nodes subset blocking stops, so
+    ``check_tbox_consistency``'s choice of target shows in a sweep's
+    counts.  ``budget`` must be >= 1.  A test already run under an
+    ordering that permutes every ``and`` vertex alike is not searched
+    again (module docstring).
     """
     if budget < 1:
         check_budget(budget)  # raises; no call on the common path

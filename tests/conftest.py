@@ -24,11 +24,10 @@ from ordsel.concepts import (
     Some,
     Subsumption,
     Top,
-    conj,
-    disj,
 )
 from ordsel.krss import parse_ontology
 from ordsel.learn.pipeline import fit_config_pipeline, stratified_folds
+from trees import conj, disj
 
 # A small TBox with one subsumption chain, one equivalence, and a
 # disjunction; used wherever a concrete, hand-checkable ontology is needed.

@@ -28,10 +28,9 @@ from ordsel.concepts import (
     TOP,
     BOTTOM,
     Transitivity,
-    conj,
-    disj,
 )
 from ordsel.krss import ParseError, UnsupportedConstruct
+from trees import conj, disj
 
 # Deepest parenthesis nesting this reader takes.  `_Reader` and `_Builder`
 # recurse once per level, so deeper text would meet the recursion limit

@@ -11,6 +11,7 @@ and completeness of the emitted report statistics."""
 import math
 import time
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -361,8 +362,8 @@ def test_pipeline_runs_are_byte_identical(pipeline_runs, tmp_path):
         save_bundle(result.bundle, mb)
         blobs.append(
             (
-                open(rt, "rb").read(),
-                open(mb, "rb").read(),
+                Path(rt).read_bytes(),
+                Path(mb).read_bytes(),
                 result.report_text.encode(),
             )
         )

@@ -8,6 +8,7 @@ import csv
 import json
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -170,7 +171,7 @@ def test_sweep_csv_shape(basic_path, capsys):
 def test_sweep_to_file(basic_path, tmp_path):
     out = str(tmp_path / "sweep.csv")
     assert main(["sweep", "--ontology", basic_path, "--out", out]) == 0
-    assert open(out).read().startswith("class,outcome,steps\n")
+    assert Path(out).read_text().startswith("class,outcome,steps\n")
 
 
 def _sweep_total(path, config, capsys):
@@ -247,7 +248,7 @@ def test_features_stdout(basic_path, capsys):
 def test_features_csv(basic_path, tmp_path):
     out = str(tmp_path / "f.csv")
     assert main(["features", "--ontology", basic_path, "--out", out]) == 0
-    lines = open(out).read().strip().split("\n")
+    lines = Path(out).read_text().strip().split("\n")
     assert len(lines) == 2
     assert lines[1].startswith("basic,")  # id from the file name
 
@@ -498,7 +499,7 @@ def test_filter_cli(tmp_path):
     out, log = str(tmp_path / "kept.csv"), str(tmp_path / "log.csv")
     assert main(["filter", "--runtimes", src, "--out", out, "--log", log]) == 0
     assert {r.ontology_id for r in read_runtime_csv(out)} == {"ok"}
-    assert open(log).read() == "id,reason\ndead,all-timeout\n"
+    assert Path(log).read_text() == "id,reason\ndead,all-timeout\n"
 
 
 @pytest.mark.parametrize(
@@ -620,8 +621,8 @@ def test_split_cli(tmp_path):
          "--train-out", train_out, "--test-out", test_out]
     )
     assert rc == 0
-    train = open(train_out).read().strip().split("\n")
-    test = open(test_out).read().strip().split("\n")
+    train = Path(train_out).read_text().strip().split("\n")
+    test = Path(test_out).read_text().strip().split("\n")
     assert train[0] == "id" and test[0] == "id"
     assert len(train) - 1 == 6 and len(test) - 1 == 2
     assert sorted(train[1:] + test[1:]) == [f"o{i}" for i in range(8)]
@@ -998,6 +999,35 @@ def test_predict_rejects_bad_svm_fields(trained, tmp_path, capsys, edit, message
     assert err.count("\n") == 1
 
 
+def _set_threshold(value):
+    return lambda doc: doc.update(threshold=value)
+
+
+def _set_accuracy(value):
+    return lambda doc: doc["models"]["1"].update(accuracy=value)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_set_threshold("0.5"), "error: model bundle threshold is not a finite number"),
+        (_set_threshold(True), "error: model bundle threshold is not a finite number"),
+        (_set_threshold(float("nan")), "error: model bundle threshold is not a finite number"),
+        (_set_accuracy("high"), "error: model 1: accuracy is not a finite number"),
+    ],
+    ids=["threshold-text", "threshold-bool", "threshold-nan", "accuracy-text"],
+)
+def test_predict_rejects_a_threshold_or_accuracy_that_is_not_a_number(
+    trained, tmp_path, capsys, edit, message
+):
+    doc = json.loads(Path(trained["model"]).read_text())
+    edit(doc)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc))
+    assert main(["predict", "--features", trained["features"], "--model", str(model)]) == 2
+    assert capsys.readouterr().err == message + "\n"
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_predict_rejects_non_finite_features(trained, tmp_path, capsys, value):
     features = tmp_path / "f.csv"
@@ -1094,12 +1124,12 @@ def test_pipeline_writes_all_artifacts(tmp_path, capsys):
     assert "eligible" in stdout and "geomean speedup" in stdout
     for name in ARTIFACTS:
         assert os.path.exists(os.path.join(out1, name)), name
-    assert "ont0000,all-timeout" in open(os.path.join(out1, "exclusions.csv")).read()
+    assert "ont0000,all-timeout" in Path(os.path.join(out1, "exclusions.csv")).read_text()
     # a rerun of the same spec is byte-identical artifact for artifact
     argv[-1] = out2
     assert main(argv) == 0
     capsys.readouterr()
     for name in ARTIFACTS:
-        a = open(os.path.join(out1, name), "rb").read()
-        b = open(os.path.join(out2, name), "rb").read()
+        a = Path(os.path.join(out1, name)).read_bytes()
+        b = Path(os.path.join(out2, name)).read_bytes()
         assert a == b, name

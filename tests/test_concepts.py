@@ -1,5 +1,6 @@
-"""Concept algebra: constructors, identity comparison, the structural
-comparison the tests use, and the iterative walk over expressions."""
+"""Concept algebra: identity comparison, the flattening constructors and
+structural comparison the tests use, and the iterative walk over
+expressions."""
 
 import pickle
 from collections import Counter
@@ -22,13 +23,11 @@ from ordsel.concepts import (
     Subsumption,
     Top,
     atom_frequencies,
-    conj,
-    disj,
     walk,
 )
 from ordsel.krss import parse_ontology
 from test_tableau import _default_recursion_limit
-from trees import assert_same, first_difference
+from trees import assert_same, conj, disj, first_difference
 
 A, B, C = Atomic("A"), Atomic("B"), Atomic("C")
 

@@ -103,7 +103,7 @@ def test_parse_and_encode_pause_the_cyclic_collector(monkeypatch):
     def spying(fn):
         return lambda *args: seen.append(gc.isenabled()) or fn(*args)
 
-    monkeypatch.setattr(krss, "conj", spying(krss.conj))
+    monkeypatch.setattr(krss, "_leaves", spying(krss._leaves))
     monkeypatch.setattr(dag, "atom_frequencies", spying(dag.atom_frequencies))
     assert gc.isenabled()
     encode_dag(parse_ontology("(implies A (and B C))"))
@@ -242,15 +242,14 @@ def test_right_nested_chains_flatten_in_linear_time(monkeypatch, op, cls):
     form: building each level would copy the inner level's flattened
     children again, n^2 / 2 of them in all."""
     n = 100_000
-    handled = []  # how many children each conjunction or disjunction built holds
-    for name in ("conj", "disj"):
+    handled = []  # how many leaves each conjunction or disjunction built gathers
 
-        def spy(children, build=getattr(krss, name)):
-            built = build(children)
-            handled.append(len(getattr(built, "children", ())))
-            return built
+    def spy(args, gather=krss._leaves):
+        leaves = gather(args)
+        handled.append(len(leaves))
+        return leaves
 
-        monkeypatch.setattr(krss, name, spy)
+    monkeypatch.setattr(krss, "_leaves", spy)
     chain = f"({op} X " * n + "B" + ")" * n
     with _default_recursion_limit():
         onto = parse_ontology(f"(implies A {chain})\n(implies C (not {chain}))\n")

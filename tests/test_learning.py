@@ -824,16 +824,16 @@ def test_save_load_round_trip(tmp_path):
     # a second save of the loaded bundle is byte-identical
     path2 = str(tmp_path / "model2.json")
     save_bundle(loaded, path2)
-    assert open(path).read() == open(path2).read()
+    assert Path(path).read_text() == Path(path2).read_text()
 
 
 def test_load_rejects_other_versions(tmp_path):
     bundle = _train_small_bundle()
     path = str(tmp_path / "model.json")
     save_bundle(bundle, path)
-    doc = json.load(open(path))
+    doc = json.loads(Path(path).read_text())
     doc["version"] = 999
-    json.dump(doc, open(path, "w"))
+    Path(path).write_text(json.dumps(doc))
     with pytest.raises(VersionMismatch):
         load_bundle(path)
 

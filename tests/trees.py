@@ -1,17 +1,50 @@
-"""Structural comparison of parse results.
+"""Structural comparison of parse results, and flattening constructors.
 
 Concepts, axioms and ontologies compare by identity, so a test that asks
 whether two separately built trees spell the same thing asks here.  The
 comparison runs on explicit stacks (concepts through `walk`), so it works
 at any depth, and a failure names the first difference in one short line
 instead of printing either tree.
+
+`conj` and `disj` build an and/or node the way the reader stores one: they
+splice nested operators of the same kind and collapse trivial arities
+instead of violating the n >= 2 invariant.  The oracles build with them.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from typing import Iterable
 
-from ordsel.concepts import Concept, walk
+from ordsel.concepts import BOTTOM, TOP, And, Concept, Or, walk
+
+
+def _flattened(kind: type, unit: Concept, children: Iterable[Concept]) -> Concept:
+    """``kind`` (And or Or) over ``children``, nested ``kind`` nodes spliced
+    in order; ``unit`` for no children, the child itself for one."""
+    flat: list[Concept] = []
+    for c in children:
+        if isinstance(c, kind):
+            flat.extend(c.children)
+        else:
+            flat.append(c)
+    if len(flat) > 1:
+        return kind(tuple(flat))
+    return flat[0] if flat else unit
+
+
+def conj(children: Iterable[Concept]) -> Concept:
+    """Conjunction constructor: flattens nested ands, preserves order.
+
+    Zero children yield *top*, a single child is returned as-is.
+    """
+    return _flattened(And, TOP, children)
+
+
+def disj(children: Iterable[Concept]) -> Concept:
+    """Disjunction constructor: flattens nested ors, preserves order; zero
+    children yield *bottom*."""
+    return _flattened(Or, BOTTOM, children)
 
 
 def _shape(node: Concept) -> tuple:
