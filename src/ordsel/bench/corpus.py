@@ -31,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dag import encode_dag, nondeterministic_vertices
+from ..dag import encode_dag
 from ..heuristics import apply_ordering
-from ..krss import ParseError, parse_ontology
-from ..tableau import SATISFIABLE, check_tbox_consistency, satisfiability_sweep
+from ..krss import parse_ontology
+from ..tableau import SATISFIABLE, satisfiability_sweep
 
 
 class GenerationError(RuntimeError):
@@ -156,32 +156,26 @@ def _pad_atoms(n: int, prefix: str) -> str:
     return " ".join(f"{prefix}P{i}" for i in range(n))
 
 
-def _depth_pad(depth: int, prefix: str) -> str:
+def _depth_pad(prefix: str) -> str:
     """Universal chain over an otherwise unused role: adds depth, never fires."""
-    core = f"{prefix}DP"
-    for _ in range(depth):
-        core = f"(all {prefix}R2 {core})"
-    return core
+    return f"(all {prefix}R2 (all {prefix}R2 (all {prefix}R2 {prefix}DP)))"
 
 
-def _succ_chain(depth: int, prefix: str) -> str:
-    core = f"{prefix}Ok"
-    for _ in range(depth):
-        core = f"(some {prefix}T {core})"
-    return core
+# The mixed family's safe disjunct: a chain of three existentials.
+_SUCC_CHAIN = "(some ST (some ST (some ST SOk)))"
 
 
 def _family_axioms(family: int, width: int, rng: np.random.Generator) -> list[str]:
     """The trap axiom plus its supporting definitions for one family."""
     ax: list[str] = _bomb_atoms(width, "B")
     if family == _BIG_DOOM:
-        doom = f"(and BB BK {_pad_atoms(20, 'D')} {_depth_pad(3, 'D')})"
+        doom = f"(and BB BK {_pad_atoms(20, 'D')} {_depth_pad('D')})"
         safe = "SafeAtom"
         ax.append(f"(implies Trap (and (some S M) (or {doom} {safe})))")
         for i in range(4):
             ax.append(f"(implies Z{i} (not {doom}))")
     elif family == _BIG_SAFE:
-        safe = f"(and SafeOk {_pad_atoms(15, 'S')} {_depth_pad(3, 'S')})"
+        safe = f"(and SafeOk {_pad_atoms(15, 'S')} {_depth_pad('S')})"
         ax.append(f"(implies Trap (and (some S M) (or {_doom('B')} {safe})))")
         for i in range(4):
             ax.append(f"(implies Z{i} (not {safe}))")
@@ -192,13 +186,13 @@ def _family_axioms(family: int, width: int, rng: np.random.Generator) -> list[st
             ax.append(f"(implies Z{i} (not {safe}))")
     elif family == _GEN_DOOM:
         doom = f"(all S {_doom('B')})"
-        safe = f"(and SafeOk {_pad_atoms(15, 'S')} {_depth_pad(3, 'S')})"
+        safe = f"(and SafeOk {_pad_atoms(15, 'S')} {_depth_pad('S')})"
         ax.append(f"(implies Trap (and (some S M) (or {doom} {safe})))")
         for i in range(4):
             ax.append(f"(implies Z{i} (not {safe}))")
     elif family == _MIXED:
         doom = f"(and BB BK {_pad_atoms(12, 'D')})"
-        safe = _succ_chain(3, "S")
+        safe = _SUCC_CHAIN
         ax.append(f"(implies Trap (and (some S M) (or {doom} {safe})))")
         for i in range(4):
             ax.append(f"(implies Z{i} {safe})")
@@ -272,22 +266,18 @@ def _sensitive_text(spec: CorpusSpec, family: int, rng: np.random.Generator) -> 
     return "\n".join(_family_axioms(family, width, rng)) + "\n"
 
 
-def _validate(text: str, check_budget: int, full_sweep: bool = False) -> str | None:
-    """None when the instance is acceptable, else a reason string."""
-    try:
-        onto = parse_ontology(text)
-    except ParseError as exc:
-        return f"parse failure: {exc}"
-    d = encode_dag(onto)
-    if not nondeterministic_vertices(d):
-        return "no nondeterministic vertex"
-    odag = apply_ordering(d, None)
-    result = check_tbox_consistency(odag, check_budget)
-    if result.outcome != SATISFIABLE:
-        return f"consistency check: {result.outcome}"
-    if full_sweep and satisfiability_sweep(odag, check_budget).timed_out:
-        return "sweep budget exceeded"
-    return None
+# Step budget of each test in the sweep that accepts a plain text.
+_CHECK_BUDGET = 4000
+
+
+def _validate(text: str) -> bool:
+    """Whether a plain text is consistent and its unsorted sweep finishes
+    within `_CHECK_BUDGET` steps per test.  `_plain_text` writes only
+    well-formed forms and always ``(implies C0 (or C1 C2))``, so the text
+    parses and holds a nondeterministic vertex."""
+    odag = apply_ordering(encode_dag(parse_ontology(text)), None)
+    sweep = satisfiability_sweep(odag, _CHECK_BUDGET)
+    return sweep.consistency.outcome == SATISFIABLE and not sweep.timed_out
 
 
 def generate_corpus(spec: CorpusSpec) -> list[CorpusInstance]:
@@ -296,15 +286,15 @@ def generate_corpus(spec: CorpusSpec) -> list[CorpusInstance]:
     Every returned instance parses, has a consistent terminology, and
     contains at least one nondeterministic vertex.  Ordering-sensitive
     instances (including the deliberately hopeless all-timeout ones) are
-    deterministic templates, so many repeat an earlier text and each
-    distinct one is validated once per call; plain instances are retried
-    under fresh subseeds until valid, and a `GenerationError` reports a
-    slot whose attempts are exhausted.
+    templates that do so by construction: each axiom has an atomic left
+    side, so no GCI remains and the TBox is satisfiable in 0 steps, and
+    each holds an ``or``.  Plain instances are retried under fresh
+    subseeds until `_validate` accepts one, and a `GenerationError`
+    reports a slot whose attempts are exhausted.
     """
     n_sensitive = round(spec.count * spec.sensitive_fraction)
     n_all_doom = min(spec.all_timeout_count, n_sensitive)
     instances: list[CorpusInstance] = []
-    valid: set[str] = set()  # sensitive texts already validated in this call
     for idx in range(spec.count):
         if idx < n_sensitive:
             if idx < n_all_doom:
@@ -313,17 +303,12 @@ def generate_corpus(spec: CorpusSpec) -> list[CorpusInstance]:
                 family = _FAMILY_CYCLE[(idx - n_all_doom) % len(_FAMILY_CYCLE)]
             rng = np.random.default_rng([spec.seed, idx])
             text = _sensitive_text(spec, family, rng)
-            if text not in valid:
-                reason = _validate(text, check_budget=4000)
-                if reason is not None:
-                    raise GenerationError(f"instance {idx} (family {family}): {reason}")
-                valid.add(text)
             instances.append(CorpusInstance(f"ont{idx:04d}", text, family))
         else:
             for attempt in range(50):
                 rng = np.random.default_rng([spec.seed, idx, attempt])
                 text = _plain_text(spec, rng)
-                if _validate(text, check_budget=4000, full_sweep=True) is None:
+                if _validate(text):
                     instances.append(CorpusInstance(f"ont{idx:04d}", text, None))
                     break
             else:

@@ -4,8 +4,8 @@ learned selector against the rule-based default ordering.
 
 Costs are deterministic rule-step counts, so a single run of each
 (ontology, configuration) pair fully determines the table.  A timeout row
-costs the per-test budget, and nothing re-values it; ratio denominators
-are floored at one step.
+costs the per-test budget, and nothing re-values it; a speedup ratio
+floors both of its costs at one step.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def run_benchmark(
 
     `corpus` is a list of (ontology id, source text) pairs, and rows follow
     the order of `configs`.  The pseudo configuration "default" sweeps the
-    ordering the rule-based default picks for that ontology's features.  A
+    ordering the rule-based default picks for that ontology's DAG.  A
     class test that an earlier ordering of the ontology already ran with
     every ``and`` vertex permuted alike is answered from its result, so
     the default's sweep repeats no search (see the tableau module
@@ -103,7 +103,7 @@ def _benchmark_text(
     fv = extract_features(onto, d)
     cells: list[tuple[str, float, str]] = []
     for label in configs:
-        cfg = default_config(fv) if label == DEFAULT_LABEL else parse_config(label)
+        cfg = default_config(d) if label == DEFAULT_LABEL else parse_config(label)
         sweep = satisfiability_sweep(apply_ordering(d, cfg), budget)
         if sweep.timed_out:  # the budget is the row's cost; nothing re-values it
             cells.append((label, float(budget), TIMEOUT))
@@ -193,8 +193,9 @@ def speedup_report(
     standard: dict[str, tuple[float, str]],
 ) -> SpeedupReport:
     """Per-ontology speedup of the learned selector over the standard
-    configuration.  A timeout counts at its recorded cost; costs are floored
-    at one step so every ratio is positive and finite."""
+    configuration.  A timeout counts at its recorded cost; sums and means
+    are of the raw costs, and each ratio floors both costs at one step so
+    it is positive and finite."""
     if set(learned) != set(standard):
         raise MismatchedIds(
             f"learned/standard id mismatch: {sorted(set(learned) ^ set(standard))}"
@@ -205,12 +206,11 @@ def speedup_report(
     for oid in ids:
         lc, lout = learned[oid]
         sc, sout = standard[oid]
-        lc, sc = max(lc, 1.0), max(sc, 1.0)
         lto += lout == TIMEOUT
         sto += sout == TIMEOUT
         lcosts.append(lc)
         scosts.append(sc)
-        ratios.append(sc / lc)
+        ratios.append(max(sc, 1.0) / max(lc, 1.0))
     n = len(ids)
     if n == 0:
         raise ValueError("empty cost maps")

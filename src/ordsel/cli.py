@@ -40,7 +40,6 @@ from .dag import encode_dag
 from .features import (
     FEATURE_NAMES,
     extract_features,
-    profile_features,
     read_feature_csv,
     write_feature_csv,
 )
@@ -105,11 +104,8 @@ def _load_ontology(path: str):
     return onto, encode_dag(onto)
 
 
-def _ordered(dag, onto, config_text: str):
-    if config_text == DEFAULT_LABEL:
-        cfg = default_config(profile_features(onto, dag))
-    else:
-        cfg = parse_config(config_text)
+def _ordered(dag, config_text: str):
+    cfg = default_config(dag) if config_text == DEFAULT_LABEL else parse_config(config_text)
     return apply_ordering(dag, cfg)
 
 
@@ -185,7 +181,7 @@ def _read_corpus_dir(path: str) -> list[tuple[str, str]]:
 def _cmd_sat(args) -> int:
     onto, dag = _load_ontology(args.ontology)
     check_supported(onto)
-    odag = _ordered(dag, onto, args.config)
+    odag = _ordered(dag, args.config)
     if args.class_name is None:
         res = check_tbox_consistency(odag, args.budget)
     else:
@@ -197,7 +193,7 @@ def _cmd_sat(args) -> int:
 def _cmd_sweep(args) -> int:
     onto, dag = _load_ontology(args.ontology)
     check_supported(onto)
-    odag = _ordered(dag, onto, args.config)
+    odag = _ordered(dag, args.config)
     res = satisfiability_sweep(odag, args.budget)
     rows = [(name, sat.outcome, sat.steps) for name, sat in res.per_class.items()]
     rows.append(("#total", "timeout" if res.timed_out else "finished", res.total_steps))

@@ -93,17 +93,11 @@ class FeatureVector:
         return self.values[FEATURE_NAMES.index(name)]
 
 
-def profile_features(onto: Ontology, d: Dag) -> dict[str, float]:
-    """The two features `heuristics.default_config` reads, by name, without
-    the cost of the other 37."""
-    return {
+def extract_features(onto: Ontology, d: Dag) -> FeatureVector:
+    f = {
         "numInstances": float(sum(1 for ax in onto.abox if isinstance(ax, ConceptAssertion))),
         "numGCIs": float(len(d.gci_refs)),
     }
-
-
-def extract_features(onto: Ontology, d: Dag) -> FeatureVector:
-    f = profile_features(onto, d)
 
     num_classes = len(onto.classes)
     n_tbox, n_rbox, n_abox = len(onto.tbox), len(onto.rbox), len(onto.abox)

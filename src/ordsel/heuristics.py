@@ -121,20 +121,14 @@ def apply_ordering(d: Dag, cfg: HeuristicConfig | None) -> OrderedDag:
 
 
 DEFAULT_MIN_GCIS = 100
-DEFAULT_MAX_INSTANCES = 10
 
 
-def default_config(features) -> HeuristicConfig:
+def default_config(d: Dag) -> HeuristicConfig:
     """Profile-based fallback configuration chosen without any learning.
 
-    Ontologies with at least ``DEFAULT_MIN_GCIS`` general inclusions and at
-    most ``DEFAULT_MAX_INSTANCES`` instances get Fdn; everything else gets
-    Sap.  ``features`` is a FeatureVector (or anything exposing the same
-    names).
+    A DAG with at least ``DEFAULT_MIN_GCIS`` general inclusions gets Fdn;
+    everything else gets Sap.  The paper's rule also asks for at most 10
+    instances, which always holds here: every command that orders refuses
+    an ABox assertion first (``tableau.check_supported``).
     """
-    if (
-        features["numGCIs"] >= DEFAULT_MIN_GCIS
-        and features["numInstances"] <= DEFAULT_MAX_INSTANCES
-    ):
-        return parse_config("Fdn")
-    return parse_config("Sap")
+    return parse_config("Fdn" if len(d.gci_refs) >= DEFAULT_MIN_GCIS else "Sap")

@@ -210,7 +210,7 @@ def cv_accuracies(
     for f in np.unique(fold):
         val = fold == f
         train = ~val
-        if not val.any() or len(np.unique(y[train])) < 2:
+        if len(np.unique(y[train])) < 2:
             continue
         xt, yt = x[train], y[train]
         scores = mutual_information(xt, yt)
@@ -240,9 +240,8 @@ def cross_validate(
     x: np.ndarray, y: np.ndarray, params: GridPoint, n_folds: int = 10, seed: int = 0
 ) -> float:
     """Pooled accuracy over stratified folds.  All transforms are fit on the
-    training folds only.  Folds with an empty validation side or a
-    single-class training side are skipped; returns 0.0 if nothing could be
-    validated."""
+    training folds only.  Folds with a single-class training side are
+    skipped; returns 0.0 if nothing could be validated."""
     return cv_accuracies(x, y, [params], n_folds, seed)[0]
 
 

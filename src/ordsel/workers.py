@@ -19,16 +19,25 @@ _BLAS_THREAD_SETTERS = tuple(
 def _one_blas_thread() -> None:
     """Run this worker's BLAS on one thread: the workers fill the CPUs, and a
     second thread in each made `QUICK_GRID` training 2.5 times slower on 2
-    CPUs.  Finds OpenBLAS among the mapped libraries (Linux), if it can."""
+    CPUs.  Finds OpenBLAS among the mapped libraries (Linux), if it can: a
+    mapped path is the sixth field and may hold spaces, and a deleted file
+    or a library that will not load counts as absent."""
     try:
         with open("/proc/self/maps") as fh:
-            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+            fields = [line.rstrip("\n").split(maxsplit=5) for line in fh]
     except OSError:
         return
+    paths = {
+        f[5] for f in fields
+        if len(f) == 6 and "openblas" in f[5].lower() and not f[5].endswith(" (deleted)")
+    }
     import ctypes
 
     for path in sorted(paths):
-        lib = ctypes.CDLL(path)
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
         for name in _BLAS_THREAD_SETTERS:
             setter = getattr(lib, name, None)
             if setter is not None:
@@ -98,8 +107,11 @@ def _pool_map(fn, tasks: list[tuple], workers: int) -> list:
                 os.close(task_r)
                 os.close(result_w)
         with selectors.DefaultSelector() as selector:
+            # a worker that has exited breaks its task pipe; its result pipe
+            # then ends, and the read below records that it died on the task
             for sent, (task, result) in enumerate(zip(ends[::2], ends[1::2])):
-                task.write(sent.to_bytes(4, "little"))
+                with contextlib.suppress(BrokenPipeError):
+                    task.write(sent.to_bytes(4, "little"))
                 selector.register(result, selectors.EVENT_READ, [task, sent])
             while selector.get_map():
                 for key, _ in selector.select():
@@ -111,7 +123,8 @@ def _pool_map(fn, tasks: list[tuple], workers: int) -> list:
                         ok, results[i] = False, ChildProcessError(f"a worker died running task {i}")
                     failed = failed if ok else min(failed, i)
                     if (sent := sent + 1) < failed:
-                        task.write(sent.to_bytes(4, "little"))
+                        with contextlib.suppress(BrokenPipeError):
+                            task.write(sent.to_bytes(4, "little"))
                         key.data[1] = sent
                     else:
                         selector.unregister(key.fileobj)

@@ -19,7 +19,6 @@ from typing import Callable
 from conftest import children_in_order
 from ordsel.bench.harness import DEFAULT_LABEL
 from ordsel.dag import ALL, AND, ATOM, Ref, encode_dag
-from ordsel.features import extract_features
 from ordsel.heuristics import (
     CONFIG_NUMBERS,
     OrderedDag,
@@ -282,6 +281,6 @@ def reference_rows(corpus: list[tuple[str, str]], budget: int) -> list[RuntimeRo
             else:
                 cells[label] = (float(total), FINISHED)
             rows.append(RuntimeRow(oid, label, *cells[label]))
-        default = str(default_config(extract_features(onto, d)).number)
+        default = str(default_config(d).number)
         rows.append(RuntimeRow(oid, DEFAULT_LABEL, *cells[default]))
     return rows

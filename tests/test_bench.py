@@ -44,7 +44,7 @@ from ordsel.krss import parse_ontology
 from ordsel.learn.pipeline import GridPoint
 from ordsel.learn.svm import TooFewExamples
 from ordsel.runtimes import FINISHED, INCONSISTENT, TIMEOUT, RuntimeRow, write_runtime_csv
-from ordsel.tableau import satisfiability_sweep
+from ordsel.tableau import SATISFIABLE, check_tbox_consistency, satisfiability_sweep
 
 from chronological import reference_rows
 from conftest import BASIC_TEXT, assert_no_children, random_ontology_text, set_workers
@@ -94,6 +94,47 @@ def test_corpus_instances_valid(small_corpus):
         assert nondeterministic_vertices(encode_dag(onto)), inst.ontology_id
 
 
+class _Fillers:
+    """Stands in for a generator in `_family_axioms`, which draws only its
+    filler count, 1 to 3."""
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def integers(self, low, high):
+        assert (low, high) == (1, 4)
+        return self.n
+
+
+def _assert_valid_template(family: int, width: int, fillers: int) -> None:
+    """A trap template is valid by construction: every axiom has an atomic
+    left side, so no GCI remains and the TBox is satisfiable in 0 steps,
+    and the trap holds an ``or``."""
+    text = "\n".join(corpus_mod._family_axioms(family, width, _Fillers(fillers))) + "\n"
+    d = encode_dag(parse_ontology(text))
+    where = (family, width, fillers)
+    assert len(d.gci_refs) == 0, where
+    assert nondeterministic_vertices(d), where
+    res = check_tbox_consistency(apply_ordering(d, None), 4000)
+    assert (res.outcome, res.steps) == (SATISFIABLE, 0), where
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_FAST))
+def test_trap_templates_are_valid_by_construction(family):
+    for width in (1, 2, 13, 64):
+        for fillers in (1, 2, 3):
+            _assert_valid_template(family, width, fillers)
+
+
+@pytest.mark.slow
+def test_every_trap_template_is_valid_by_construction():
+    # every family, every width a spec accepts, and every filler count
+    for family in sorted(FAMILY_FAST):
+        for width in range(1, corpus_mod.SIZE_LIMITS["hot_width"] + 1):
+            for fillers in (1, 2, 3):
+                _assert_valid_template(family, width, fillers)
+
+
 def test_each_config_fast_and_slow_somewhere():
     # Over the families that actually occur in generated corpora, every
     # configuration must be fast on some family and slow on another, so no
@@ -127,8 +168,7 @@ def test_run_benchmark_rows_and_defaults():
     res = run_benchmark(corpus, configs=("1", "2", DEFAULT_LABEL))
     assert [oid for oid, _ in res.parse_failures] == ["bad"]
     assert set(res.features) == {"a", "b"}
-    defaults = {oid: default_config(fv).number for oid, fv in res.features.items()}
-    assert defaults == {"a": 1, "b": 1}
+    assert default_config(encode_dag(parse_ontology(BASIC_TEXT))).number == 1
     by_key = {(r.ontology_id, r.config): r for r in res.rows}
     assert set(by_key) == {(o, c) for o in ("a", "b") for c in ("1", "2", DEFAULT_LABEL)}
     # the default pseudo-configuration replays the default label's sweep
@@ -163,7 +203,7 @@ def test_run_benchmark_rows_match_direct_sweeps():
             else:
                 direct[label] = (float(sweep.total_steps), FINISHED)
             expected.append(RuntimeRow(oid, label, *direct[label]))
-        default_label = str(default_config(res.features[oid]).number)
+        default_label = str(default_config(d).number)
         expected.append(RuntimeRow(oid, DEFAULT_LABEL, *direct[default_label]))
     assert shared > 0  # the corpus exercises reuse
     assert res.rows == expected
@@ -280,7 +320,7 @@ def test_default_rows_search_nothing_more(corpus8, searches, inline):
     assert len(searches) == 2 * n
     assert [r for r in both.rows if r.config != DEFAULT_LABEL] == real.rows
     by_key = {(r.ontology_id, r.config): r for r in both.rows}
-    picks = {oid: str(default_config(fv).number) for oid, fv in both.features.items()}
+    picks = {oid: str(default_config(encode_dag(parse_ontology(text))).number) for oid, text in corpus}
     assert set(picks.values()) == {"1", "10"}
     for oid, label in picks.items():
         default, picked = by_key[(oid, DEFAULT_LABEL)], by_key[(oid, label)]
@@ -323,19 +363,21 @@ def test_each_distinct_text_is_parsed_once(repeating_corpus, monkeypatch, inline
     assert sorted(parsed) == sorted({text for _, text in repeating_corpus})
 
 
-def test_each_distinct_sensitive_text_is_validated_once(monkeypatch):
+def test_only_plain_texts_are_validated(monkeypatch):
     checked = []
     validate = corpus_mod._validate
 
-    def spy(text, *args, **kwargs):
+    def spy(text):
         checked.append(text)
-        return validate(text, *args, **kwargs)
+        return validate(text)
 
     monkeypatch.setattr(corpus_mod, "_validate", spy)
     instances = generate_corpus(CorpusSpec(count=30, seed=7))
-    sensitive = [inst.text for inst in instances if inst.family is not None]
-    assert len(set(sensitive)) < len(sensitive)
-    assert sorted(t for t in checked if t in set(sensitive)) == sorted(set(sensitive))
+    sensitive = {inst.text for inst in instances if inst.family is not None}
+    plain = [inst.text for inst in instances if inst.family is None]
+    assert sensitive and plain
+    assert not sensitive & set(checked)
+    assert set(plain) <= set(checked)
 
 
 def test_runtime_table_is_pinned(tmp_path):
@@ -577,6 +619,15 @@ def test_speedup_counts_a_timeout_at_its_row_cost():
 def test_speedup_floors_costs_at_one_step():
     rep = speedup_report({"a": (0.0, FINISHED)}, {"a": (3.0, FINISHED)})
     assert rep.max_ratio == 3.0
+
+
+def test_speedup_sums_and_means_are_of_the_raw_costs():
+    rep = speedup_report(
+        {"a": (0.0, FINISHED), "b": (10.0, FINISHED)}, {"a": (0.0, FINISHED), "b": (100.0, FINISHED)}
+    )
+    assert (rep.learned_sum, rep.standard_sum) == (10.0, 100.0)
+    assert (rep.learned_mean, rep.standard_mean) == (5.0, 50.0)
+    assert (rep.max_ratio, rep.mean_ratio) == (10.0, 5.5)
 
 
 def test_speedup_against_reference_timeout():

@@ -218,21 +218,20 @@ _GCIS = "".join(f"(implies (and G{i} H{i}) J{i})\n" for i in range(DEFAULT_MIN_G
     [
         (BASIC_TEXT + _GCIS, "Fdn"),
         (BASIC_TEXT, "Sap"),
-        # more instances than the rule allows (`sat` and `sweep` reject ABoxes)
-        (BASIC_TEXT + _GCIS + "".join(f"(instance a{i} C)\n" for i in range(11)), "Sap"),
     ],
 )
 def test_default_ordering_is_the_rule_on_the_full_features(monkeypatch, text, label):
     onto = parse_ontology(text)
     dag = encode_dag(onto)
-    want = default_config(extract_features(onto, dag))
+    assert extract_features(onto, dag)["numGCIs"] == len(dag.gci_refs)
+    want = default_config(dag)
     assert want.label == label
 
     def full_features(*args):
-        raise AssertionError("the default rule reads only numGCIs and numInstances")
+        raise AssertionError("the default rule reads only the DAG's GCI count")
 
     monkeypatch.setattr(cli, "extract_features", full_features)
-    assert cli._ordered(dag, onto, "default").config == want
+    assert cli._ordered(dag, "default").config == want
 
 
 # --------------------------------------------------------------- features
@@ -1083,6 +1082,20 @@ def test_report_text(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "geometric mean ratio  10.00" in out
     assert "ontologies            1" in out
+
+
+def test_report_sums_the_raw_costs(tmp_path, capsys):
+    # a 0-step row (no class, no GCI) counts 0 in the sums, 1 in its ratio
+    learned = str(tmp_path / "learned.csv")
+    standard = str(tmp_path / "standard.csv")
+    _write_cost_csv(learned, [RuntimeRow("a", "5", 0.0, "finished"), RuntimeRow("b", "5", 10.0, "finished")])
+    _write_cost_csv(standard, [RuntimeRow(o, "default", c, "finished") for o, c in (("a", 0.0), ("b", 100.0))])
+    assert main(["report", "--learned", learned, "--standard", standard]) == 0
+    out = capsys.readouterr().out
+    assert "learned cost sum      10 (mean 5.0, timeouts 0)" in out
+    assert "standard cost sum     100 (mean 50.0, timeouts 0)" in out
+    assert "max ratio             10.00" in out
+    assert "mean ratio            5.50" in out
 
 
 def test_report_rejects_duplicate_and_mismatched_ids(tmp_path, capsys):

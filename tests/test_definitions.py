@@ -16,7 +16,6 @@ from ordsel import dag
 from ordsel.bench.corpus import CorpusSpec, generate_corpus
 from ordsel.concepts import Atomic, Equivalence, walk
 from ordsel.dag import _pure_definition_heads, encode_dag
-from ordsel.features import profile_features
 from ordsel.krss import parse_ontology
 from test_tableau import _default_recursion_limit
 
@@ -90,8 +89,7 @@ def assert_renaming_invariant(text: str, order: list[int]) -> None:
     check_definitions(onto, defs)
     check_definitions(renamed, renamed_defs)
     assert {mapping[n] for n in defs} == set(renamed_defs)
-    gcis = profile_features(onto, encode_dag(onto))["numGCIs"]
-    assert profile_features(renamed, encode_dag(renamed))["numGCIs"] == gcis
+    assert len(encode_dag(renamed).gci_refs) == len(encode_dag(onto).gci_refs)
 
 
 @st.composite
@@ -125,7 +123,7 @@ def test_definitions_do_not_depend_on_the_class_names():
     for text in (CYCLE_TEXT, _renamed(CYCLE_TEXT, {"A": "C", "C": "A"})):
         onto = parse_ontology(text)
         assert _pure_definition_heads(onto) == {}
-        assert profile_features(onto, encode_dag(onto))["numGCIs"] == 3
+        assert len(encode_dag(onto).gci_refs) == 3
     for order in ([1, 0, 2], [2, 1, 0], [0, 2, 1], [1, 2, 0], [2, 0, 1]):
         assert_renaming_invariant(CYCLE_TEXT, order)
 
@@ -191,4 +189,4 @@ def test_the_decision_walks_each_body_at_most_once(monkeypatch, text, equivalenc
         d = encode_dag(onto)
     assert d.definitions == {}
     assert len(calls) <= equivalences
-    assert profile_features(onto, d)["numGCIs"] == (0 if text is CHAIN else N)
+    assert len(d.gci_refs) == (0 if text is CHAIN else N)

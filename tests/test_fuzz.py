@@ -11,6 +11,9 @@ import contextlib
 import dataclasses
 import io
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, example, given, settings
@@ -299,3 +302,30 @@ def test_command_lines_exit_0_or_2_with_one_error_line(cli_paths, argv):
         assert len(errors) == 1 and not any("Traceback" in line for line in lines), (argv, lines)
         assert lines == errors and errors[0].startswith("error: ") or lines[0].startswith("usage: ")
     assert_no_children()
+
+
+_FAILING_GIVEN = '''
+from hypothesis import given, settings, strategies as st
+
+@settings(derandomize=True, database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x < 5
+
+def test_passes():
+    pass
+'''
+
+
+def test_a_failing_given_test_is_reported_under_the_warning_filters(tmp_path):
+    # Hypothesis's failure report imports libcst, whose import warns; under
+    # `filterwarnings = ["error"]` alone that aborted the whole run
+    (tmp_path / "test_meta.py").write_text(_FAILING_GIVEN)
+    config = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config), "test_meta.py"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert run.returncode == 1
+    assert "1 failed, 1 passed" in run.stdout

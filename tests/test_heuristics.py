@@ -141,17 +141,16 @@ def test_permutations_cover_every_conjunction_vertex():
         assert sorted(perm) == list(range(len(d.vertices[vid].children)))
 
 
-class _Fv(dict):
-    def __getitem__(self, key):
-        return self.get(key, 0.0)
+def _gci_dag(n: int):
+    """The DAG of a TBox of `n` general inclusions and nothing else."""
+    d = encode_dag(parse_ontology("".join(f"(implies (and G{i} H{i}) J{i})\n" for i in range(n))))
+    assert len(d.gci_refs) == n
+    return d
 
 
 def test_default_config_rule():
-    gci_rich = _Fv(numGCIs=150.0, numInstances=3.0, numNominals=0.0)
-    assert default_config(gci_rich).label == "Fdn"
-    plain = _Fv(numGCIs=0.0, numInstances=0.0, numNominals=0.0)
-    assert default_config(plain).label == "Sap"
-    # the bounds are fixed and inclusive
-    assert default_config(_Fv(numGCIs=100.0, numInstances=10.0)).label == "Fdn"
-    assert default_config(_Fv(numGCIs=99.0, numInstances=0.0)).label == "Sap"
-    assert default_config(_Fv(numGCIs=150.0, numInstances=11.0)).label == "Sap"
+    assert default_config(_gci_dag(150)).label == "Fdn"
+    assert default_config(_gci_dag(0)).label == "Sap"
+    # the bound is fixed and inclusive
+    assert default_config(_gci_dag(100)).label == "Fdn"
+    assert default_config(_gci_dag(99)).label == "Sap"

@@ -6,6 +6,7 @@ import ctypes
 import dataclasses
 import functools
 import hashlib
+import io
 import json
 import math
 import multiprocessing
@@ -747,22 +748,34 @@ def test_worker_count_follows_usable_cpus(monkeypatch):
     assert workers._worker_count(12) == 1
 
 
+def _openblas():
+    """The path and handle of the first mapped OpenBLAS, or None."""
+    try:
+        with open("/proc/self/maps") as fh:
+            fields = [line.rstrip("\n").split(maxsplit=5) for line in fh]
+    except OSError:
+        return None
+    for path in sorted({f[5] for f in fields if len(f) == 6 and "openblas" in f[5].lower()}):
+        return path, ctypes.CDLL(path)
+    return None
+
+
+def _blas_function(lib, kind: str):
+    """OpenBLAS's thread-count ``"get"`` or ``"set"`` function in `lib`."""
+    for name in workers._BLAS_THREAD_SETTERS:
+        fn = getattr(lib, name.replace("_set_", f"_{kind}_"), None)
+        if fn is not None:
+            fn.argtypes, fn.restype = ([], ctypes.c_int) if kind == "get" else ([ctypes.c_int], None)
+            return fn
+    return None
+
+
 def _blas_threads():
     """OpenBLAS's thread count in this process, or None where it cannot be
     read."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
-    except OSError:
-        return None
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for name in workers._BLAS_THREAD_SETTERS:
-            getter = getattr(lib, name.replace("_set_", "_get_"), None)
-            if getter is not None:
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                return getter()
-    return None
+    found = _openblas()
+    getter = found and _blas_function(found[1], "get")
+    return getter() if getter else None
 
 
 def test_workers_run_blas_on_one_thread(monkeypatch, pools):
@@ -772,6 +785,33 @@ def test_workers_run_blas_on_one_thread(monkeypatch, pools):
     assert workers.ordered_map(_blas_threads, [(), ()]) == [1, 1]
     assert len(pools) == 1
     assert_no_children()
+
+
+def test_blas_is_found_under_a_directory_whose_name_has_a_space(monkeypatch, tmp_path):
+    """The mapped path is the sixth field of a maps line and may hold
+    spaces; a deleted file or one that will not load is passed over."""
+    found = _openblas()
+    if found is None or _blas_function(found[1], "get") is None:
+        pytest.skip("no OpenBLAS thread count to read")
+    path, lib = found
+    spaced = tmp_path / "with space"
+    spaced.mkdir()
+    (spaced / os.path.basename(path)).symlink_to(path)
+    (spaced / "a-libopenblas-that-will-not-load.so").write_text("not a library\n")
+    mapped = [*sorted(str(p) for p in spaced.iterdir()), "/gone/libopenblas.so (deleted)"]
+    maps = "".join(
+        f"7f00000{i}0000-7f00000{i}1000 r-xp 00000000 08:01 {i + 1}    {p}\n" for i, p in enumerate(mapped)
+    )
+    monkeypatch.setattr(workers, "open", lambda *args, **kwargs: io.StringIO(maps), raising=False)
+    before, set_threads = _blas_threads(), _blas_function(lib, "set")
+    try:
+        set_threads(2)
+        if _blas_threads() != 2:
+            pytest.skip("OpenBLAS does not run two threads here")
+        workers._one_blas_thread()
+        assert _blas_threads() == 1
+    finally:
+        set_threads(before)
 
 
 def test_daemonic_process_trains_the_same_bundle(tmp_path):

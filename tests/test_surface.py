@@ -16,6 +16,13 @@ or property is read as a field is, but not by a load inside its own body.
 A parameter of a function, method or lambda, at any depth, is read when
 its name is loaded inside the body of that function; a parameter no body
 reads is an argument every caller passes for nothing.
+
+A parameter of a function that is not a method is an option in use when
+its calls in the package give it more than one value.  One that every
+call passes, as the same constant, is a constant in the wrong place.  A
+function is left out when its name is also loaded other than as a
+callee (it may be called from elsewhere), when two functions share its
+name, or when a call unpacks ``*`` or ``**`` arguments.
 """
 
 from __future__ import annotations
@@ -148,6 +155,48 @@ def unread_parameters(modules: list[ast.Module]) -> list[str]:
     return sorted(out)
 
 
+def constant_parameters(modules: list[ast.Module]) -> list[str]:
+    """Every parameter that each call of its function passes, as the same
+    constant, as ``function.parameter``."""
+    methods = {
+        id(m) for tree in modules for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for m in c.body
+    }
+    defs: dict[str, list[ast.AST]] = {}
+    calls: dict[str, list[ast.Call]] = {}
+    loaded: set[str] = set()  # names loaded other than as a callee
+    for tree in modules:
+        callees = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and id(node) not in methods:
+                defs.setdefault(node.name, []).append(node)
+            elif isinstance(node, ast.Call):
+                callees.add(id(node.func))
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                calls.setdefault(name, []).append(node)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+                if id(node) not in callees:
+                    loaded.add(getattr(node, "id", getattr(node, "attr", None)))
+    out = []
+    for name, nodes in defs.items():
+        if len(nodes) != 1 or name in loaded or name not in calls:
+            continue
+        a = nodes[0].args
+        positional = [p.arg for p in a.posonlyargs + a.args]
+        passed: dict[str, list] = {p: [] for p in positional + [p.arg for p in a.kwonlyargs]}
+        unpacked = False
+        for call in calls[name]:
+            unpacked |= any(isinstance(x, ast.Starred) for x in call.args)
+            unpacked |= any(k.arg is None for k in call.keywords)
+            given = dict(zip(positional, call.args)) | {k.arg: k.value for k in call.keywords}
+            for p, values in passed.items():
+                v = given.get(p)
+                values.append((type(v.value), v.value) if isinstance(v, ast.Constant) else None)
+        if not unpacked:
+            out += [f"{name}.{p}" for p, v in passed.items() if v[0] is not None and v.count(v[0]) == len(v)]
+    return sorted(out)
+
+
 def test_every_name_and_field_is_read_by_the_package():
     assert unread_names(_modules()) == sorted(ALLOWED)
 
@@ -203,3 +252,31 @@ def outer(a, b):
 '''
     got = unread_parameters([ast.parse(source)])
     assert got == ["<lambda>.d", "inner.c", "outer.b", "show.extra", "show.self", "show.width"]
+
+
+def test_no_parameter_takes_one_constant_at_every_call():
+    assert constant_parameters(_modules()) == []
+
+
+def test_the_scan_finds_a_parameter_every_call_passes_one_constant():
+    source = '''
+def pad(text, width, fill=" ", *, sep="|"):
+    return text
+
+def run(f):
+    return f
+
+def hook(x):
+    return x
+
+def main(argv=None):
+    pad("a", 3, sep="|")
+    pad("b", 3, fill="-", sep="|")
+    hook(1)
+    run(4)
+    return run(hook)
+
+if __name__ == "__main__":
+    main()
+'''
+    assert constant_parameters([ast.parse(source)]) == ["pad.sep", "pad.width"]

@@ -107,6 +107,54 @@ def test_a_worker_that_dies_raises_child_process_error(monkeypatch):
     assert_no_children()
 
 
+def _cannot_start():
+    raise OSError("the worker cannot start")
+
+
+def test_a_worker_that_exits_before_its_first_task_raises_child_process_error(monkeypatch):
+    fork = os.fork
+
+    def fork_and_let_the_worker_exit():  # before the parent sends it a task
+        pid = fork()
+        if pid:
+            os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+        return pid
+
+    monkeypatch.setattr(workers, "_one_blas_thread", _cannot_start)
+    monkeypatch.setattr(os, "fork", fork_and_let_the_worker_exit)
+    set_workers(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match="a worker died running task 0$"):
+        workers.ordered_map(abs, [(i,) for i in range(4)])
+    assert_no_children()
+
+
+def _pid_once_killed(i, tmp):
+    """The worker's pid; task 1 answers only once the parent has killed the
+    worker that answered task 0."""
+    deadline = time.monotonic() + 60
+    while i == 1 and not (tmp / "killed").exists() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    return os.getpid()
+
+
+def test_a_worker_that_exits_between_tasks_raises_child_process_error(monkeypatch, tmp_path):
+    parent, loads = os.getpid(), pickle.loads
+
+    def reading(data):  # kills the worker that answered task 0
+        message = loads(data)
+        if os.getpid() == parent and message[0] == 0:
+            os.kill(message[2], signal.SIGKILL)
+            os.waitid(os.P_PID, message[2], os.WEXITED | os.WNOWAIT)
+            (tmp_path / "killed").touch()
+        return message
+
+    monkeypatch.setattr(pickle, "loads", reading)
+    set_workers(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match="a worker died running task 2$"):
+        workers.ordered_map(_pid_once_killed, [(i, tmp_path) for i in range(4)])
+    assert_no_children()
+
+
 def _started(i, tmp):
     """Task `i` marks that it started; task 0 fails, and task 1 answers only
     once the parent has read that failure."""
