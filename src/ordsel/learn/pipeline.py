@@ -7,7 +7,8 @@ the raw features, standardization of the selected columns, PCA, then a
 binary SVM predicting whether the configuration solves an ontology cheaply
 ("good", cost at most the global threshold) or not.  Hyperparameters are
 chosen by stratified k-fold cross-validation over an ordered grid; ties
-resolve toward the earlier grid point.  Classifier priorities rank the
+resolve toward the earlier grid point, and a point stops training once
+it cannot win.  Classifier priorities rank the
 configurations by cross-validated accuracy (ties toward the lower
 configuration number), and selection trusts the highest-priority positive
 verdict — or falls back to the lowest-priority configuration when every
@@ -28,6 +29,7 @@ as nested lists.
 
 from __future__ import annotations
 
+import heapq
 import json
 import sys
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -38,7 +40,7 @@ from ..features import FEATURE_NAMES, FeatureVector
 from ..heuristics import CONFIG_NUMBERS
 from ..runtimes import FINISHED, RuntimeRow
 from ..workers import ordered_map
-from .svm import LINEAR, RBF, SingleClass, SvmModel, kernel_matrix, svm_predict, svm_train
+from .svm import LINEAR, RBF, SingleClass, SvmModel, svm_predict, svm_train
 from .transforms import (
     apply_scaler,
     fit_scaler,
@@ -193,56 +195,12 @@ def stratified_folds(y: np.ndarray, n_folds: int, seed: int) -> np.ndarray:
     return fold
 
 
-def cv_accuracies(
-    x: np.ndarray, y: np.ndarray, grid: list[GridPoint], n_folds: int, seed: int
-) -> list[float]:
-    """Pooled accuracy of every grid point over the same stratified folds.
-    Per fold, MI runs once, the selection once per distinct (k, n_components),
-    scaler and PCA once per distinct (selected, n_comp), and the training
-    and validation kernel rows once per distinct kernel setting on those;
-    only the SVM is trained per point."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    fold = stratified_folds(y, n_folds, seed)
-    correct = [0] * len(grid)
-    total = 0
-    # only folds that hold a sample; there are at most len(y) of them
-    for f in np.unique(fold):
-        val = fold == f
-        train = ~val
-        if len(np.unique(y[train])) < 2:
-            continue
-        xt, yt = x[train], y[train]
-        scores = mutual_information(xt, yt)
-        shapes, preps, grams = {}, {}, {}
-        for i, p in enumerate(grid):
-            shape = shapes.get((p.k, p.n_components))
-            if shape is None:
-                shape = shapes[p.k, p.n_components] = _transform_shape(scores, len(xt), p)
-            if shape not in preps:
-                prep, reduced = _fit_transforms(xt, *shape)
-                preps[shape] = reduced, prep.transform(x[val])
-            reduced, reduced_val = preps[shape]
-            key = (shape, p.kernel, p.gamma)
-            if key not in grams:
-                grams[key] = (
-                    kernel_matrix(p.kernel, p.gamma, reduced, reduced),
-                    kernel_matrix(p.kernel, p.gamma, reduced_val, reduced),
-                )
-            gram, k_val = grams[key]
-            model = svm_train(reduced, yt, kernel=p.kernel, c=p.c, gamma=p.gamma, gram=gram)
-            correct[i] += int(np.count_nonzero(svm_predict(model, reduced_val, k=k_val) == y[val]))
-        total += int(val.sum())
-    return [c / total if total else 0.0 for c in correct]
-
-
 def cross_validate(
     x: np.ndarray, y: np.ndarray, params: GridPoint, n_folds: int = 10, seed: int = 0
 ) -> float:
-    """Pooled accuracy over stratified folds.  All transforms are fit on the
-    training folds only.  Folds with a single-class training side are
-    skipped; returns 0.0 if nothing could be validated."""
-    return cv_accuracies(x, y, [params], n_folds, seed)[0]
+    """Pooled accuracy over stratified folds: `grid_search` over this one
+    point, which it trains on every usable fold."""
+    return grid_search(x, y, [params], n_folds, seed)[1]
 
 
 # ------------------------------------------------------------ grid search
@@ -279,14 +237,50 @@ def grid_search(
     n_folds: int = 10,
     seed: int = 0,
 ) -> tuple[GridPoint, float]:
-    """Best grid point by cross-validated accuracy; earlier point wins ties."""
+    """Best grid point by pooled accuracy over stratified folds, and that
+    accuracy; the earlier point wins ties.  Transforms are fit on the
+    training folds only.  Folds with a single-class training side are
+    skipped; with none left the answer is (grid[0], 0.0).
+
+    Best-first and exact: a heap holds (errors so far, grid index, folds
+    done) per point, and the least is trained on its next fold.  Errors
+    only grow, so the first entry on top with every fold done is the
+    winner, and a point that cannot beat it is never trained again.  Each
+    fold's rows and MI scores are built once, and its projections once per
+    (selected columns, component count) that a trained point asks for."""
     if grid is None:
         grid = default_grid()
     if not grid:
         raise ValueError("empty hyperparameter grid")
-    accs = cv_accuracies(x, y, grid, n_folds, seed)
-    best = max(accs)
-    return grid[accs.index(best)], best
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    fold = stratified_folds(y, n_folds, seed)
+    states: list[tuple] = []  # per usable fold; the winner reaches every one
+    for f in np.unique(fold):  # only folds that hold a sample: at most len(y)
+        val = fold == f
+        xt, yt = x[~val], y[~val]
+        if len(np.unique(yt)) >= 2:
+            states.append((xt, yt, x[val], y[val], mutual_information(xt, yt), {}))
+    total = sum(len(state[3]) for state in states)
+    heap = [(0, i, 0) for i in range(len(grid))]  # sorted, so already a heap
+    while True:
+        errors, i, done = heap[0]
+        if done == len(states):
+            return grid[i], (total - errors) / total if total else 0.0
+        heapq.heapreplace(heap, (errors + _fold_errors(states[done], grid[i]), i, done + 1))
+
+
+def _fold_errors(state: tuple, p: GridPoint) -> int:
+    """Validation rows of one fold that `p`, trained on the fold's training
+    rows, labels wrongly; `state` is the fold's from `grid_search`."""
+    xt, yt, xv, yv, scores, projected = state
+    shape = _transform_shape(scores, len(xt), p)
+    if shape not in projected:
+        prep, reduced = _fit_transforms(xt, *shape)
+        projected[shape] = reduced, prep.transform(xv)
+    reduced, reduced_val = projected[shape]
+    model = svm_train(reduced, yt, kernel=p.kernel, c=p.c, gamma=p.gamma)
+    return int(np.count_nonzero(svm_predict(model, reduced_val) != yv))
 
 
 # ------------------------------------------------------------- the bundle
@@ -339,10 +333,10 @@ def train_model_bundle(
     seed: int = 0,
 ) -> ModelBundle:
     """Train the full bundle: threshold, a classifier for each of the
-    twelve configurations with grid-searched hyperparameters refit on all
-    data, and priorities.  Every configuration needs runtime rows; rows of
-    other labels, such as ``default``, are ignored.  The fold count is
-    checked before any work, even when no grid search would run.
+    twelve configurations with the hyperparameters `grid_search` picks
+    refit on all data, and priorities.  Every configuration needs runtime
+    rows; rows of other labels, such as ``default``, are ignored.  The fold
+    count is checked before any work, even when no grid search would run.
 
     A configuration whose labels are single-class gets a constant predictor
     with accuracy equal to that class's share (1.0), recorded without grid

@@ -81,10 +81,8 @@ def svm_train(
     kernel: str = LINEAR,
     c: float = 1.0,
     gamma: float | None = None,
-    gram: np.ndarray | None = None,
 ) -> SvmModel:
-    """Fit a binary SVM on labels in {-1, +1}.  `gram`, when given, must be
-    `kernel_matrix(kernel, gamma, x, x)`, computed once by the caller."""
+    """Fit a binary SVM on labels in {-1, +1}."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = x.shape[0]
@@ -97,7 +95,7 @@ def svm_train(
     if len(labels) < 2:
         raise SingleClass("training labels contain a single class")
 
-    k = kernel_matrix(kernel, gamma, x, x) if gram is None else gram
+    k = kernel_matrix(kernel, gamma, x, x)
     if not np.isfinite(k).all():
         raise ValueError("Gram matrix holds non-finite values")
     diag = k.diagonal().tolist()
@@ -197,20 +195,18 @@ def _partner(i: int, ei: float, el: list[float], srt: list[int]) -> int:
     return j
 
 
-def svm_decision(model: SvmModel, x: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
-    """Decision values of the rows of `x`.  `k`, when given, must be
-    `kernel_matrix(model.kernel, model.gamma, x, model.x)`."""
-    if k is None:
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        k = kernel_matrix(model.kernel, model.gamma, x, model.x)
+def svm_decision(model: SvmModel, x: np.ndarray) -> np.ndarray:
+    """Decision values of the rows of `x`."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    k = kernel_matrix(model.kernel, model.gamma, x, model.x)
     return k @ (model.alpha * model.y) + model.bias
 
 
-def svm_predict(model: SvmModel, x: np.ndarray, k: np.ndarray | None = None) -> np.ndarray:
+def svm_predict(model: SvmModel, x: np.ndarray) -> np.ndarray:
     """Class labels in {-1, +1}; the decision boundary itself maps to +1.
-    `k` is as for `svm_decision`.  A decision value that is not finite, as
-    a row far outside the training data gives, has no label: ValueError."""
-    dec = svm_decision(model, x, k)
+    A decision value that is not finite, as a row far outside the training
+    data gives, has no label: ValueError."""
+    dec = svm_decision(model, x)
     if not np.isfinite(dec).all():
         raise ValueError("a decision value is not finite")
     return np.where(dec >= 0.0, 1.0, -1.0)

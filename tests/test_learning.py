@@ -14,9 +14,12 @@ import os
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import Phase, given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_no_children, naive_cross_validate, set_workers
 from learning_oracle import mi_from_joint
@@ -40,7 +43,6 @@ from ordsel.learn.pipeline import (
     combine_threshold_stats,
     compute_threshold,
     cross_validate,
-    cv_accuracies,
     default_grid,
     f_score,
     fit_config_pipeline,
@@ -356,7 +358,6 @@ def test_grid_search_equals_per_point_refit(case):
     want = [naive_cross_validate(x, y, p, n_folds=n_folds, seed=42) for p in grid]
     if case != "skipped-folds":
         assert len(set(want)) > 1  # the grid points must be told apart
-    assert cv_accuracies(x, y, grid, n_folds, 42) == want
     assert [cross_validate(x, y, p, n_folds=n_folds, seed=42) for p in grid] == want
     point, acc = grid_search(x, y, grid=grid, n_folds=n_folds, seed=42)
     assert acc == max(want)
@@ -365,9 +366,96 @@ def test_grid_search_equals_per_point_refit(case):
 
 @pytest.mark.parametrize("case", ["clamped", "skipped-folds"])
 def test_a_huge_fold_count_equals_one_fold_per_sample(case):
-    # the folds past len(y) are empty, so the loop never visits them
+    # the folds past len(y) are empty, so the search never visits them
     (x, y), grid, _ = ORACLE_CASES[case]
-    assert cv_accuracies(x, y, grid, 10**18, 42) == cv_accuracies(x, y, grid, len(y), 42)
+    for p in grid:
+        assert cross_validate(x, y, p, 10**18, 42) == cross_validate(x, y, p, len(y), 42)
+    assert grid_search(x, y, grid, 10**18, 42) == grid_search(x, y, grid, len(y), 42)
+
+
+def test_grid_search_trains_the_winner_on_every_fold_and_stops_the_losers(monkeypatch):
+    (x, y), grid, n_folds = ORACLE_CASES["learn-grid"]
+    settings_of = [(p.kernel, p.c, p.gamma) for p in grid]
+    assert len(set(settings_of)) == len(grid)  # one shape, so these name the points
+    trained = []
+
+    def counting(xt, yt, kernel, c, gamma):
+        trained.append((kernel, c, gamma))
+        return svm_train(xt, yt, kernel=kernel, c=c, gamma=gamma)
+
+    monkeypatch.setattr(pipeline, "svm_train", counting)
+    point, _ = grid_search(x, y, grid=grid, n_folds=n_folds, seed=42)
+    assert len(trained) < len(grid) * n_folds
+    assert trained.count((point.kernel, point.c, point.gamma)) == n_folds  # all usable
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(2, 5).flatmap(
+    lambda n_folds: st.lists(st.lists(st.integers(0, 2), min_size=n_folds, max_size=n_folds),
+                             min_size=1, max_size=6)
+))
+def test_grid_search_is_exact_on_any_error_table(table):
+    """With each point's fold errors read from `table`, many of them tied,
+    the search returns the least (total errors, index) and trains a point
+    on a fold exactly when its errors before that fold, and its index,
+    are less than the winner's total and index."""
+    n_folds = len(table[0])
+    y = np.tile([GOOD, BAD], n_folds)  # every fold validates one of each
+    x = np.random.default_rng(0).normal(size=(len(y), 1))
+    grid = [GridPoint(k=1, n_components=1, kernel="linear", c=float(i)) for i in range(len(table))]
+    folds, trained = {}, []
+
+    def fold_errors(state, p):
+        fold = folds.setdefault(id(state), len(folds))  # folds are reached in order
+        trained.append((int(p.c), fold))
+        return table[int(p.c)][fold]
+
+    with mock.patch.object(pipeline, "_fold_errors", fold_errors):
+        point, acc = grid_search(x, y, grid=grid, n_folds=n_folds, seed=0)
+    errors, best = min((sum(row), i) for i, row in enumerate(table))
+    assert (point, acc) == (grid[best], (len(y) - errors) / len(y))
+    for i, row in enumerate(table):
+        reached = [f for f in range(n_folds) if (sum(row[:f]), i) <= (errors, best)]
+        assert [f for j, f in trained if j == i] == reached
+
+
+_KERNEL_SETTINGS = [("linear", None), ("rbf", 0.1), ("rbf", 0.5), ("rbf", 2.0)]
+
+
+def _random_search_problem(seed):
+    """A small problem, a fold count up to a few past its size, and a grid
+    drawn with replacement from a few points, so some points repeat.  The
+    rarer class is often a row or two, which leaves folds that train on
+    one class."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(3, 21))
+    n_features = int(rng.integers(1, 6))
+    x = rng.normal(size=(n, n_features))
+    x[:, ::2] = np.round(x[:, ::2])  # tied values, as in the feature columns
+    y = np.where(rng.random(n) < rng.uniform(0.05, 0.5), BAD, GOOD)
+    pool = []
+    for _ in range(int(rng.integers(1, 5))):
+        kernel, gamma = _KERNEL_SETTINGS[rng.integers(len(_KERNEL_SETTINGS))]
+        pool.append(GridPoint(
+            k=int(rng.integers(1, n_features + 2)),
+            n_components=int(rng.integers(1, 4)),
+            kernel=kernel,
+            c=float(rng.choice([0.1, 1.0, 10.0, 100.0])),
+            gamma=gamma,
+        ))
+    grid = [pool[i] for i in rng.integers(len(pool), size=int(rng.integers(1, 7)))]
+    return x, y, grid, int(rng.integers(2, n + 4))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60, phases=(Phase.generate,))
+@given(st.integers(0, 2**32 - 1))
+def test_grid_search_returns_the_oracle_argmax(seed):
+    x, y, grid, n_folds = _random_search_problem(seed)
+    want = [naive_cross_validate(x, y, p, n_folds=n_folds, seed=seed) for p in grid]
+    point, acc = grid_search(x, y, grid=grid, n_folds=n_folds, seed=seed)
+    best = max(want)
+    assert acc == best  # the same float, not a near one
+    assert point == grid[want.index(best)]
 
 
 @pytest.mark.parametrize("case, usable_folds", [("learn-grid", 10), ("skipped-folds", 8)])
