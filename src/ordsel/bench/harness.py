@@ -30,7 +30,7 @@ from ..learn.pipeline import (
 )
 from ..learn.svm import TooFewExamples
 from ..runtimes import FINISHED, INCONSISTENT, TIMEOUT, RuntimeRow
-from ..tableau import UnsupportedAxiom, check_budget, check_supported, satisfiability_sweep
+from ..tableau import SweepResult, UnsupportedAxiom, check_budget, check_supported, satisfiability_sweep
 from ..workers import ordered_map
 
 DEFAULT_LABEL = "default"
@@ -55,12 +55,13 @@ def run_benchmark(
     """One satisfiability sweep per (ontology, configuration).
 
     `corpus` is a list of (ontology id, source text) pairs, and rows follow
-    the order of `configs`.  The pseudo configuration "default" sweeps the
-    ordering the rule-based default picks for that ontology's DAG.  A
-    class test that an earlier ordering of the ontology already ran with
-    every ``and`` vertex permuted alike is answered from its result, so
-    the default's sweep repeats no search (see the tableau module
-    docstring).
+    the order of `configs`.  The pseudo configuration "default" takes the
+    sweep of the ordering the rule-based default picks for that
+    ontology's DAG.  Orderings that permute every ``and`` vertex alike run
+    the same sweep, so each text sweeps each such permutation once and
+    every label that shares it gets that sweep: the default's ordering is
+    always one of the twelve, so its row is one lookup in the text's sweep
+    table.
     Sources that fail to parse, or hold an RBox axiom or ABox assertion
     (see ``check_supported``), are recorded and skipped, not fatal.
 
@@ -102,9 +103,14 @@ def _benchmark_text(
     d = encode_dag(onto)
     fv = extract_features(onto, d)
     cells: list[tuple[str, float, str]] = []
+    sweeps: dict[tuple, SweepResult] = {}  # keyed on the permutations, in vertex order
     for label in configs:
         cfg = default_config(d) if label == DEFAULT_LABEL else parse_config(label)
-        sweep = satisfiability_sweep(apply_ordering(d, cfg), budget)
+        odag = apply_ordering(d, cfg)
+        key = tuple(odag.permutations.values())
+        sweep = sweeps.get(key)
+        if sweep is None:
+            sweep = sweeps[key] = satisfiability_sweep(odag, budget)
         if sweep.timed_out:  # the budget is the row's cost; nothing re-values it
             cells.append((label, float(budget), TIMEOUT))
         else:

@@ -89,9 +89,6 @@ class FeatureVector:
         if len(self.values) != N_FEATURES:
             raise ValueError(f"expected {N_FEATURES} features, got {len(self.values)}")
 
-    def __getitem__(self, name: str) -> float:
-        return self.values[FEATURE_NAMES.index(name)]
-
 
 def extract_features(onto: Ontology, d: Dag) -> FeatureVector:
     f = {

@@ -24,8 +24,8 @@ Implementation (Horrocks, "Implementation and optimisation techniques",
 
 * Rule tables are lists indexed by the DAG's signed references,
   ``2 * vertex + negated``, so a complement is ``r ^ 1``.  They are built
-  once per variant of an ordering and shared by every test on it (see
-  "Work shared per DAG" below).
+  once per ordering and shared by every test on it (see "Work shared per
+  DAG" below).
 * Each node keeps one label, an ordered ``items`` list plus an ``index``
   set.  A choice point records the label length as its mark; a failed
   branch truncates the label back to the mark (an undo trail) instead of
@@ -73,19 +73,15 @@ work of the chronological reasoner.
 
 Work shared per DAG.  The benchmark tests one DAG under up to twelve
 orderings, and an ordering changes nothing but the child order of
-``and`` vertices.  An ordering's *variant* is its permutation of each
-``and`` vertex, in vertex order.  Orderings of one variant build the same
-tables, and the search is a deterministic function of its tables, target
-and budget, so they run the same search step for step.  So the DAG keeps
-the rows no ordering changes, built from the DAG alone, and one set of
-tables per variant: a copy of those rows with every ``and`` row written
-from the variant's permutations.  A variant's tables hold the results of
-the tests run on them, keyed on target and budget.  A test already run
-under an ordering of the same variant is one lookup, with outcome, steps
-and branch points unchanged; this is not a satisfiability cache, which
-would change the count.  This state is kept weakly per ``Dag`` and per
-``OrderedDag`` (both compared by identity) and dies with them: nothing is
-kept from one benchmark run to the next.
+``and`` vertices.  So the DAG keeps the rows no ordering changes, built
+from the DAG alone, and each ordering keeps one set of tables, a copy of
+those rows with every ``and`` row written from its permutations, which
+every test on it reads.  Tables are shared; results never are: every
+test is a search.  Orderings that permute every ``and`` vertex alike run
+the same sweep step for step, and the benchmark harness, not the
+reasoner, sweeps such orderings once.  This state is kept weakly per
+``Dag`` and per ``OrderedDag`` (both compared by identity) and dies with
+them: nothing is kept from one benchmark run to the next.
 """
 
 from __future__ import annotations
@@ -123,7 +119,7 @@ class SweepResult:
 
 
 class _Tables:
-    """Rule rows of one variant (module docstring), indexed by signed
+    """Rule rows of one ordering (module docstring), indexed by signed
     reference.
 
     ``expand[r]``: references a conjunction (children in the permuted
@@ -133,12 +129,11 @@ class _Tables:
     of an existential / value restriction, else None.  ``inert[r]``:
     whether ``r`` is an inert disjunction (module docstring).  ``bottom``:
     the negated top (-1 when there is no top vertex).  ``gci``: the global
-    constraint, or None.  ``results``: the results of the tests run on
-    these tables, keyed on (target, budget).  The DAG's unordered rows are
-    a ``_Tables`` too, with every ``and`` row None and no ``results``.
+    constraint, or None.  The DAG's unordered rows are a ``_Tables`` too,
+    with every ``and`` row None.
     """
 
-    __slots__ = ("expand", "disjuncts", "exists", "forall", "inert", "bottom", "gci", "results")
+    __slots__ = ("expand", "disjuncts", "exists", "forall", "inert", "bottom", "gci")
 
 
 def _unordered(d: Dag) -> _Tables:
@@ -196,33 +191,25 @@ def _unordered(d: Dag) -> _Tables:
 
 # Both caches key on identity (``Dag`` and ``OrderedDag`` compare by
 # identity) and die with their key: nothing outlives the DAG it was built
-# for.  No value refers back to a ``Dag`` or ``OrderedDag``.  A DAG's entry
-# is its unordered rows and its variants' tables keyed on the variant.
-_RULES: weakref.WeakKeyDictionary[Dag, tuple[_Tables, dict]] = weakref.WeakKeyDictionary()
+# for.  No value refers back to a ``Dag`` or ``OrderedDag``.
+_RULES: weakref.WeakKeyDictionary[Dag, _Tables] = weakref.WeakKeyDictionary()
 _ORDERINGS: weakref.WeakKeyDictionary[OrderedDag, _Tables] = weakref.WeakKeyDictionary()
 
 
-def _variant(odag: OrderedDag) -> _Tables:
-    """The tables of an ordering not tested yet, those of its variant, made
-    if no ordering of the DAG had it: the unordered rows with every ``and``
-    row written from its permutation."""
-    d, perms = odag.dag, odag.permutations
-    rules = _RULES.get(d)
-    if rules is None:
-        rules = _RULES[d] = (_unordered(d), {})
-    unordered, variants = rules
-    key = tuple([perms[v] for v in sorted(perms)])
-    t = variants.get(key)
-    if t is None:
-        t = variants[key] = copy.copy(unordered)
-        t.results = {}
-        t.expand = expand = unordered.expand.copy()
-        t.disjuncts = disjuncts = unordered.disjuncts.copy()
-        for vid, perm in perms.items():
-            kids = d.vertices[vid].children
-            expand[2 * vid] = tuple([kids[i] for i in perm])
-            disjuncts[2 * vid + 1] = tuple([kids[i] ^ 1 for i in perm])
-    _ORDERINGS[odag] = t
+def _ordered(odag: OrderedDag) -> _Tables:
+    """The tables of an ordering not tested yet: its DAG's unordered rows
+    with every ``and`` row written from its permutation."""
+    d = odag.dag
+    unordered = _RULES.get(d)
+    if unordered is None:
+        unordered = _RULES[d] = _unordered(d)
+    t = _ORDERINGS[odag] = copy.copy(unordered)
+    t.expand = expand = unordered.expand.copy()
+    t.disjuncts = disjuncts = unordered.disjuncts.copy()
+    for vid, perm in odag.permutations.items():
+        kids = d.vertices[vid].children
+        expand[2 * vid] = tuple([kids[i] for i in perm])
+        disjuncts[2 * vid + 1] = tuple([kids[i] ^ 1 for i in perm])
     return t
 
 
@@ -432,18 +419,12 @@ def is_satisfiable(odag: OrderedDag, target: Ref | None, budget: int) -> SatResu
     target, but its steps and branch points need not be: a *top* item in
     the root's label changes which nodes subset blocking stops, so
     ``check_tbox_consistency``'s choice of target shows in a sweep's
-    counts.  ``budget`` must be >= 1.  A test already run under an
-    ordering that permutes every ``and`` vertex alike is not searched
-    again (module docstring).
+    counts.  ``budget`` must be >= 1.  Every call is a search, on the
+    ordering's tables, built by its first test (module docstring).
     """
     if budget < 1:
         check_budget(budget)  # raises; no call on the common path
-    t = _ORDERINGS.get(odag) or _variant(odag)
-    key = (target, budget)
-    res = t.results.get(key)
-    if res is None:
-        res = t.results[key] = _search(t, target, budget)
-    return res
+    return _search(_ORDERINGS.get(odag) or _ordered(odag), target, budget)
 
 
 class UnsupportedAxiom(ValueError):

@@ -25,6 +25,7 @@ from ordsel.concepts import (
     Subsumption,
     Top,
 )
+from ordsel.features import FEATURE_NAMES
 from ordsel.krss import parse_ontology
 from ordsel.learn.pipeline import fit_config_pipeline, stratified_folds
 from trees import conj, disj
@@ -59,6 +60,11 @@ def _count_atom(c, name: str) -> int:
     if isinstance(c, (And, Or)):
         return sum(_count_atom(x, name) for x in c.children)
     raise TypeError(f"not a concept: {c!r}")
+
+
+def feature(fv, name: str) -> float:
+    """The value of the named feature in a ``FeatureVector``."""
+    return fv.values[FEATURE_NAMES.index(name)]
 
 
 def children_in_order(odag, vid: int) -> list:

@@ -209,9 +209,9 @@ def test_run_benchmark_rows_match_direct_sweeps():
     assert res.rows == expected
 
 
-# The harness shares rule rows and results between the orderings of an
-# ontology; its rows must be those of one unshared chronological sweep per
-# (ontology, ordering).
+# The harness shares sweeps, and the tableau rule rows, between the
+# orderings of an ontology; its rows must be those of one unshared
+# chronological sweep per (ontology, ordering).
 BUDGETS = (37, 400, 12000)
 
 
@@ -276,19 +276,51 @@ def test_per_dag_state_dies_with_its_dags(corpus8, monkeypatch, inline):
     assert (len(tableau._RULES), len(tableau._ORDERINGS)) == before
 
 
-def test_benchmark_search_and_variant_counts(corpus8, searches, monkeypatch, inline):
+@pytest.fixture
+def sweeps(monkeypatch):
+    """The ordering of every sweep the harness runs while the test runs,
+    in call order."""
+    calls = []
+    sweep = harness.satisfiability_sweep
+
+    def spy(odag, budget):
+        calls.append(odag)
+        return sweep(odag, budget)
+
+    monkeypatch.setattr(harness, "satisfiability_sweep", spy)
+    return calls
+
+
+def test_benchmark_search_and_variant_counts(corpus8, searches, sweeps, inline):
     # pins how much work the orderings of one DAG share
-    dags = []
-
-    def encode(onto):
-        d = encode_dag(onto)
-        dags.append(d)
-        return d
-
-    monkeypatch.setattr(harness, "encode_dag", encode)
     run_benchmark(corpus8, budget=12000)
     assert len(searches) == 1031
-    assert sum(len(tableau._RULES[d][1]) for d in dags) == 32
+    assert len(sweeps) == 32
+
+
+def test_orderings_with_equal_permutations_share_one_sweep(sweeps, inline):
+    text = generate_corpus(CorpusSpec(count=1, seed=11))[0].text
+    run_benchmark([("x", text)])
+    d = encode_dag(parse_ontology(text))
+    keys = {c: tuple(apply_ordering(d, parse_config(c)).permutations.items()) for c in CONFIG_NUMBERS}
+    # each distinct permutation is swept once, under its first label, and
+    # the default's ordering, one of the twelve, is not swept again
+    distinct = list(dict.fromkeys(keys.values()))
+    assert len(distinct) < len(CONFIG_NUMBERS)
+    assert [tuple(odag.permutations.items()) for odag in sweeps] == distinct
+
+
+def test_each_distinct_text_builds_its_unordered_rows_once(corpus8, monkeypatch, inline):
+    built = []
+    unordered = tableau._unordered
+
+    def spy(d):
+        built.append(d)
+        return unordered(d)
+
+    monkeypatch.setattr(tableau, "_unordered", spy)
+    run_benchmark(corpus8)
+    assert len({id(d) for d in built}) == len(built) == len({text for _, text in corpus8})
 
 
 def test_second_benchmark_runs_every_search_again(corpus8, searches, monkeypatch, inline):
@@ -303,15 +335,15 @@ def test_second_benchmark_runs_every_search_again(corpus8, searches, monkeypatch
     # the sweep calls `is_satisfiable` through the module, as the tracer needs
     monkeypatch.setattr(tableau, "is_satisfiable", counting_test)
     first = run_benchmark(corpus8).rows
-    once = (len(searches), tests)
-    assert 0 < once[0] < once[1]  # results are reused across orderings
+    once = len(searches)
+    assert 0 < once == tests  # every test is a search
     assert run_benchmark(corpus8).rows == first
-    assert (len(searches), tests) == (2 * once[0], 2 * once[1])
+    assert (len(searches), tests) == (2 * once, 2 * once)
 
 
 def test_default_rows_search_nothing_more(corpus8, searches, inline):
-    # The default ordering equals one of the twelve, so each of its tests
-    # finds that ordering's variant; one text here makes the default Fdn.
+    # The default ordering equals one of the twelve, so its row takes that
+    # ordering's sweep; one text here makes the default Fdn.
     gcis = "".join(f"(implies (and G{i} H{i}) J{i})\n" for i in range(DEFAULT_MIN_GCIS))
     corpus = corpus8 + [("gci", corpus8[0][1] + gcis)]
     real = run_benchmark(corpus, configs=CONFIG_NUMBERS)

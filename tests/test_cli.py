@@ -30,7 +30,7 @@ from ordsel.heuristics import CONFIG_NUMBERS, DEFAULT_MIN_GCIS, default_config
 from ordsel.krss import parse_ontology
 from ordsel.runtimes import RuntimeRow, read_runtime_csv, write_runtime_csv
 
-from conftest import BASIC_TEXT, assert_no_children, set_workers
+from conftest import BASIC_TEXT, assert_no_children, feature, set_workers
 from test_tableau import _default_recursion_limit
 from trees import assert_same, first_difference
 
@@ -223,7 +223,7 @@ _GCIS = "".join(f"(implies (and G{i} H{i}) J{i})\n" for i in range(DEFAULT_MIN_G
 def test_default_ordering_is_the_rule_on_the_full_features(monkeypatch, text, label):
     onto = parse_ontology(text)
     dag = encode_dag(onto)
-    assert extract_features(onto, dag)["numGCIs"] == len(dag.gci_refs)
+    assert feature(extract_features(onto, dag), "numGCIs") == len(dag.gci_refs)
     want = default_config(dag)
     assert want.label == label
 
@@ -481,7 +481,7 @@ def test_deepest_nesting_needs_no_recursion(tmp_path, capsys):
         assert main(["sat", "--ontology", str(path), "--class", "A"]) == 0
         assert main(["sweep", "--ontology", str(path)]) == 0
     # `some` and `all` open 40,000 of the 99,999 levels below the axiom's own
-    assert features["maxConceptDepth"] == 40_000
+    assert feature(features, "maxConceptDepth") == 40_000
     assert capsys.readouterr().err == ""
 
 

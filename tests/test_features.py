@@ -16,7 +16,7 @@ from ordsel.features import (
 )
 from ordsel.krss import parse_ontology
 
-from conftest import BASIC_TEXT, nnf, random_ontology_text, unparse_concept
+from conftest import BASIC_TEXT, feature, nnf, random_ontology_text, unparse_concept
 
 # Hand-computed from BASIC_TEXT:
 #   (implies C (some R D)) / (implies C F) / (equivalent A (or C D))
@@ -94,24 +94,24 @@ def test_vector_order_matches_names(basic_onto):
     values = fv.values
     assert len(values) == 39
     for i, name in enumerate(FEATURE_NAMES):
-        assert values[i] == fv[name]
+        assert values[i] == feature(fv, name)
 
 
 def test_empty_ontology_all_zero():
     onto = parse_ontology("")
     fv = extract_features(onto, encode_dag(onto))
     for name in FEATURE_NAMES:
-        assert fv[name] == 0.0, name
+        assert feature(fv, name) == 0.0, name
 
 
 def test_generating_rules_counted_in_nnf():
     # (not (all R C)) is an existential once negation is pushed inward.
     onto = parse_ontology("(implies A (not (all R (not C))))\n")
     fv = extract_features(onto, encode_dag(onto))
-    assert fv["numGeneratingRules"] == 1.0
+    assert feature(fv, "numGeneratingRules") == 1.0
     # The raw operator counts still see a universal, not an existential.
-    assert fv["numUniversals"] == 1.0
-    assert fv["numExistentials"] == 0.0
+    assert feature(fv, "numUniversals") == 1.0
+    assert feature(fv, "numExistentials") == 0.0
 
 
 def test_syntactic_counts_match_text_and_nnf():
@@ -136,14 +136,14 @@ def test_syntactic_counts_match_text_and_nnf():
             ("numUniversals", "all"),
             ("numNegations", "not"),
         ):
-            assert fv[name] == printed.count(f"({op} "), (name, text)
+            assert feature(fv, name) == printed.count(f"({op} "), (name, text)
         normal = " ".join(unparse_concept(nnf(e)) for e in exprs)
-        assert fv["numGeneratingRules"] == normal.count("(some "), text
+        assert feature(fv, "numGeneratingRules") == normal.count("(some "), text
 
 
 def test_source_size_is_byte_length(basic_onto):
     fv = extract_features(basic_onto, encode_dag(basic_onto))
-    assert fv["sourceSizeBytes"] == float(len(BASIC_TEXT.encode()))
+    assert feature(fv, "sourceSizeBytes") == float(len(BASIC_TEXT.encode()))
 
 
 def test_csv_round_trip(tmp_path, basic_onto):

@@ -31,8 +31,10 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "ordsel"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
-# Names kept though the package never reads them, each with its reason.
+# Names kept though the package never reads them, each with its reason;
+# every one but `__version__` must still be read under perfbench/.
 ALLOWED = {
     "cross_validate": "the benchmark's span tracer wraps it (see test_tracer_names)",
     "CorpusInstance.family": "the benchmark's trap-order check reads it",
@@ -199,6 +201,27 @@ def constant_parameters(modules: list[ast.Module]) -> list[str]:
 
 def test_every_name_and_field_is_read_by_the_package():
     assert unread_names(_modules()) == sorted(ALLOWED)
+
+
+def benchmark_reads() -> set[str]:
+    """Every name, attribute and string constant loaded under perfbench/."""
+    out = set()
+    for p in sorted(PERFBENCH.rglob("*.py")):
+        for node in ast.walk(ast.parse(p.read_text(), str(p))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                out.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                out.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                out.add(node.value)
+    return out
+
+
+def test_every_allowed_name_is_still_read_by_the_benchmark():
+    # a name the benchmark stops reading is dead code, not an exception
+    reads = benchmark_reads()
+    stale = [n for n in ALLOWED if n != "__version__" and n.rsplit(".", 1)[-1] not in reads]
+    assert stale == []
 
 
 def test_the_scan_finds_an_unread_field_and_function():

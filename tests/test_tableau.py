@@ -352,15 +352,15 @@ def test_replay_near_miss_disjunction_at_ancestor_and_descendant():
 
 
 # ------------------------------------------------- work shared per DAG
-# A DAG keeps the rows no ordering changes and one set of tables per
-# variant, keyed on its permutation of each ``and`` vertex.  A test is
-# searched again under a new ordering unless an earlier ordering had the
-# same variant (see the tableau module docstring).
+# A DAG keeps the rows no ordering changes, and each ordering one set of
+# tables built from them.  Every test is a search: results are never
+# shared (see the tableau module docstring).
 
 
 def test_shared_tables_equal_fresh_tables_for_every_ordering(searches):
-    # A new budget makes every test a new key, so each ordering searches
-    # once, on its own tables; the first ordering is c1, not the identity.
+    # Each ordering searches once, on its own tables built from the DAG's
+    # shared rows; the first ordering is c1, not the identity, and the
+    # small budgets keep the searches short.
     texts = [inst.text for inst in generate_corpus(CorpusSpec(count=12, seed=5))]
     texts += [replay_ontology_text(random.Random(seed)) for seed in range(20)]
     texts += [BASIC_TEXT, BRANCHY_TEXT]
@@ -420,43 +420,17 @@ def test_result_is_not_reused_when_a_readable_row_differs(searches, text, target
     assert len(searches) == 2
 
 
-def test_ordering_of_a_tested_variant_searches_nothing(searches):
-    text = generate_corpus(CorpusSpec(count=1, seed=11))[0].text
-    d = encode_dag(parse_ontology(text))
-    first = apply_ordering(d, parse_config("Fdn"))
-    want = satisfiability_sweep(first, 12000)
-    n = len(searches)
-    assert n > 0
-    # equal permutations, inserted in vertex order and in reverse
-    perms = first.permutations
-    assert len(perms) > 1
-    for again in (dict(perms), dict(reversed(perms.items()))):
-        odag = OrderedDag(dag=d, config=None, permutations=again)
-        assert satisfiability_sweep(odag, 12000) == want
-        assert tableau._ORDERINGS[odag] is tableau._ORDERINGS[first]
-    assert len(searches) == n
-    _, variants = tableau._RULES[d]
-    assert len(variants) == 1  # each test was one lookup
-
-
-def test_orderings_with_equal_permutations_share_one_variant(searches):
+def test_two_tests_on_one_ordering_search_twice(searches):
     d = encode_dag(parse_ontology(BRANCHY_TEXT))
-    first = _identity(d)
-    vid = next(v for v, perm in first.items() if len(perm) > 1)
-    moved = {**first, vid: first[vid][::-1]}
-    a, b = (OrderedDag(dag=d, config=None, permutations=dict(moved)) for _ in range(2))
-    identity = OrderedDag(dag=d, config=None, permutations=first)
-    is_satisfiable(identity, None, 100)
-    assert is_satisfiable(a, None, 100) == is_satisfiable(b, None, 100)
+    odag = apply_ordering(d, parse_config("Fdn"))
+    first = is_satisfiable(odag, None, 100)
+    assert is_satisfiable(odag, None, 100) == first
     assert len(searches) == 2
-    assert tableau._ORDERINGS[a] is tableau._ORDERINGS[b]
-    assert tableau._ORDERINGS[a] is not tableau._ORDERINGS[identity]
-    assert tableau._ORDERINGS[a].results is not tableau._ORDERINGS[identity].results
-    unordered, variants = tableau._RULES[d]
-    assert len(variants) == 2
-    # the unordered rows leave every ``and`` row to the variants
-    assert all(unordered.expand[2 * v] is None for v in first)
-    assert all(unordered.disjuncts[2 * v + 1] is None for v in first)
+    assert searches[0][0] is searches[1][0]  # on the ordering's one set of tables
+    # the unordered rows leave every ``and`` row to the orderings
+    unordered = tableau._RULES[d]
+    assert all(unordered.expand[2 * v] is None for v in odag.permutations)
+    assert all(unordered.disjuncts[2 * v + 1] is None for v in odag.permutations)
 
 
 def test_unknown_class_is_a_value_error():

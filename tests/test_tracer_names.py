@@ -48,3 +48,29 @@ def test_hooks_read_the_fields_they_trace(spans):
     assert metrics["heuristics.order_calls"] == (1, "count")
     assert metrics["tableau.sweeps"] == (1, "count")
     assert metrics["tableau.steps"][0] > 0
+
+
+def test_tableau_counts_are_search_counts(spans, monkeypatch, inline):
+    # every `is_satisfiable` call is one search, so the traced counts are
+    # those of the searches
+    from ordsel import tableau
+    from ordsel.bench import harness
+    from ordsel.bench.corpus import CorpusSpec, generate_corpus
+
+    # generating the corpus runs searches of its own, so it comes first
+    corpus = [(inst.ontology_id, inst.text) for inst in generate_corpus(CorpusSpec(count=8, seed=7))]
+    found = []
+    search = tableau._search
+
+    def spy(*args):
+        found.append(search(*args))
+        return found[-1]
+
+    monkeypatch.setattr(tableau, "_search", spy)
+    with spans.Tracer() as tracer:
+        tracer.phase = spans.CALL
+        harness.run_benchmark(corpus)
+    metrics = tracer.layer_metrics()
+    assert len(found) == 1031
+    assert metrics["tableau.sat_calls"] == (len(found), "count")
+    assert metrics["tableau.steps"] == (sum(r.steps for r in found), "count")
